@@ -31,6 +31,7 @@ __all__ = [
     "eps4",
     "xgcd",
     "valuation",
+    "require_exact_divisor",
 ]
 
 isqrt = math.isqrt
@@ -147,6 +148,12 @@ def xgcd(a, b):
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
+
+
+def require_exact_divisor(N, ell):
+    """Raise ValueError unless ell exactly divides N: ell | N, gcd(ell, N/ell) = 1."""
+    if ell < 1 or N % ell or math.gcd(ell, N // ell) != 1:
+        raise ValueError("ell must be an exact divisor of N")
 
 
 def crt_solve(residues):

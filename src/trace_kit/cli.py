@@ -7,11 +7,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
-from .arith import QQ
+from .arith import QQ, require_exact_divisor
 from .class_numbers import cache_snapshot, h0, hurwitz_H, load_cache
 from .dirichlet import CycloNum, enumerate_characters, trivial_character
 from .hecke_operator import build_Tn, operator_json_entries, verify_operator
@@ -173,8 +172,7 @@ def cmd_trace(args):
     if args.ell is not None:
         if not chi.is_trivial():
             _usage_error("the composed operator is defined for the trivial character only")
-        if args.level % args.ell or math.gcd(args.ell, args.level // args.ell) != 1:
-            _usage_error("--ell must be an exact divisor of the level")
+        require_exact_divisor(args.level, args.ell)
         if args.weight % 2:
             _usage_error("the composed operator needs even weight")
     lo, hi = args.n

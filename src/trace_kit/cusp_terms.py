@@ -9,8 +9,9 @@ on the nose, which the test suite checks term by term.
 import math
 from functools import lru_cache
 
-from .arith import QQ, crt_solve, divisors, euler_phi, sigma1_N, xgcd
+from .arith import QQ, crt_solve, divisors, euler_phi, require_exact_divisor, sigma1_N, xgcd
 from .dirichlet import CycloNum
+from .matrix_forms import mat_mul
 from .period_oracle import sigma_contains, sigma_det
 
 __all__ = [
@@ -106,9 +107,8 @@ def phi_chi(N, chi, a, d):
 
 def phi_ell(N, ell, a, d):
     """Cusp sum for the composed Hecke/Atkin-Lehner coset (exact rational)."""
+    require_exact_divisor(N, ell)
     ellp = N // ell
-    if N % ell or math.gcd(ell, ellp) != 1:
-        raise ValueError("ell must be an exact divisor of N")
     if (a + d) % ell:
         return QQ(0)
     count = 0
@@ -145,7 +145,7 @@ def phi_generic(sigma, chi, w, a, d):
         span = rep.width * g
         for b in range(span):
             m = (a, b, 0, d)
-            cm = _mat_mul(_mat_mul(C, m), Cinv)
+            cm = mat_mul(mat_mul(C, m), Cinv)
             if sigma_contains(sigma, cm):
                 if sigma[0] == "hecke":
                     total = total + chi(cm[0])
@@ -163,12 +163,6 @@ def phi_generic(sigma, chi, w, a, d):
     return total / g
 
 
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 # -- Eisenstein and coboundary traces ----------------------------------------------
 
 
@@ -177,27 +171,37 @@ def _divisor_pairs(n):
         yield a, n // a
 
 
-def eisenstein_trace(N, chi, k, n):
-    """Trace of the degree-n Hecke operator on the Eisenstein subspace."""
+def _eisenstein(N, chi, k, n, side):
+    """sum over n = a*d of phi_chi(N, chi, a, d) times (a, d)[side]^(k-1)."""
     if chi.parity() != (1 if k % 2 == 0 else -1):
         return CycloNum.zero(chi.order)
     total = CycloNum.zero(chi.order)
-    for a, d in _divisor_pairs(n):
-        total = total + phi_chi(N, chi, a, d) * a ** (k - 1)
+    for pair in _divisor_pairs(n):
+        total = total + phi_chi(N, chi, *pair) * pair[side] ** (k - 1)
     if k == 2 and chi.is_trivial():
         total = total - sigma1_N(N, n)
     return total
 
 
+def eisenstein_trace(N, chi, k, n):
+    """Trace of the degree-n Hecke operator on the Eisenstein subspace."""
+    return _eisenstein(N, chi, k, n, 0)
+
+
 def coboundary_trace(N, chi, k, n):
     """Same trace computed from the coboundary side: d^(k-1) weights."""
-    if chi.parity() != (1 if k % 2 == 0 else -1):
-        return CycloNum.zero(chi.order)
-    total = CycloNum.zero(chi.order)
-    for a, d in _divisor_pairs(n):
-        total = total + phi_chi(N, chi, a, d) * d ** (k - 1)
-    if k == 2 and chi.is_trivial():
-        total = total - sigma1_N(N, n)
+    return _eisenstein(N, chi, k, n, 1)
+
+
+def _eisenstein_atkin(N, ell, k, n, side):
+    """sum over n*ell = a*d of phi_ell(N, ell, a, d) times (a, d)[side]^(k-1)."""
+    if k % 2:
+        raise ValueError("the composed operator needs even weight")
+    total = QQ(0)
+    for pair in _divisor_pairs(n * ell):
+        total += phi_ell(N, ell, *pair) * pair[side] ** (k - 1)
+    if k == 2:
+        total -= sigma1_N(N, n)
     return total
 
 
@@ -207,22 +211,9 @@ def eisenstein_trace_atkin(N, ell, k, n):
     No ell^(w/2) normalization here: this matches the trace of the plain
     double-coset action used by the period oracle.
     """
-    if k % 2:
-        raise ValueError("the composed operator needs even weight")
-    total = QQ(0)
-    for a, d in _divisor_pairs(n * ell):
-        total += phi_ell(N, ell, a, d) * a ** (k - 1)
-    if k == 2:
-        total -= sigma1_N(N, n)
-    return total
+    return _eisenstein_atkin(N, ell, k, n, 0)
 
 
 def coboundary_trace_atkin(N, ell, k, n):
-    if k % 2:
-        raise ValueError("the composed operator needs even weight")
-    total = QQ(0)
-    for a, d in _divisor_pairs(n * ell):
-        total += phi_ell(N, ell, a, d) * d ** (k - 1)
-    if k == 2:
-        total -= sigma1_N(N, n)
-    return total
+    """The composed trace from the coboundary side: d^(k-1) weights."""
+    return _eisenstein_atkin(N, ell, k, n, 1)

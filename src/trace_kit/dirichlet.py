@@ -4,6 +4,10 @@ CycloNum is an element of Q(zeta_m): a rational-coefficient polynomial of
 degree < phi(m) reduced modulo the m-th cyclotomic polynomial.  Characters
 evaluate to roots of unity in their own order; all downstream formulas stay
 exact by carrying these around instead of complex floats.
+
+The coefficient-tuple kernel (cyclo_mul, cyclo_inverse, zeta_power,
+mult_matrix) is the package's one implementation of that field: CycloNum
+wraps it, and the period oracle calls it on its elimination entries.
 """
 
 import cmath
@@ -15,6 +19,10 @@ from .arith import QQ, crt_solve, divisors, euler_phi, factorize
 __all__ = [
     "CycloNum",
     "cyclotomic_poly",
+    "cyclo_inverse",
+    "cyclo_mul",
+    "mult_matrix",
+    "zeta_power",
     "DirichletChar",
     "enumerate_characters",
     "trivial_character",
@@ -50,11 +58,86 @@ def cyclotomic_poly(m):
     return tuple(poly)
 
 
+# -- the coefficient-tuple kernel --------------------------------------------
+#
+# An element of Q(zeta_m) is a tuple of phi(m) coefficients on the power basis
+# 1, zeta, ..., zeta^(phi(m)-1).  Reduction modulo Phi_m happens here and
+# nowhere else: CycloNum and the period oracle's elimination both call these
+# functions.  Integer inputs give integer outputs (except for the inverse).
+
+
 @lru_cache(maxsize=None)
-def _fold_base(m):
-    """x^deg mod Phi_m as an integer coefficient tuple (deg = phi(m))."""
+def _powers(m):
+    """zeta_m^k as integer coefficient tuples for k < max(m, 2*phi(m) - 1).
+
+    That range covers every exponent of a root of unity and of the raw
+    product of two reduced elements.
+    """
     phi = cyclotomic_poly(m)
-    return tuple(-c for c in phi[:-1])
+    deg = len(phi) - 1
+    base = [-c for c in phi[:-1]]
+    cur = [1] + [0] * (deg - 1)
+    rows = [tuple(cur)]
+    for _ in range(max(m, 2 * deg - 1) - 1):
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [a + top * b for a, b in zip(cur, base)]
+        rows.append(tuple(cur))
+    return tuple(rows)
+
+
+def _reduce(m, raw):
+    """Fold raw power-basis coefficients into a reduced coefficient tuple."""
+    pows = _powers(m)
+    deg = len(pows[0])
+    out = list(raw[:deg]) + [0] * (deg - len(raw))
+    for k in range(deg, len(raw)):
+        c = raw[k]
+        if c:
+            for i, v in enumerate(pows[k]):
+                if v:
+                    out[i] += c * v
+    return tuple(out)
+
+
+def cyclo_mul(m, a, b):
+    """Product of two reduced coefficient tuples of Q(zeta_m)."""
+    n = len(a)
+    if n == 1:
+        return (a[0] * b[0],)
+    raw = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    raw[i + j] += x * y
+    return _reduce(m, raw)
+
+
+def cyclo_inverse(m, a):
+    """Inverse of a nonzero reduced coefficient tuple, by extended Euclid
+    modulo Phi_m; the coefficients are exact rationals."""
+    if not any(a):
+        raise ZeroDivisionError("inverse of zero cyclotomic number")
+    phi = [QQ(c) for c in cyclotomic_poly(m)]
+    g, s = _poly_xgcd_mod([QQ(c) for c in a], phi)
+    # g is a nonzero constant
+    inv_g = 1 / g[0]
+    coeffs = [c * inv_g for c in s] + [QQ(0)] * len(a)
+    return tuple(coeffs[: len(a)])
+
+
+def zeta_power(m, k):
+    """zeta_m^k as an integer coefficient tuple."""
+    return _powers(m)[k % m]
+
+
+def mult_matrix(m, a):
+    """Rows of the phi(m) x phi(m) matrix of multiplication by a on the power
+    basis; column c holds a * zeta^c."""
+    cols = [cyclo_mul(m, a, basis) for basis in _powers(m)[: len(a)]]
+    return tuple(zip(*cols))
 
 
 class CycloNum:
@@ -84,11 +167,7 @@ class CycloNum:
     @staticmethod
     def root_of_unity(order, k=1):
         """zeta_order^k."""
-        deg = euler_phi(order)
-        k %= order
-        coeffs = [QQ(0)] * order
-        coeffs[k] = QQ(1)
-        return CycloNum(order, _reduce(coeffs, order, deg))
+        return CycloNum(order, (QQ(c) for c in zeta_power(order, k)))
 
     # -- ring structure ----------------------------------------------------
 
@@ -96,12 +175,11 @@ class CycloNum:
         if order2 == self.order:
             return self
         step = order2 // self.order
-        deg2 = euler_phi(order2)
         raw = [QQ(0)] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             if c:
                 raw[i * step] += c
-        return CycloNum(order2, _reduce(raw, order2, deg2))
+        return CycloNum(order2, _reduce(order2, raw))
 
     def _common(self, other):
         if not isinstance(other, CycloNum):
@@ -131,31 +209,13 @@ class CycloNum:
             q = QQ(other)
             return CycloNum(self.order, tuple(x * q for x in self.coeffs))
         a, b = self._common(other)
-        n = len(a.coeffs)
-        if n == 1:
-            return CycloNum(a.order, (a.coeffs[0] * b.coeffs[0],))
-        raw = [QQ(0)] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        raw[i + j] += x * y
-        return CycloNum(a.order, _reduce(raw, a.order, n))
+        return CycloNum(a.order, cyclo_mul(a.order, a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Multiplicative inverse via extended Euclid mod the cyclotomic poly."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [QQ(c) for c in cyclotomic_poly(self.order)]
-        g, s = _poly_xgcd_mod(list(self.coeffs), phi)
-        # g is a nonzero constant
-        inv_g = 1 / g[0]
-        deg = euler_phi(self.order)
-        coeffs = [c * inv_g for c in s]
-        coeffs += [QQ(0)] * (deg - len(coeffs))
-        return CycloNum(self.order, tuple(coeffs[:deg]))
+        return CycloNum(self.order, cyclo_inverse(self.order, self.coeffs))
 
     def __truediv__(self, other):
         if not isinstance(other, CycloNum):
@@ -196,22 +256,6 @@ class CycloNum:
         """Float image for display only; never used in decisions."""
         z = cmath.exp(2j * cmath.pi / self.order)
         return sum(float(c) * z**i for i, c in enumerate(self.coeffs))
-
-
-def _reduce(raw, order, deg):
-    """Reduce a raw coefficient list modulo Phi_order to degree < deg."""
-    if len(raw) <= deg:
-        return tuple(raw) + (QQ(0),) * (deg - len(raw))
-    base = _fold_base(order)
-    work = [QQ(c) for c in raw]
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            lo = i - deg
-            for j, b in enumerate(base):
-                if b:
-                    work[lo + j] += c * b
-    return tuple(work[:deg])
 
 
 def _poly_xgcd_mod(a, b):

@@ -9,19 +9,27 @@ which block (if any) each point feeds.
 Representation: a vector over Q(zeta_m) is stored as phi(m) parallel
 "planes" of rationals, one per power basis coefficient.  The weight action
 has integer entries and acts on each plane independently; multiplying by a
-root of unity mixes planes through a precomputed integer matrix.  This keeps
-the hot loops in plain rational arithmetic.  Eliminations stay linear over
-the cyclotomic field (entry = coefficient tuple), so kernels and restricted
+field element mixes planes through its multiplication matrix (an integer one
+for roots of unity).  This keeps the hot loops in plain rational arithmetic.
+Eliminations stay linear over the cyclotomic field (entry = coefficient
+tuple, or a plain rational when phi(m) = 1), so kernels and restricted
 traces are genuinely Q(zeta)-spaces and the traces are exact cyclotomic
 numbers, asserted to leave the subspace residual exactly zero.
+
+Every field operation (product, inverse, powers of zeta, multiplication
+matrices) comes from the coefficient-tuple kernel in dirichlet; this module
+only lays the numbers out.  It imports nothing from the closed formulas:
+the two routes share arith, that field arithmetic, matrix_forms and the
+coset membership tests of local_counts, and nothing else.
 """
 
 import math
+import operator
 import threading
 from functools import lru_cache
 
-from .arith import QQ, sigma1_N
-from .dirichlet import CycloNum, cyclotomic_poly, euler_phi
+from .arith import QQ, euler_phi, require_exact_divisor, sigma1_N, xgcd
+from .dirichlet import CycloNum, cyclo_inverse, cyclo_mul, mult_matrix, zeta_power
 from .local_counts import in_atkin_coset, in_hecke_coset
 from .matrix_forms import S, T, U, mat_inv_unimodular, mat_mul
 
@@ -82,7 +90,7 @@ class CosetTable:
             c1, d1 = c, d
             while math.gcd(c1, d1) != 1:
                 d1 += N
-        g, a, y = _xgcd(d1, c1)
+        g, a, y = xgcd(d1, c1)
         assert g == 1
         return (a, -y, c1, d1)
 
@@ -101,18 +109,6 @@ class CosetTable:
 
     def __len__(self):
         return len(self.points)
-
-
-def _xgcd(a, b):
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +172,7 @@ def hecke_coset_desc(N, n):
 
 def atkin_coset_desc(N, ell, n):
     """Descriptor for the composed Hecke/Atkin-Lehner coset (det = ell*n)."""
-    if N % ell or math.gcd(ell, N // ell) != 1:
-        raise ValueError("ell must be an exact divisor of N")
+    require_exact_divisor(N, ell)
     return ("atkin", N, ell, n)
 
 
@@ -244,55 +239,6 @@ def _gamma_point_map(N, g):
     return tuple(out)
 
 
-# -- cyclotomic coefficient planes ----------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _power_table(m):
-    """x^k mod Phi_m for k = 0..2*deg-2, integer coefficient tuples."""
-    phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
-    base = [-c for c in phi[:-1]]
-    rows = []
-    cur = [0] * deg
-    cur[0] = 1
-    rows.append(tuple(cur))
-    for _ in range(2 * deg - 2):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [a + top * b for a, b in zip(cur, base)]
-        rows.append(tuple(cur))
-    return tuple(rows)
-
-
-def _power_mod_phi(m, e):
-    """Integer coefficients of x^e mod Phi_m."""
-    deg = euler_phi(m)
-    phi = cyclotomic_poly(m)
-    base = [-c for c in phi[:-1]]
-    work = [0] * (e + 1)
-    work[e] = 1
-    for i in range(e, deg - 1, -1):
-        c = work[i]
-        if c:
-            work[i] = 0
-            lo = i - deg
-            for j, b in enumerate(base):
-                if b:
-                    work[lo + j] += c * b
-    return tuple(work[:deg]) + (0,) * (deg - min(deg, e + 1))
-
-
-@lru_cache(maxsize=None)
-def _zeta_matrix(m, k):
-    """Integer matrix of multiplication by zeta_m^k on the power basis."""
-    deg = euler_phi(m)
-    k %= m
-    cols = [_power_mod_phi(m, k + c) for c in range(deg)]
-    return tuple(tuple(cols[c][r] for c in range(deg)) for r in range(deg))
-
-
 # -- the module ---------------------------------------------------------------
 
 
@@ -317,6 +263,8 @@ class PeriodModule:
         self.g = euler_phi(self.order)
         # chi exponent per residue (None on non-units)
         self._chi_exp = [chi.value_exponent(x) for x in range(max(N, 1))] if N > 1 else [0]
+        # integer plane-mixing matrix of zeta^e, per exponent e
+        self._zeta = [mult_matrix(self.order, zeta_power(self.order, e)) for e in range(self.order)]
 
     # -- plane vectors -------------------------------------------------------
 
@@ -324,26 +272,6 @@ class PeriodModule:
         # integer zeros: vectors stay in plain ints whenever the inputs are
         # integral, which is what the hot paths arrange
         return [[0] * self.dim for _ in range(self.g)]
-
-    def _twist_exact(self, block, exponent, scale):
-        """Multiply a g-plane block by scale * zeta^exponent."""
-        if self.order <= 2:
-            s = scale if exponent == 0 else -scale
-            return [[s * x for x in block[0]]]
-        zm = _zeta_matrix(self.order, exponent)
-        out = []
-        for r in range(self.g):
-            row = zm[r]
-            acc = None
-            for c in range(self.g):
-                coef = row[c]
-                if coef:
-                    part = [coef * x for x in block[c]]
-                    acc = part if acc is None else [a + b for a, b in zip(acc, part)]
-            if acc is None:
-                acc = [QQ(0)] * len(block[0])
-            out.append([scale * x for x in acc])
-        return out
 
     def _block_apply(self, rows_nz, vec, i):
         """Integer weight action (nonzero-structured rows) on block i."""
@@ -378,14 +306,10 @@ class PeriodModule:
         out = self.zero_vec()
         for j in range(self.npoints):
             i, dg = pmap[j]
-            sub = self._block_apply(wm, vec, i)
-            tw = self._twist_exact(sub, self._chi_exponent(dg), QQ(1))
-            lo = j * w1
-            for c in range(self.g):
-                dst = out[c]
-                srcp = tw[c]
-                for r in range(w1):
-                    dst[lo + r] = srcp[r]
+            tw = [[0] * w1 for _ in range(self.g)]
+            _add_scaled(tw, self._zeta[self._chi_exponent(dg)], self._block_apply(wm, vec, i))
+            for dst, plane in zip(out, tw):
+                dst[j * w1 : (j + 1) * w1] = plane
         return out
 
     def apply_operator(self, sigma, op, vectors):
@@ -429,102 +353,12 @@ class PeriodModule:
                                 dst[lo + r] += qq * v
         outs = [self.zero_vec() for _ in range(nv)]
         for exp, bucket in buckets.items():
-            if self.order <= 2:
-                sgn = 1 if exp == 0 else -1
-                for vi in range(nv):
-                    dst = outs[vi][0]
-                    src = bucket[vi][0]
-                    if sgn == 1:
-                        for idx, v in enumerate(src):
-                            if v:
-                                dst[idx] += v
-                    else:
-                        for idx, v in enumerate(src):
-                            if v:
-                                dst[idx] -= v
-            else:
-                zm = _zeta_matrix(self.order, exp)
-                for vi in range(nv):
-                    out = outs[vi]
-                    src = bucket[vi]
-                    for cp in range(self.g):
-                        dst = out[cp]
-                        row = zm[cp]
-                        for c in range(self.g):
-                            coef = row[c]
-                            if coef:
-                                plane = src[c]
-                                if coef == 1:
-                                    for idx, v in enumerate(plane):
-                                        if v:
-                                            dst[idx] += v
-                                else:
-                                    for idx, v in enumerate(plane):
-                                        if v:
-                                            dst[idx] += coef * v
+            for out, src in zip(outs, bucket):
+                _add_scaled(out, self._zeta[exp], src)
         return outs
 
     def apply_sigma(self, sigma, m, vec):
         return self.apply_operator(sigma, {m: QQ(1)}, [vec])[0]
-
-    # -- entry-level (cyclotomic) helpers for eliminations ---------------------
-
-    def _entries(self, vec):
-        """Vector as a list of coefficient tuples (field entries)."""
-        if self.g == 1:
-            return list(vec[0])
-        return [tuple(vec[c][i] for c in range(self.g)) for i in range(self.dim)]
-
-    def _e_ops(self):
-        """(add, sub, mul, div, is_zero, zero, one) over field entries."""
-        if self.g == 1:
-            zero, one = QQ(0), QQ(1)
-            return (
-                lambda a, b: a + b,
-                lambda a, b: a - b,
-                lambda a, b: a * b,
-                lambda a, b: QQ(a) / b,  # exact: guards against int/int
-                lambda a: not a,
-                zero,
-                one,
-            )
-        m = self.order
-        g = self.g
-        pows = _power_table(m)
-
-        def add(a, b):
-            return tuple(x + y for x, y in zip(a, b))
-
-        def sub(a, b):
-            return tuple(x - y for x, y in zip(a, b))
-
-        def mul(a, b):
-            raw = [QQ(0)] * (2 * g - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            raw[i + j] += x * y
-            out = list(raw[:g])
-            for k in range(g, 2 * g - 1):
-                ck = raw[k]
-                if ck:
-                    row = pows[k]
-                    for idx, val in enumerate(row):
-                        if val:
-                            out[idx] += ck * val
-            return tuple(out)
-
-        def div(a, b):
-            bc = CycloNum(m, tuple(QQ(x) for x in b)).inverse()
-            return mul(a, tuple(QQ(c) for c in bc.coeffs))
-
-        def is_zero(a):
-            return not any(a)
-
-        zero = (QQ(0),) * g
-        one = (QQ(1),) + (QQ(0),) * (g - 1)
-        return add, sub, mul, div, is_zero, zero, one
 
     # -- structured kernels ------------------------------------------------------
 
@@ -534,70 +368,38 @@ class PeriodModule:
         w1 = self.w + 1
         pmap = _gamma_point_map(self.N, S)
         wm = weight_action(S, self.w)
+        one = zeta_power(self.order, 0)
         basis = []
         seen = set()
         for j in range(self.npoints):
             if j in seen:
                 continue
             i, dg = pmap[j]
+            z = zeta_power(self.order, self._chi_exponent(dg))
             if i == j:
-                # local condition (I + twist * W_S) x = 0 over the field
-                add, sub_, mul, div, is_zero, zero, one = self._e_ops()
-                exp = self._chi_exponent(dg)
-                tw = self._field_scalar(exp)
-                rows = []
-                for r in range(w1):
-                    row = []
-                    for cidx in range(w1):
-                        val = self._int_to_entry(wm[r][cidx])
-                        val = mul(tw, val)
-                        if r == cidx:
-                            val = add(val, one)
-                        row.append(val)
-                    rows.append(row)
-                for sol in _nullspace_entries(rows, w1, self._e_ops()):
+                # local condition (I + zeta^e W_S) x = 0 over the field
+                rows = [
+                    _entries([[wm[r][c] * x + (r == c) * o for c in range(w1)] for x, o in zip(z, one)])
+                    for r in range(w1)
+                ]
+                for sol in _nullspace_entries(rows, w1, self.order):
                     vec = self.zero_vec()
-                    self._set_block_entries(vec, j, sol)
+                    for c, plane in enumerate(_planes(sol, self.g)):
+                        vec[c][j * w1 : (j + 1) * w1] = plane
                     basis.append(vec)
                 seen.add(j)
             else:
-                # free block at i, determined block at j = -(twist) W_S block_i
+                # free block at i, determined block at j = -zeta^e W_S block_i
                 for k in range(w1):
                     vec = self.zero_vec()
-                    vec[0][i * w1 + k] = QQ(1)
-                    col = [QQ(wm[r][k]) for r in range(w1)]
-                    tw = self._twist_exact([col] + [[QQ(0)] * w1 for _ in range(self.g - 1)],
-                                           self._chi_exponent(dg), QQ(-1))
-                    for c in range(self.g):
+                    vec[0][i * w1 + k] = 1
+                    for c, x in enumerate(z):
                         for r in range(w1):
-                            vec[c][j * w1 + r] = tw[c][r]
+                            vec[c][j * w1 + r] = -x * wm[r][k]
                     basis.append(vec)
                 seen.add(i)
                 seen.add(j)
         return basis
-
-    def _field_scalar(self, exponent):
-        if self.g == 1:
-            return QQ(1) if exponent == 0 else QQ(-1)
-        vec = [QQ(0)] * self.g
-        zm = _zeta_matrix(self.order, exponent)
-        for r in range(self.g):
-            vec[r] = QQ(zm[r][0])
-        return tuple(vec)
-
-    def _int_to_entry(self, x):
-        if self.g == 1:
-            return QQ(x)
-        return (QQ(x),) + (QQ(0),) * (self.g - 1)
-
-    def _set_block_entries(self, vec, j, entries):
-        w1 = self.w + 1
-        for r, e in enumerate(entries):
-            if self.g == 1:
-                vec[0][j * w1 + r] = e
-            else:
-                for c in range(self.g):
-                    vec[c][j * w1 + r] = e[c]
 
     def period_space(self):
         """Basis of Ker(1+S) intersect Ker(1+U+U^2), over the value field."""
@@ -608,32 +410,15 @@ class PeriodModule:
         for v in bs:
             vu = self.apply_gamma(U, v)
             vuu = self.apply_gamma(U, vu)
-            img = [
-                [a + b + c for a, b, c in zip(v[p], vu[p], vuu[p])]
-                for p in range(self.g)
-            ]
-            images.append(self._entries(img))
-        ops = self._e_ops()
-        rows = [[images[c][r] for c in range(len(bs))] for r in range(self.dim)]
-        combos = _nullspace_entries(rows, len(bs), ops)
-        add, sub_, mul, div, is_zero, zero, one = ops
+            img = [[a + b + c for a, b, c in zip(*planes)] for planes in zip(v, vu, vuu)]
+            images.append(_entries(img))
+        combos = _nullspace_entries(list(zip(*images)), len(bs), self.order)
         out = []
         for combo in combos:
             acc = self.zero_vec()
-            for coef, bvec in zip(combo, bs):
-                if is_zero(coef):
-                    continue
-                if self.g == 1:
-                    dst = acc[0]
-                    for idx, bv in enumerate(bvec[0]):
-                        if bv:
-                            dst[idx] += coef * bv
-                else:
-                    for idx, be in enumerate(self._entries(bvec)):
-                        if not is_zero(be):
-                            prod = mul(coef, be)
-                            for c in range(self.g):
-                                acc[c][idx] += prod[c]
+            for coef, bvec in zip(zip(*_planes(combo, self.g)), bs):
+                if any(coef):
+                    _add_scaled(acc, mult_matrix(self.order, coef), bvec)
             out.append(acc)
         return out
 
@@ -641,7 +426,6 @@ class PeriodModule:
         """Basis of Ker(1 - T): one vector per admissible translation orbit."""
         w1 = self.w + 1
         pmap = _gamma_point_map(self.N, T)
-        add, sub_, mul, div, is_zero, zero, one = self._e_ops()
         basis = []
         done = set()
         for j0 in range(self.npoints):
@@ -660,49 +444,92 @@ class PeriodModule:
             done.update(cycle)
             if sum(exps) % self.order:
                 continue  # inadmissible orbit: only the zero invariant vector
-            vec = self.zero_vec()
-            self._set_entry_scalar(vec, j0 * w1, 0)
+            slots = [(j0, 0)]
             run = 0
             for k in range(len(cycle) - 1, 0, -1):
                 run = (run + exps[k]) % self.order
-                self._set_entry_scalar(vec, cycle[k] * w1, run)
+                slots.append((cycle[k], run))
+            vec = self.zero_vec()
+            for point, e in slots:
+                for c, x in enumerate(zeta_power(self.order, e)):
+                    vec[c][point * w1] = x
             basis.append(vec)
         return basis
 
-    def _set_entry_scalar(self, vec, index, exponent):
-        """Set slot to zeta^exponent."""
-        if self.g == 1:
-            vec[0][index] = QQ(1) if exponent == 0 else QQ(-1)
-        else:
-            zm = _zeta_matrix(self.order, exponent)
-            for c in range(self.g):
-                vec[c][index] = QQ(zm[c][0])
-
 
 # -- eliminations over field entries ----------------------------------------------
+#
+# An elimination entry of Q(zeta_m) is a plain QQ when phi(m) = 1 and a
+# coefficient tuple otherwise; tuples are multiplied and inverted by the
+# dirichlet kernel.  Plane vectors are the same numbers stored plane-major.
 
 
-def _rref_entries(rows, ncols, ops, pivot_limit=None):
-    add, sub, mul, div, is_zero, zero, one = ops
+def _entries(planes):
+    """Elimination entries of a plane vector."""
+    if len(planes) == 1:
+        return list(planes[0])
+    return list(zip(*planes))
+
+
+def _planes(entries, g):
+    """Plane view (g lists) of a list of elimination entries."""
+    if g == 1:
+        return [list(entries)]
+    return [[e[c] for e in entries] for c in range(g)]
+
+
+def _zero_one(g):
+    if g == 1:
+        return QQ(0), QQ(1)
+    return (QQ(0),) * g, (QQ(1),) + (QQ(0),) * (g - 1)
+
+
+def _add_scaled(dst, qmat, src):
+    """dst += q * src on plane vectors, q given by its multiplication matrix."""
+    for dplane, qrow in zip(dst, qmat):
+        for q, splane in zip(qrow, src):
+            if q:
+                for idx, s in enumerate(splane):
+                    if s:
+                        dplane[idx] += q * s
+
+
+def _rref_entries(rows, ncols, m, pivot_limit=None):
+    """Reduce rows of Q(zeta_m) entries to reduced echelon form in place;
+    returns the pivot columns."""
+    scalar = euler_phi(m) == 1
+    nonzero = bool if scalar else any
     limit = ncols if pivot_limit is None else pivot_limit
     pivots = []
     r = 0
     for col in range(limit):
         piv = None
         for rr in range(r, len(rows)):
-            if not is_zero(rows[rr][col]):
+            if nonzero(rows[rr][col]):
                 piv = rr
                 break
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        if inv != one:
-            rows[r] = [div(x, inv) for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and not is_zero(rows[rr][col]):
-                f = rows[rr][col]
-                rows[rr] = [sub(x, mul(f, y)) for x, y in zip(rows[rr], rows[r])]
+        prow = rows[r]
+        if scalar:
+            if prow[col] != 1:
+                inv = 1 / QQ(prow[col])
+                prow = rows[r] = [x * inv if x else x for x in prow]
+        else:
+            inv = cyclo_inverse(m, prow[col])
+            prow = rows[r] = [cyclo_mul(m, inv, x) if any(x) else x for x in prow]
+        for rr, row in enumerate(rows):
+            f = row[col]
+            if rr == r or not nonzero(f):
+                continue
+            if scalar:
+                rows[rr] = [x - f * y if y else x for x, y in zip(row, prow)]
+            else:
+                rows[rr] = [
+                    tuple(map(operator.sub, x, cyclo_mul(m, f, y))) if any(y) else x
+                    for x, y in zip(row, prow)
+                ]
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -710,120 +537,66 @@ def _rref_entries(rows, ncols, ops, pivot_limit=None):
     return pivots
 
 
-def _nullspace_entries(rows, ncols, ops):
-    add, sub, mul, div, is_zero, zero, one = ops
-    work = [list(r) for r in rows if not all(is_zero(x) for x in r)]
-    pivots = _rref_entries(work, ncols, ops)
+def _nullspace_entries(rows, ncols, m):
+    g = euler_phi(m)
+    nonzero = bool if g == 1 else any
+    work = [list(r) for r in rows if any(map(nonzero, r))]
+    pivots = _rref_entries(work, ncols, m)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    zero, one = _zero_one(g)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
         vec = [zero] * ncols
         vec[fc] = one
         for ridx, pc in enumerate(pivots):
             v = work[ridx][fc]
-            if not is_zero(v):
-                vec[pc] = sub(zero, v)
+            if nonzero(v):
+                vec[pc] = -v if g == 1 else tuple(-x for x in v)
         basis.append(vec)
     return basis
 
 
 class _SpanData:
-    """Echelonized span of a basis with the transform back to it."""
+    """Echelonized span of a basis with the transform back to it, both kept
+    as plane vectors."""
 
-    __slots__ = ("echelon", "pivots", "tmat", "dim", "ops", "plane_echelon", "mod")
+    __slots__ = ("pivots", "echelon", "tmat", "mod")
 
     def __init__(self, entry_rows, dim, mod):
-        ops = mod._e_ops()
-        add, sub, mul, div, is_zero, zero, one = ops
+        zero, one = _zero_one(mod.g)
         r = len(entry_rows)
         aug = []
         for i, v in enumerate(entry_rows):
             row = list(v) + [zero] * r
             row[dim + i] = one
             aug.append(row)
-        pivots = _rref_entries(aug, dim + r, ops, pivot_limit=dim)
+        pivots = _rref_entries(aug, dim + r, mod.order, pivot_limit=dim)
         if len(pivots) != r:
             raise RuntimeError("basis vectors are dependent")
-        self.echelon = [row[:dim] for row in aug]
-        self.tmat = [row[dim:] for row in aug]
         self.pivots = pivots
-        self.dim = dim
-        self.ops = ops
+        self.echelon = [_planes(row[:dim], mod.g) for row in aug]
+        self.tmat = [_planes(row[dim:], mod.g) for row in aug]
         self.mod = mod
-        # plane view of the echelon rows for the fast residual path
-        g = mod.g
-        self.plane_echelon = []
-        for row in self.echelon:
-            if g == 1:
-                self.plane_echelon.append([list(row)])
-            else:
-                self.plane_echelon.append(
-                    [[e[c] for e in row] for c in range(g)]
-                )
-
-
-def _scalar_mult_matrix(mod, entry):
-    """g x g rational matrix of multiplication by a field entry."""
-    g = mod.g
-    if g == 1:
-        return entry
-    out = [[QQ(0)] * g for _ in range(g)]
-    for u in range(g):
-        cu = entry[u]
-        if cu:
-            zm = _zeta_matrix(mod.order, u) if u else None
-            for rr in range(g):
-                if u == 0:
-                    out[rr][rr] += cu
-                else:
-                    row = zm[rr]
-                    for cc in range(g):
-                        if row[cc]:
-                            out[rr][cc] += cu * row[cc]
-    return out
 
 
 def _restricted_trace(span, image_planes):
-    """Trace of the restriction given plane-vector images; asserts the images
-    lie exactly in the span (zero residual) before trusting anything."""
-    mod = span.mod
-    g = mod.g
-    add, sub, mul, div, is_zero, zero, one = span.ops
-    total = zero
+    """Trace (a coefficient tuple) of the restriction given plane-vector
+    images; asserts the images lie exactly in the span (zero residual) before
+    trusting anything."""
+    m = span.mod.order
+    total = (QQ(0),) * span.mod.g
     for i, v in enumerate(image_planes):
-        if g == 1:
-            coeffs = [v[0][p] for p in span.pivots]
-        else:
-            coeffs = [tuple(v[c][p] for c in range(g)) for p in span.pivots]
-        resid = [list(v[c]) for c in range(g)]
-        for k, ck in enumerate(coeffs):
-            if is_zero(ck):
-                continue
-            eplanes = span.plane_echelon[k]
-            if g == 1:
-                dst = resid[0]
-                src = eplanes[0]
-                for idx, s in enumerate(src):
-                    if s:
-                        dst[idx] -= ck * s
-            else:
-                qmat = _scalar_mult_matrix(mod, ck)
-                for cp in range(g):
-                    dst = resid[cp]
-                    qrow = qmat[cp]
-                    for cc in range(g):
-                        qv = qrow[cc]
-                        if qv:
-                            src = eplanes[cc]
-                            for idx, s in enumerate(src):
-                                if s:
-                                    dst[idx] -= qv * s
-        if any(any(x for x in plane) for plane in resid):
+        resid = [list(plane) for plane in v]
+        for p, eplanes, tplanes in zip(span.pivots, span.echelon, span.tmat):
+            ck = tuple(plane[p] for plane in v)
+            if any(ck):
+                _add_scaled(resid, mult_matrix(m, tuple(-x for x in ck)), eplanes)
+                tki = tuple(plane[i] for plane in tplanes)
+                total = tuple(map(operator.add, total, cyclo_mul(m, ck, tki)))
+        if any(any(plane) for plane in resid):
             raise RuntimeError("operator does not preserve the subspace")
-        for ck, trow in zip(coeffs, span.tmat):
-            if not is_zero(ck):
-                total = add(total, mul(ck, trow[i]))
     return total
 
 
@@ -869,36 +642,25 @@ def period_module(N, chi, w):
     return mod
 
 
-def _cached_period_space(mod):
+def _cached_space(cache, mod, build):
+    """(integer-scaled basis, its _SpanData or None) of a subspace, memoized."""
     key = (mod.N, mod.chi.exponents, mod.w)
-    got = _pspace_cache.get(key)
+    got = cache.get(key)
     if got is None:
-        basis = [_scale_planes_to_int(v) for v in mod.period_space()]
-        if basis:
-            rows = [mod._entries(v) for v in basis]
-            span = _SpanData(rows, mod.dim, mod)
-        else:
-            span = None
+        basis = [_scale_planes_to_int(v) for v in build()]
+        span = _SpanData([_entries(v) for v in basis], mod.dim, mod) if basis else None
         got = (basis, span)
         with _cache_lock:
-            _pspace_cache[key] = got
+            cache[key] = got
     return got
+
+
+def _cached_period_space(mod):
+    return _cached_space(_pspace_cache, mod, mod.period_space)
 
 
 def _cached_translation_space(mod):
-    key = (mod.N, mod.chi.exponents, mod.w)
-    got = _dspace_cache.get(key)
-    if got is None:
-        basis = [_scale_planes_to_int(v) for v in mod.translation_fixed_space()]
-        if basis:
-            rows = [mod._entries(v) for v in basis]
-            span = _SpanData(rows, mod.dim, mod)
-        else:
-            span = None
-        got = (basis, span)
-        with _cache_lock:
-            _dspace_cache[key] = got
-    return got
+    return _cached_space(_dspace_cache, mod, mod.translation_fixed_space)
 
 
 def dim_period_space(N, chi, w):
@@ -911,11 +673,14 @@ def dim_translation_fixed(N, chi, w):
     return len(_cached_translation_space(mod)[0])
 
 
-def _entry_to_cyclo(val, mod):
-    if mod.g == 1:
-        q = val
-        return CycloNum(1, (QQ(q),))
-    return CycloNum(mod.order, tuple(val))
+def _trace_on_space(mod, sigma, op, space):
+    """Exact trace of op acting through sigma on a cached subspace."""
+    basis, span = space
+    if not basis:
+        return CycloNum.zero(1)
+    int_op, den = _int_scaled_op(op.coeffs)
+    val = _restricted_trace(span, mod.apply_operator(sigma, int_op, basis))
+    return CycloNum(mod.order if mod.g > 1 else 1, (x / den for x in val))
 
 
 def trace_on_W(N, chi, w, sigma, op):
@@ -924,18 +689,7 @@ def trace_on_W(N, chi, w, sigma, op):
     if sigma_det(sigma) != op.det:
         raise ValueError("operator determinant does not match the double coset")
     mod = period_module(N, chi, w)
-    basis, span = _cached_period_space(mod)
-    if not basis:
-        return CycloNum.zero(1)
-    int_op, den = _int_scaled_op(op.coeffs)
-    images = mod.apply_operator(sigma, int_op, basis)
-    val = _restricted_trace(span, images)
-    if den != 1:
-        if mod.g == 1:
-            val = val / den
-        else:
-            val = tuple(x / den for x in val)
-    return _entry_to_cyclo(val, mod)
+    return _trace_on_space(mod, sigma, op, _cached_period_space(mod))
 
 
 def trace_on_V(N, chi, w, sigma, op):
@@ -960,16 +714,7 @@ def trace_coboundary(N, chi, w, sigma, n_infinity_op):
     """Trace of the infinity-coset operator on Ker(1-T), with the weight-2
     trivial-character correction; equals the Eisenstein trace."""
     mod = period_module(N, chi, w)
-    basis, span = _cached_translation_space(mod)
-    if not basis:
-        val = CycloNum.zero(1)
-    else:
-        int_op, den = _int_scaled_op(n_infinity_op.coeffs)
-        images = mod.apply_operator(sigma, int_op, basis)
-        raw = _restricted_trace(span, images)
-        if den != 1:
-            raw = raw / den if mod.g == 1 else tuple(x / den for x in raw)
-        val = _entry_to_cyclo(raw, mod)
+    val = _trace_on_space(mod, sigma, n_infinity_op, _cached_translation_space(mod))
     if w == 0 and chi.is_trivial():
         n = sigma[2] if sigma[0] == "hecke" else sigma[3]
         val = val - sigma1_N(N, n)

@@ -8,8 +8,20 @@ polynomials) exercised by the oracle comparisons in the verification suite.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .arith import QQ, divisors, gegenbauer, index_phi1, is_square, isqrt, moebius, sigma1, sigma1_N
+from .arith import (
+    QQ,
+    divisors,
+    gegenbauer,
+    index_phi1,
+    is_square,
+    isqrt,
+    moebius,
+    require_exact_divisor,
+    sigma1,
+    sigma1_N,
+)
 from .class_numbers import h0, hurwitz_H
 from .cusp_terms import phi_chi, phi_ell
 from .dirichlet import CycloNum, trivial_character
@@ -42,6 +54,22 @@ class TraceResult:
     warning: str | None = None
 
 
+def _validate(N, chi, k, n, ell=1):
+    """Reject inputs outside the formulas' domain with ValueError.
+
+    chi=None marks the trivial-character formulas (Atkin-Lehner composition,
+    level-4 specialization), which are defined for even k only.
+    """
+    if N < 1 or k < 2 or n < 1:
+        raise ValueError("need N >= 1, k >= 2, n >= 1")
+    if chi is None:
+        if k % 2:
+            raise ValueError("need even k >= 2")
+    elif chi.modulus != N:
+        raise ValueError("character modulus must equal the level")
+    require_exact_divisor(N, ell)
+
+
 def _parity_ok(chi, k):
     return chi.parity() == (1 if k % 2 == 0 else -1)
 
@@ -51,18 +79,51 @@ def _zero_result(chi, warning=None):
     return TraceResult(z, z, z, z, warning)
 
 
-def _fold_t_terms(n, k, term):
-    """Sum term(t) over all integers t with t^2 <= 4n, folding t and -t.
+def _fold_t(ts, term):
+    """term(0) + 2 * term(t) summed over the nonzero t in ts.
 
-    Callers guarantee term(-t) = term(t) (parity hypothesis); verified
-    against the two-sided loop by tests.
+    Callers guarantee term(-t) = term(t) (parity hypothesis), so this is the
+    sum over all t with |t| in ts.
     """
     total = term(0)
-    t = 1
-    while t * t <= 4 * n:
-        total = total + term(t) * 2
-        t += 1
+    for t in ts:
+        if t:
+            total = total + term(t) * 2
     return total
+
+
+def _elliptic_term(N, chi, w, n, t):
+    """Gegenbauer weight times sum over u | N of H((4n - t^2)/u^2) C(u, t, n)."""
+    acc = CycloNum.zero(chi.order)
+    D = 4 * n - t * t
+    for u in divisors(N):
+        if D % (u * u):
+            continue
+        hval = hurwitz_H(D // (u * u))
+        if hval:
+            acc = acc + C_coeff(N, chi, u, t, n) * hval
+    return acc * gegenbauer(w, t, n)
+
+
+def _atkin_term(N, ell, w, n, t):
+    """Gegenbauer weight times the Moebius-twisted class sum of the composed
+    operator: sum over u | ell, u' | N/ell of mu(u) H(D/(u u')^2) C(u', t, ell n)."""
+    ellp = N // ell
+    chi1p = trivial_character(ellp)
+    D = 4 * ell * n - t * t
+    inner = QQ(0)
+    for u in divisors(ell):
+        mu = moebius(u)
+        if not mu:
+            continue
+        for up in divisors(ellp):
+            uu = u * up
+            if D % (uu * uu):
+                continue
+            hval = hurwitz_H(D // (uu * uu))
+            if hval:
+                inner += hval * C_coeff(ellp, chi1p, up, t, ell * n).as_rational() * mu
+    return inner * gegenbauer(w, t, ell * n)
 
 
 def trace_hecke_cusp(N, chi, k, n):
@@ -71,26 +132,11 @@ def trace_hecke_cusp(N, chi, k, n):
     Parity violations (chi(-1) != (-1)^k) return the exact zero trace with a
     warning field instead of raising.
     """
-    if N < 1 or k < 2 or n < 1:
-        raise ValueError("need N >= 1, k >= 2, n >= 1")
-    if chi.modulus != N:
-        raise ValueError("character modulus must equal the level")
+    _validate(N, chi, k, n)
     if not _parity_ok(chi, k):
         return _zero_result(chi, warning="character parity does not match the weight")
-    w = k - 2
 
-    def elliptic_term(t):
-        acc = CycloNum.zero(chi.order)
-        D = 4 * n - t * t
-        for u in divisors(N):
-            if D % (u * u):
-                continue
-            hval = hurwitz_H(D // (u * u))
-            if hval:
-                acc = acc + C_coeff(N, chi, u, t, n) * hval
-        return acc * gegenbauer(w, t, n)
-
-    elliptic = _fold_t_terms(n, k, elliptic_term) * QQ(-1, 2)
+    elliptic = _fold_t(range(isqrt(4 * n) + 1), partial(_elliptic_term, N, chi, k - 2, n)) * QQ(-1, 2)
 
     hyper = CycloNum.zero(chi.order)
     for a in divisors(n):
@@ -123,20 +169,10 @@ def trace_hecke_full(N, chi, k, n):
     weighted numbers against the Moebius-inverted local factor) are computed
     and must agree; their common value is returned.
     """
+    _validate(N, chi, k, n)
     if not _parity_ok(chi, k):
         return CycloNum.zero(chi.order)
     w = k - 2
-
-    def h_term(t):
-        acc = CycloNum.zero(chi.order)
-        D = 4 * n - t * t
-        for u in divisors(N):
-            if D % (u * u):
-                continue
-            hval = hurwitz_H(D // (u * u))
-            if hval:
-                acc = acc + C_coeff(N, chi, u, t, n) * hval
-        return acc * gegenbauer(w, t, n)
 
     def h0_term(t):
         acc = CycloNum.zero(chi.order)
@@ -153,16 +189,9 @@ def trace_hecke_full(N, chi, k, n):
             u += 1
         return acc * gegenbauer(w, t, n)
 
-    def fold(term):
-        ts = _t_range_full(n)
-        total = term(0)
-        for t in ts:
-            if t:
-                total = total + term(t) * 2
-        return total
-
-    total_h = -fold(h_term)
-    total_h0 = -fold(h0_term)
+    ts = _t_range_full(n)
+    total_h = -_fold_t(ts, partial(_elliptic_term, N, chi, w, n))
+    total_h0 = -_fold_t(ts, h0_term)
     if k == 2 and chi.is_trivial():
         extra = sigma1_N(N, n)
         total_h = total_h + extra
@@ -178,37 +207,12 @@ def trace_hecke_full(N, chi, k, n):
 def trace_atkin_lehner(N, ell, k, n):
     """Trace of (degree-n Hecke) composed with the Atkin-Lehner involution
     at an exact divisor ell, on the cusp-form space (trivial character)."""
-    ellp = N // ell
-    if N % ell or math.gcd(ell, ellp) != 1:
-        raise ValueError("ell must be an exact divisor of N")
-    if k < 2 or k % 2:
-        raise ValueError("need even k >= 2")
+    _validate(N, None, k, n, ell)
     w = k - 2
-    chi1p = trivial_character(ellp)
     scale = QQ(1, ell ** (w // 2))
 
-    elliptic = QQ(0)
-    t = 0
-    while t * t <= 4 * ell * n:
-        if t % ell == 0:
-            inner = QQ(0)
-            D = 4 * ell * n - t * t
-            for u in divisors(ell):
-                mu = moebius(u)
-                if not mu:
-                    continue
-                for up in divisors(ellp):
-                    uu = u * up
-                    if D % (uu * uu):
-                        continue
-                    hval = hurwitz_H(D // (uu * uu))
-                    if hval:
-                        inner += hval * C_coeff(ellp, chi1p, up, t, ell * n).as_rational() * mu
-            if inner:
-                term = inner * gegenbauer(w, t, ell * n) * scale
-                elliptic += term if t == 0 else 2 * term
-        t += 1
-    elliptic = -elliptic / 2
+    ts = range(0, isqrt(4 * ell * n) + 1, ell)
+    elliptic = -_fold_t(ts, partial(_atkin_term, N, ell, w, n)) * scale / 2
 
     hyper = QQ(0)
     for a in divisors(n * ell):
@@ -229,38 +233,9 @@ def trace_atkin_lehner(N, ell, k, n):
 def trace_atkin_full(N, ell, k, n):
     """Raw double-coset trace on cusp plus all modular forms (no ell^(w/2)
     normalization); the quantity the period oracle computes directly."""
-    ellp = N // ell
-    if N % ell or math.gcd(ell, ellp) != 1:
-        raise ValueError("ell must be an exact divisor of N")
-    if k % 2:
-        raise ValueError("need even k")
-    w = k - 2
-    chi1p = trivial_character(ellp)
-    total = QQ(0)
-    for t in _t_range_full(n * ell):
-        if t % ell:
-            continue
-        D = 4 * ell * n - t * t
-        inner = QQ(0)
-        for u in divisors(ell):
-            mu = moebius(u)
-            if not mu:
-                continue
-            for up in divisors(ellp):
-                uu = u * up
-                if D == 0:
-                    hval = hurwitz_H(0)
-                    inner += hval * C_coeff(ellp, chi1p, up, t, ell * n).as_rational() * mu
-                    continue
-                if D % (uu * uu):
-                    continue
-                hval = hurwitz_H(D // (uu * uu))
-                if hval:
-                    inner += hval * C_coeff(ellp, chi1p, up, t, ell * n).as_rational() * mu
-        if inner:
-            term = inner * gegenbauer(w, t, ell * n)
-            total += term if t == 0 else 2 * term
-    total = -total
+    _validate(N, None, k, n, ell)
+    ts = [t for t in _t_range_full(n * ell) if t % ell == 0]
+    total = -_fold_t(ts, partial(_atkin_term, N, ell, k - 2, n))
     if k == 2:
         total += sigma1_N(N, n)
     return total
@@ -278,15 +253,13 @@ def scalar_term(N, chi, k, n):
 def trace_series(N, chi, n, k_max):
     """Traces on cusp-plus-all-forms for k = 2..k_max (generating series
     coefficients, one weight at a time)."""
-    if k_max < 2:
-        raise ValueError("need k_max >= 2")
+    _validate(N, chi, k_max, n)
     return [trace_hecke_full(N, chi, k, n) for k in range(2, k_max + 1)]
 
 
 def cohen_gamma04(k, n):
     """Level-4 odd-index specialization as a finite class-number sum."""
-    if k < 2 or k % 2:
-        raise ValueError("need even k >= 2")
+    _validate(4, None, k, n)
     if n % 2 == 0:
         raise ValueError("n must be odd")
     div = QQ(0)

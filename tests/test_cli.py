@@ -57,6 +57,21 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--level", "1", "--weight", "12", "--space", "full", "--n", "0"),
+        ("--level", "1", "--weight", "12", "--n", "0"),
+        ("--level", "6", "--weight", "4", "--ell", "2", "--n", "0"),
+        ("--level", "6", "--weight", "4", "--ell", "2", "--space", "full", "--n", "0"),
+        ("--level", "4", "--weight", "4", "--ell", "2", "--n", "1"),
+    ],
+)
+def test_trace_rejects_bad_input(capsys, extra):
+    code, out, err = run_cli(capsys, "trace", *extra)
+    assert code == 2 and not out and err.startswith("error:")
+
+
 def test_classnum(capsys):
     code, out, _ = run_cli(capsys, "classnum", "--kind", "H", "--d", "0")
     assert code == 0 and "value=[-1, 12]" in out

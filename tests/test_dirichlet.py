@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -7,9 +8,12 @@ from hypothesis import strategies as st
 from trace_kit.arith import QQ, euler_phi
 from trace_kit.dirichlet import (
     CycloNum,
+    cyclo_mul,
     cyclotomic_poly,
     enumerate_characters,
+    mult_matrix,
     trivial_character,
+    zeta_power,
 )
 
 
@@ -112,7 +116,7 @@ def test_eval_mod_induced():
 
 def test_reduction_float_sanity():
     rng = random.Random(23)
-    for m in (3, 4, 5, 7, 8, 12):
+    for m in (3, 4, 5, 7, 8, 10, 12):
         for _ in range(20):
             a = CycloNum.root_of_unity(m, rng.randrange(m)) + QQ(rng.randint(-3, 3), rng.randint(1, 5))
             b = CycloNum.root_of_unity(m, rng.randrange(m)) * QQ(rng.randint(-3, 3), rng.randint(1, 4))
@@ -121,9 +125,27 @@ def test_reduction_float_sanity():
             assert abs(exact - floaty) < 1e-9
 
 
+def test_mult_matrix_float_sanity():
+    # the multiplication matrix and zeta powers of the coefficient-tuple
+    # kernel, checked against complex floats
+    rng = random.Random(29)
+    for m in (1, 2, 3, 4, 5, 7, 8, 10, 12):
+        z = cmath.exp(2j * cmath.pi / m)
+        for k in range(2 * m):
+            assert abs(CycloNum(m, zeta_power(m, k)).approx_complex() - z**k) < 1e-9
+        for _ in range(10):
+            a = CycloNum.root_of_unity(m, rng.randrange(m)) + QQ(rng.randint(-3, 3), rng.randint(1, 5))
+            b = CycloNum.root_of_unity(m, rng.randrange(m)) * QQ(rng.randint(-3, 3), rng.randint(1, 4))
+            rows = mult_matrix(m, a.coeffs)
+            prod = tuple(sum(q * y for q, y in zip(row, b.coeffs)) for row in rows)
+            assert prod == cyclo_mul(m, a.coeffs, b.coeffs)
+            floaty = a.approx_complex() * b.approx_complex()
+            assert abs(CycloNum(m, prod).approx_complex() - floaty) < 1e-9
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([3, 4, 5, 6, 8, 12]),
+    st.sampled_from([3, 4, 5, 6, 8, 10, 12]),
     st.integers(0, 11),
     st.integers(0, 11),
     st.integers(-4, 4),

@@ -1,3 +1,4 @@
+import ast
 import random
 
 import pytest
@@ -118,7 +119,7 @@ def test_kernel_sum_spans_module():
         import trace_kit.period_oracle as po
 
         work = [list(r) for r in rows if any(r)]
-        pivots = po._rref_entries(work, dim, mod._e_ops())
+        pivots = po._rref_entries(work, dim, mod.order)
         rank_uuu = len(pivots)
         dim_ker_uuu = dim - rank_uuu
         dim_w = dim_period_space(N, chi, w)
@@ -240,3 +241,20 @@ def test_coboundary_examples():
     from trace_kit.cusp_terms import eisenstein_trace_atkin
 
     assert val == eisenstein_trace_atkin(6, 2, 4, 1)
+
+
+def test_imports_stay_below_the_closed_formulas():
+    # the period route may share the number-theory layers with the closed
+    # formulas, but must never reach the formulas themselves
+    import trace_kit.period_oracle as po
+
+    with open(po.__file__) as fh:
+        tree = ast.parse(fh.read())
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sources.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            sources.update(alias.name for alias in node.names)
+    package = {s for s in sources if s.startswith(".") or s.startswith("trace_kit")}
+    assert package <= {".arith", ".dirichlet", ".local_counts", ".matrix_forms"}, package

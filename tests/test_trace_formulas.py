@@ -100,6 +100,13 @@ def test_atkin_validation_errors():
         trace_atkin_lehner(4, 2, 4, 1)  # not an exact divisor
     with pytest.raises(ValueError):
         trace_atkin_lehner(6, 2, 3, 1)  # odd weight
+    for fn in (trace_atkin_lehner, trace_atkin_full):
+        with pytest.raises(ValueError, match="exact divisor"):
+            fn(4, 2, 4, 1)
+        with pytest.raises(ValueError, match="even k"):
+            fn(6, 2, 3, 1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            fn(6, 2, 4, 0)
 
 
 def test_scalar_term_examples():
@@ -142,6 +149,9 @@ def test_cohen_examples():
         cohen_gamma04(4, 2)
     with pytest.raises(ValueError):
         cohen_gamma04(3, 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            cohen_gamma04(4, n)
 
 
 def test_query_validation():
@@ -149,3 +159,11 @@ def test_query_validation():
         trace_hecke_cusp(4, T1, 4, 1)  # modulus mismatch
     with pytest.raises(ValueError):
         trace_hecke_cusp(1, T1, 1, 1)  # weight too small
+    with pytest.raises(ValueError, match="modulus"):
+        trace_hecke_full(2, T4, 2, 3)
+    with pytest.raises(ValueError, match="n >= 1"):
+        trace_hecke_full(1, T1, 12, 0)
+    with pytest.raises(ValueError, match="modulus"):
+        trace_series(2, T4, 3, 6)
+    with pytest.raises(ValueError, match="n >= 1"):
+        trace_series(1, T1, 0, 12)

@@ -32,6 +32,7 @@ __all__ = [
     "xgcd",
     "valuation",
     "require_exact_divisor",
+    "validate_query",
 ]
 
 isqrt = math.isqrt
@@ -154,6 +155,23 @@ def require_exact_divisor(N, ell):
     """Raise ValueError unless ell exactly divides N: ell | N, gcd(ell, N/ell) = 1."""
     if ell < 1 or N % ell or math.gcd(ell, N // ell) != 1:
         raise ValueError("ell must be an exact divisor of N")
+
+
+def validate_query(N, chi=None, k=2, n=1, ell=1):
+    """Reject a trace query outside the domain of the formulas with ValueError.
+
+    chi=None marks the trivial-character formulas (Atkin-Lehner composition,
+    level-4 specialization), which are defined for even k only.  Every
+    default passes, so a caller checks only the parameters it has.
+    """
+    if N < 1 or k < 2 or n < 1:
+        raise ValueError("need N >= 1, k >= 2, n >= 1")
+    if chi is None:
+        if k % 2:
+            raise ValueError("need even k >= 2")
+    elif chi.modulus != N:
+        raise ValueError("character modulus must equal the level")
+    require_exact_divisor(N, ell)
 
 
 def crt_solve(residues):

@@ -9,7 +9,7 @@ on the nose, which the test suite checks term by term.
 import math
 from functools import lru_cache
 
-from .arith import QQ, crt_solve, divisors, euler_phi, require_exact_divisor, sigma1_N, xgcd
+from .arith import QQ, crt_solve, divisors, euler_phi, require_exact_divisor, sigma1_N, validate_query, xgcd
 from .dirichlet import CycloNum
 from .matrix_forms import mat_mul
 from .period_oracle import sigma_contains, sigma_det
@@ -173,6 +173,7 @@ def _divisor_pairs(n):
 
 def _eisenstein(N, chi, k, n, side):
     """sum over n = a*d of phi_chi(N, chi, a, d) times (a, d)[side]^(k-1)."""
+    validate_query(N, chi, k, n)
     if chi.parity() != (1 if k % 2 == 0 else -1):
         return CycloNum.zero(chi.order)
     total = CycloNum.zero(chi.order)
@@ -195,8 +196,7 @@ def coboundary_trace(N, chi, k, n):
 
 def _eisenstein_atkin(N, ell, k, n, side):
     """sum over n*ell = a*d of phi_ell(N, ell, a, d) times (a, d)[side]^(k-1)."""
-    if k % 2:
-        raise ValueError("the composed operator needs even weight")
+    validate_query(N, None, k, n, ell)
     total = QQ(0)
     for pair in _divisor_pairs(n * ell):
         total += phi_ell(N, ell, *pair) * pair[side] ** (k - 1)

@@ -120,6 +120,8 @@ def cyclo_inverse(m, a):
     modulo Phi_m; the coefficients are exact rationals."""
     if not any(a):
         raise ZeroDivisionError("inverse of zero cyclotomic number")
+    if len(a) == 1:
+        return (1 / QQ(a[0]),)
     phi = [QQ(c) for c in cyclotomic_poly(m)]
     g, s = _poly_xgcd_mod([QQ(c) for c in a], phi)
     # g is a nonzero constant
@@ -135,8 +137,8 @@ def zeta_power(m, k):
 
 def mult_matrix(m, a):
     """Rows of the phi(m) x phi(m) matrix of multiplication by a on the power
-    basis; column c holds a * zeta^c."""
-    cols = [cyclo_mul(m, a, basis) for basis in _powers(m)[: len(a)]]
+    basis; column c holds a * zeta^c (column 0 is a itself)."""
+    cols = [a] + [cyclo_mul(m, a, basis) for basis in _powers(m)[1 : len(a)]]
     return tuple(zip(*cols))
 
 

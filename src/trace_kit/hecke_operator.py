@@ -26,15 +26,13 @@ from .matrix_forms import (
     U,
     class_label,
     epsilon,
-    form_content,
     form_neg,
     mat_det,
     mat_mul,
     mat_neg,
-    mat_trace,
     matrix_with_form,
     proj_canonical,
-    quad_form_of,
+    stab_order,
 )
 
 __all__ = [
@@ -251,20 +249,9 @@ def build_Tn_infty(n):
     return out
 
 
-def _stab_from_matrix(m):
-    q = quad_form_of(m)
-    g = form_content(q)
-    d0 = (mat_trace(m) ** 2 - 4 * mat_det(m)) // (g * g)
-    if d0 == -3:
-        return 3
-    if d0 == -4:
-        return 2
-    return 1
-
-
 def build_elliptic_reps(n):
     """(matrix, -1/stabilizer order) for one representative per elliptic class."""
-    return [(m, QQ(-1, _stab_from_matrix(m))) for m in enumerate_family(n, "elliptic")]
+    return [(m, QQ(-1, stab_order(m))) for m in enumerate_family(n, "elliptic")]
 
 
 def _family_elem(n, name):

@@ -7,14 +7,16 @@ double coset acts through the same recipe with a membership scan deciding
 which block (if any) each point feeds.
 
 Representation: a vector over Q(zeta_m) is stored as phi(m) parallel
-"planes" of rationals, one per power basis coefficient.  The weight action
-has integer entries and acts on each plane independently; multiplying by a
-field element mixes planes through its multiplication matrix (an integer one
-for roots of unity).  This keeps the hot loops in plain rational arithmetic.
-Eliminations stay linear over the cyclotomic field (entry = coefficient
-tuple, or a plain rational when phi(m) = 1), so kernels and restricted
-traces are genuinely Q(zeta)-spaces and the traces are exact cyclotomic
-numbers, asserted to leave the subspace residual exactly zero.
+"planes" of rationals, one per power basis coefficient, and this is the only
+layout: the operator actions and the eliminations both work on it, whatever
+phi(m) is.  The weight action has integer entries and acts on each plane
+independently; multiplying by a field element mixes planes through its
+multiplication matrix (an integer one for roots of unity).  This keeps the
+hot loops in plain rational arithmetic.  A row of an elimination is such a
+vector too, and pivots are scaled and cleared by multiplication matrices, so
+kernels and restricted traces are genuinely Q(zeta)-spaces and the traces
+are exact cyclotomic numbers, asserted to leave the subspace residual
+exactly zero.
 
 Every field operation (product, inverse, powers of zeta, multiplication
 matrices) comes from the coefficient-tuple kernel in dirichlet; this module
@@ -25,10 +27,9 @@ coset membership tests of local_counts, and nothing else.
 
 import math
 import operator
-import threading
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .arith import QQ, euler_phi, require_exact_divisor, sigma1_N, xgcd
+from .arith import QQ, euler_phi, sigma1_N, validate_query, xgcd
 from .dirichlet import CycloNum, cyclo_inverse, cyclo_mul, mult_matrix, zeta_power
 from .local_counts import in_atkin_coset, in_hecke_coset
 from .matrix_forms import S, T, U, mat_inv_unimodular, mat_mul
@@ -167,12 +168,13 @@ def _weight_rows_nz(m, w):
 
 def hecke_coset_desc(N, n):
     """Descriptor for the determinant-n Hecke double coset at level N."""
+    validate_query(N, n=n)
     return ("hecke", N, n)
 
 
 def atkin_coset_desc(N, ell, n):
     """Descriptor for the composed Hecke/Atkin-Lehner coset (det = ell*n)."""
-    require_exact_divisor(N, ell)
+    validate_query(N, n=n, ell=ell)
     return ("atkin", N, ell, n)
 
 
@@ -188,10 +190,7 @@ def sigma_contains(sigma, m):
     return in_atkin_coset(m, sigma[1], sigma[2], sigma[3])
 
 
-_sigma_block_cache: dict = {}
-_cache_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def sigma_block_map(sigma, m):
     """Per point j: None, or (source point i, chi argument mod N).
 
@@ -199,10 +198,6 @@ def sigma_block_map(sigma, m):
     is the twist by chi(argument) times the weight action applied to the
     block at point i of the input.
     """
-    key = (sigma, m)
-    cached = _sigma_block_cache.get(key)
-    if cached is not None:
-        return cached
     N = sigma[1]
     table = coset_table(N)
     out = []
@@ -221,10 +216,7 @@ def sigma_block_map(sigma, m):
                 entry = (i, arg)
                 break
         out.append(entry)
-    out = tuple(out)
-    with _cache_lock:
-        _sigma_block_cache[key] = out
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -251,6 +243,7 @@ class PeriodModule:
     """
 
     def __init__(self, N, chi, w):
+        validate_query(N, chi, w + 2)
         if chi.parity() != (1 if w % 2 == 0 else -1):
             raise ValueError("character parity must match the weight")
         self.N = N
@@ -379,12 +372,12 @@ class PeriodModule:
             if i == j:
                 # local condition (I + zeta^e W_S) x = 0 over the field
                 rows = [
-                    _entries([[wm[r][c] * x + (r == c) * o for c in range(w1)] for x, o in zip(z, one)])
+                    [[wm[r][c] * x + (r == c) * o for c in range(w1)] for x, o in zip(z, one)]
                     for r in range(w1)
                 ]
-                for sol in _nullspace_entries(rows, w1, self.order):
+                for sol in _nullspace(rows, self.order, w1):
                     vec = self.zero_vec()
-                    for c, plane in enumerate(_planes(sol, self.g)):
+                    for c, plane in enumerate(sol):
                         vec[c][j * w1 : (j + 1) * w1] = plane
                     basis.append(vec)
                 seen.add(j)
@@ -410,13 +403,12 @@ class PeriodModule:
         for v in bs:
             vu = self.apply_gamma(U, v)
             vuu = self.apply_gamma(U, vu)
-            img = [[a + b + c for a, b, c in zip(*planes)] for planes in zip(v, vu, vuu)]
-            images.append(_entries(img))
-        combos = _nullspace_entries(list(zip(*images)), len(bs), self.order)
+            images.append([[a + b + c for a, b, c in zip(*planes)] for planes in zip(v, vu, vuu)])
+        rows = [[[img[c][r] for img in images] for c in range(self.g)] for r in range(self.dim)]
         out = []
-        for combo in combos:
+        for combo in _nullspace(rows, self.order, len(bs)):
             acc = self.zero_vec()
-            for coef, bvec in zip(zip(*_planes(combo, self.g)), bs):
+            for coef, bvec in zip(zip(*combo), bs):
                 if any(coef):
                     _add_scaled(acc, mult_matrix(self.order, coef), bvec)
             out.append(acc)
@@ -456,80 +448,59 @@ class PeriodModule:
             basis.append(vec)
         return basis
 
+    @cached_property
+    def period_basis(self):
+        """(integer-scaled basis of period_space(), its _SpanData or None)."""
+        return _int_space(self, self.period_space())
 
-# -- eliminations over field entries ----------------------------------------------
-#
-# An elimination entry of Q(zeta_m) is a plain QQ when phi(m) = 1 and a
-# coefficient tuple otherwise; tuples are multiplied and inverted by the
-# dirichlet kernel.  Plane vectors are the same numbers stored plane-major.
-
-
-def _entries(planes):
-    """Elimination entries of a plane vector."""
-    if len(planes) == 1:
-        return list(planes[0])
-    return list(zip(*planes))
+    @cached_property
+    def translation_basis(self):
+        """(integer-scaled basis of translation_fixed_space(), its _SpanData
+        or None)."""
+        return _int_space(self, self.translation_fixed_space())
 
 
-def _planes(entries, g):
-    """Plane view (g lists) of a list of elimination entries."""
-    if g == 1:
-        return [list(entries)]
-    return [[e[c] for e in entries] for c in range(g)]
-
-
-def _zero_one(g):
-    if g == 1:
-        return QQ(0), QQ(1)
-    return (QQ(0),) * g, (QQ(1),) + (QQ(0),) * (g - 1)
+# -- eliminations on plane vectors --------------------------------------------
 
 
 def _add_scaled(dst, qmat, src):
-    """dst += q * src on plane vectors, q given by its multiplication matrix."""
-    for dplane, qrow in zip(dst, qmat):
+    """dst += q * src on plane vectors, q given by its multiplication matrix.
+
+    Replaces the planes of dst by new lists; src is left alone."""
+    for c, qrow in enumerate(qmat):
+        plane = dst[c]
         for q, splane in zip(qrow, src):
             if q:
-                for idx, s in enumerate(splane):
-                    if s:
-                        dplane[idx] += q * s
+                # an exact zero on either side skips a rational addition
+                plane = [(d + q * s if d else q * s) if s else d for d, s in zip(plane, splane)]
+        dst[c] = plane
 
 
-def _rref_entries(rows, ncols, m, pivot_limit=None):
-    """Reduce rows of Q(zeta_m) entries to reduced echelon form in place;
-    returns the pivot columns."""
-    scalar = euler_phi(m) == 1
-    nonzero = bool if scalar else any
-    limit = ncols if pivot_limit is None else pivot_limit
+def _rref(rows, m, limit):
+    """Reduce plane-vector rows over Q(zeta_m) to reduced echelon form in
+    place, pivoting in the first `limit` columns; returns the pivot columns."""
+    one = zeta_power(m, 0)
     pivots = []
     r = 0
     for col in range(limit):
         piv = None
         for rr in range(r, len(rows)):
-            if nonzero(rows[rr][col]):
+            if any([plane[col] for plane in rows[rr]]):
                 piv = rr
                 break
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        if scalar:
-            if prow[col] != 1:
-                inv = 1 / QQ(prow[col])
-                prow = rows[r] = [x * inv if x else x for x in prow]
-        else:
-            inv = cyclo_inverse(m, prow[col])
-            prow = rows[r] = [cyclo_mul(m, inv, x) if any(x) else x for x in prow]
+        lead = tuple([plane[col] for plane in prow])
+        if lead != one:
+            scaled = [[0] * len(plane) for plane in prow]
+            _add_scaled(scaled, mult_matrix(m, cyclo_inverse(m, lead)), prow)
+            prow = rows[r] = scaled
         for rr, row in enumerate(rows):
-            f = row[col]
-            if rr == r or not nonzero(f):
-                continue
-            if scalar:
-                rows[rr] = [x - f * y if y else x for x, y in zip(row, prow)]
-            else:
-                rows[rr] = [
-                    tuple(map(operator.sub, x, cyclo_mul(m, f, y))) if any(y) else x
-                    for x, y in zip(row, prow)
-                ]
+            f = [plane[col] for plane in row]
+            if rr != r and any(f):
+                _add_scaled(row, mult_matrix(m, [-x for x in f]), prow)
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -537,23 +508,21 @@ def _rref_entries(rows, ncols, m, pivot_limit=None):
     return pivots
 
 
-def _nullspace_entries(rows, ncols, m):
-    g = euler_phi(m)
-    nonzero = bool if g == 1 else any
-    work = [list(r) for r in rows if any(map(nonzero, r))]
-    pivots = _rref_entries(work, ncols, m)
+def _nullspace(rows, m, ncols):
+    """Plane-vector basis of the vectors x with row . x = 0 for every
+    plane-vector row; the rows are reduced in place."""
+    work = [row for row in rows if any(any(plane) for plane in row)]
+    pivots = _rref(work, m, ncols)
     pivset = set(pivots)
-    zero, one = _zero_one(g)
     basis = []
     for fc in range(ncols):
         if fc in pivset:
             continue
-        vec = [zero] * ncols
-        vec[fc] = one
-        for ridx, pc in enumerate(pivots):
-            v = work[ridx][fc]
-            if nonzero(v):
-                vec[pc] = -v if g == 1 else tuple(-x for x in v)
+        vec = [[0] * ncols for _ in range(euler_phi(m))]
+        vec[0][fc] = 1
+        for row, pc in zip(work, pivots):
+            for dst, src in zip(vec, row):
+                dst[pc] = -src[fc]
         basis.append(vec)
     return basis
 
@@ -564,20 +533,19 @@ class _SpanData:
 
     __slots__ = ("pivots", "echelon", "tmat", "mod")
 
-    def __init__(self, entry_rows, dim, mod):
-        zero, one = _zero_one(mod.g)
-        r = len(entry_rows)
+    def __init__(self, basis, mod):
+        dim, r = mod.dim, len(basis)
         aug = []
-        for i, v in enumerate(entry_rows):
-            row = list(v) + [zero] * r
-            row[dim + i] = one
+        for i, v in enumerate(basis):
+            row = [plane + [0] * r for plane in v]
+            row[0][dim + i] = 1
             aug.append(row)
-        pivots = _rref_entries(aug, dim + r, mod.order, pivot_limit=dim)
+        pivots = _rref(aug, mod.order, dim)
         if len(pivots) != r:
             raise RuntimeError("basis vectors are dependent")
         self.pivots = pivots
-        self.echelon = [_planes(row[:dim], mod.g) for row in aug]
-        self.tmat = [_planes(row[dim:], mod.g) for row in aug]
+        self.echelon = [[plane[:dim] for plane in row] for row in aug]
+        self.tmat = [[plane[dim:] for plane in row] for row in aug]
         self.mod = mod
 
 
@@ -603,74 +571,36 @@ def _restricted_trace(span, image_planes):
 # -- cached module assembly ---------------------------------------------------------
 
 
-_module_cache: dict = {}
-_pspace_cache: dict = {}
-_dspace_cache: dict = {}
-
-
-def _scale_planes_to_int(planes):
-    """Rescale a plane vector to integer entries (span-preserving)."""
+def _common_denominator(values):
+    """Least common multiple of the denominators of exact rationals."""
     den = 1
-    for plane in planes:
-        for x in plane:
-            d = getattr(x, "denominator", 1)
-            if d != 1:
-                den = den * d // math.gcd(den, d)
-    out = []
-    for plane in planes:
-        out.append([int(x * den) if den != 1 else int(x) for x in plane])
-    return out
+    for x in values:
+        den = math.lcm(den, x.denominator)
+    return den
 
 
-def _int_scaled_op(coeffs):
-    """(integer coefficient dict, denominator) for a group-ring element."""
-    den = 1
-    for q in coeffs.values():
-        d = getattr(q, "denominator", 1)
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    return {m: int(q * den) for m, q in coeffs.items()}, den
+def _int_space(mod, vectors):
+    """(basis rescaled to integer entries, its _SpanData or None) of the span
+    of plane vectors."""
+    basis = []
+    for v in vectors:
+        den = _common_denominator(x for plane in v for x in plane)
+        basis.append([[int(x * den) for x in plane] for plane in v])
+    return basis, (_SpanData(basis, mod) if basis else None)
 
 
+@lru_cache(maxsize=None)
 def period_module(N, chi, w):
-    key = (N, chi.exponents, w)
-    mod = _module_cache.get(key)
-    if mod is None:
-        mod = PeriodModule(N, chi, w)
-        with _cache_lock:
-            _module_cache[key] = mod
-    return mod
-
-
-def _cached_space(cache, mod, build):
-    """(integer-scaled basis, its _SpanData or None) of a subspace, memoized."""
-    key = (mod.N, mod.chi.exponents, mod.w)
-    got = cache.get(key)
-    if got is None:
-        basis = [_scale_planes_to_int(v) for v in build()]
-        span = _SpanData([_entries(v) for v in basis], mod.dim, mod) if basis else None
-        got = (basis, span)
-        with _cache_lock:
-            cache[key] = got
-    return got
-
-
-def _cached_period_space(mod):
-    return _cached_space(_pspace_cache, mod, mod.period_space)
-
-
-def _cached_translation_space(mod):
-    return _cached_space(_dspace_cache, mod, mod.translation_fixed_space)
+    """The PeriodModule of (N, chi, w); its subspaces are cached on it."""
+    return PeriodModule(N, chi, w)
 
 
 def dim_period_space(N, chi, w):
-    mod = period_module(N, chi, w)
-    return len(_cached_period_space(mod)[0])
+    return len(period_module(N, chi, w).period_basis[0])
 
 
 def dim_translation_fixed(N, chi, w):
-    mod = period_module(N, chi, w)
-    return len(_cached_translation_space(mod)[0])
+    return len(period_module(N, chi, w).translation_basis[0])
 
 
 def _trace_on_space(mod, sigma, op, space):
@@ -678,7 +608,8 @@ def _trace_on_space(mod, sigma, op, space):
     basis, span = space
     if not basis:
         return CycloNum.zero(1)
-    int_op, den = _int_scaled_op(op.coeffs)
+    den = _common_denominator(op.coeffs.values())
+    int_op = {m: int(q * den) for m, q in op.coeffs.items()}
     val = _restricted_trace(span, mod.apply_operator(sigma, int_op, basis))
     return CycloNum(mod.order if mod.g > 1 else 1, (x / den for x in val))
 
@@ -689,7 +620,7 @@ def trace_on_W(N, chi, w, sigma, op):
     if sigma_det(sigma) != op.det:
         raise ValueError("operator determinant does not match the double coset")
     mod = period_module(N, chi, w)
-    return _trace_on_space(mod, sigma, op, _cached_period_space(mod))
+    return _trace_on_space(mod, sigma, op, mod.period_basis)
 
 
 def trace_on_V(N, chi, w, sigma, op):
@@ -714,7 +645,7 @@ def trace_coboundary(N, chi, w, sigma, n_infinity_op):
     """Trace of the infinity-coset operator on Ker(1-T), with the weight-2
     trivial-character correction; equals the Eisenstein trace."""
     mod = period_module(N, chi, w)
-    val = _trace_on_space(mod, sigma, n_infinity_op, _cached_translation_space(mod))
+    val = _trace_on_space(mod, sigma, n_infinity_op, mod.translation_basis)
     if w == 0 and chi.is_trivial():
         n = sigma[2] if sigma[0] == "hecke" else sigma[3]
         val = val - sigma1_N(N, n)

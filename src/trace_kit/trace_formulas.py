@@ -18,9 +18,9 @@ from .arith import (
     is_square,
     isqrt,
     moebius,
-    require_exact_divisor,
     sigma1,
     sigma1_N,
+    validate_query,
 )
 from .class_numbers import h0, hurwitz_H
 from .cusp_terms import phi_chi, phi_ell
@@ -52,22 +52,6 @@ class TraceResult:
     hyperbolic: CycloNum
     correction: CycloNum
     warning: str | None = None
-
-
-def _validate(N, chi, k, n, ell=1):
-    """Reject inputs outside the formulas' domain with ValueError.
-
-    chi=None marks the trivial-character formulas (Atkin-Lehner composition,
-    level-4 specialization), which are defined for even k only.
-    """
-    if N < 1 or k < 2 or n < 1:
-        raise ValueError("need N >= 1, k >= 2, n >= 1")
-    if chi is None:
-        if k % 2:
-            raise ValueError("need even k >= 2")
-    elif chi.modulus != N:
-        raise ValueError("character modulus must equal the level")
-    require_exact_divisor(N, ell)
 
 
 def _parity_ok(chi, k):
@@ -132,7 +116,7 @@ def trace_hecke_cusp(N, chi, k, n):
     Parity violations (chi(-1) != (-1)^k) return the exact zero trace with a
     warning field instead of raising.
     """
-    _validate(N, chi, k, n)
+    validate_query(N, chi, k, n)
     if not _parity_ok(chi, k):
         return _zero_result(chi, warning="character parity does not match the weight")
 
@@ -169,7 +153,7 @@ def trace_hecke_full(N, chi, k, n):
     weighted numbers against the Moebius-inverted local factor) are computed
     and must agree; their common value is returned.
     """
-    _validate(N, chi, k, n)
+    validate_query(N, chi, k, n)
     if not _parity_ok(chi, k):
         return CycloNum.zero(chi.order)
     w = k - 2
@@ -207,7 +191,7 @@ def trace_hecke_full(N, chi, k, n):
 def trace_atkin_lehner(N, ell, k, n):
     """Trace of (degree-n Hecke) composed with the Atkin-Lehner involution
     at an exact divisor ell, on the cusp-form space (trivial character)."""
-    _validate(N, None, k, n, ell)
+    validate_query(N, None, k, n, ell)
     w = k - 2
     scale = QQ(1, ell ** (w // 2))
 
@@ -233,7 +217,7 @@ def trace_atkin_lehner(N, ell, k, n):
 def trace_atkin_full(N, ell, k, n):
     """Raw double-coset trace on cusp plus all modular forms (no ell^(w/2)
     normalization); the quantity the period oracle computes directly."""
-    _validate(N, None, k, n, ell)
+    validate_query(N, None, k, n, ell)
     ts = [t for t in _t_range_full(n * ell) if t % ell == 0]
     total = -_fold_t(ts, partial(_atkin_term, N, ell, k - 2, n))
     if k == 2:
@@ -253,13 +237,13 @@ def scalar_term(N, chi, k, n):
 def trace_series(N, chi, n, k_max):
     """Traces on cusp-plus-all-forms for k = 2..k_max (generating series
     coefficients, one weight at a time)."""
-    _validate(N, chi, k_max, n)
+    validate_query(N, chi, k_max, n)
     return [trace_hecke_full(N, chi, k, n) for k in range(2, k_max + 1)]
 
 
 def cohen_gamma04(k, n):
     """Level-4 odd-index specialization as a finite class-number sum."""
-    _validate(4, None, k, n)
+    validate_query(4, None, k, n)
     if n % 2 == 0:
         raise ValueError("n must be odd")
     div = QQ(0)

@@ -6,9 +6,11 @@ from trace_kit.arith import QQ, divisors, sigma1_N, xgcd
 from trace_kit.cusp_terms import (
     admissible_cusp_reps,
     coboundary_trace,
+    coboundary_trace_atkin,
     cusp_count,
     cusp_reps,
     eisenstein_trace,
+    eisenstein_trace_atkin,
     phi_chi,
     phi_ell,
     phi_generic,
@@ -201,6 +203,23 @@ def test_eisenstein_examples():
     assert eisenstein_trace(1, t1, 12, 2) == 2049
     assert coboundary_trace(1, t1, 12, 2) == 2049
     assert coboundary_trace(1, t1, 2, 1) == 0
+
+
+def test_eisenstein_validation():
+    t1 = trivial_character(1)
+    t4 = trivial_character(4)
+    for trace in (eisenstein_trace, coboundary_trace):
+        with pytest.raises(ValueError, match="modulus"):
+            trace(2, t4, 4, 3)
+        with pytest.raises(ValueError, match="n >= 1"):
+            trace(1, t1, 4, 0)
+    for trace in (eisenstein_trace_atkin, coboundary_trace_atkin):
+        with pytest.raises(ValueError, match="n >= 1"):
+            trace(6, 2, 4, 0)
+        with pytest.raises(ValueError, match="even k"):
+            trace(6, 2, 3, 1)
+        with pytest.raises(ValueError, match="exact divisor"):
+            trace(12, 2, 4, 1)
 
 
 def test_eisenstein_equals_coboundary():

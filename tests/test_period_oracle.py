@@ -119,7 +119,7 @@ def test_kernel_sum_spans_module():
         import trace_kit.period_oracle as po
 
         work = [list(r) for r in rows if any(r)]
-        pivots = po._rref_entries(work, dim, mod.order)
+        pivots = po._rref([[r] for r in work], mod.order, dim)
         rank_uuu = len(pivots)
         dim_ker_uuu = dim - rank_uuu
         dim_w = dim_period_space(N, chi, w)
@@ -196,7 +196,9 @@ def test_trace_on_W_examples():
 
 def test_kernel_certification():
     # the period space is annihilated by both defining operators, exactly
-    for N, w in ((1, 10), (4, 2), (6, 1)):
+    # (9, 4) and (11, 3) reach characters of order 3 and 10, where the
+    # elimination mixes planes
+    for N, w in ((1, 10), (4, 2), (6, 1), (9, 4), (11, 3)):
         chars = [c for c in enumerate_characters(N) if c.parity() == (1 if w % 2 == 0 else -1)]
         for chi in chars[:2]:
             mod = period_module(N, chi, w)
@@ -258,3 +260,34 @@ def test_imports_stay_below_the_closed_formulas():
             sources.update(alias.name for alias in node.names)
     package = {s for s in sources if s.startswith(".") or s.startswith("trace_kit")}
     assert package <= {".arith", ".dirichlet", ".local_counts", ".matrix_forms"}, package
+
+
+def test_period_side_validation():
+    chi4 = trivial_character(4)
+    sigma = hecke_coset_desc(2, 3)
+    with pytest.raises(ValueError, match="modulus"):
+        trace_on_W(2, chi4, 2, sigma, build_Tn(3))
+    with pytest.raises(ValueError, match="modulus"):
+        trace_on_V(2, chi4, 2, sigma, build_Tn(3))
+    with pytest.raises(ValueError, match="modulus"):
+        trace_coboundary(2, chi4, 2, sigma, build_Tn_infty(3))
+    with pytest.raises(ValueError, match="modulus"):
+        dim_period_space(2, chi4, 2)
+    with pytest.raises(ValueError, match="n >= 1"):
+        hecke_coset_desc(1, 0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        atkin_coset_desc(6, 2, 0)
+
+
+@pytest.mark.parametrize("same_exponents_first", [False, True])
+def test_wrong_modulus_rejected_in_either_call_order(same_exponents_first):
+    # the odd characters mod 3 and mod 4 have the same exponent vector; the
+    # answer for the wrong one must not depend on what was computed before
+    period_module.cache_clear()
+    chi3 = enumerate_characters(3)[1]
+    chi4 = enumerate_characters(4)[1]
+    assert chi3.exponents == chi4.exponents
+    if same_exponents_first:
+        assert dim_period_space(4, chi4, 1) == 2
+    with pytest.raises(ValueError, match="modulus"):
+        dim_period_space(4, chi3, 1)

@@ -6,7 +6,6 @@ this package targets (N, n up to about 10**6).
 """
 
 import math
-import threading
 
 try:
     from gmpy2 import mpq as QQ
@@ -40,7 +39,6 @@ isqrt = math.isqrt
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 _factor_cache: dict[int, tuple[tuple[int, int], ...]] = {}
-_factor_lock = threading.Lock()
 
 
 def factorize(n):
@@ -76,8 +74,7 @@ def factorize(n):
     if m > 1:
         out.append((m, 1))
     result = tuple(out)
-    with _factor_lock:
-        _factor_cache[n] = result
+    _factor_cache[n] = result
     return result
 
 

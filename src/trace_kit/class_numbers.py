@@ -17,7 +17,6 @@ formulas, which the test suite checks for |D| <= 10^4.
 """
 
 import math
-import threading
 
 from .arith import QQ, euler_phi, is_square, isqrt
 
@@ -25,7 +24,6 @@ __all__ = ["hurwitz_H", "h0", "precompute", "cache_snapshot", "load_cache"]
 
 _H_cache: dict[int, QQ] = {}
 _h0_cache: dict[int, QQ] = {}
-_lock = threading.Lock()
 
 
 def _reduced_forms(D, primitive_only=False):
@@ -73,8 +71,7 @@ def hurwitz_H(D):
         val = QQ(0)
     else:
         val = _hurwitz_positive(D)
-    with _lock:
-        _H_cache[D] = val
+    _H_cache[D] = val
     return val
 
 
@@ -97,8 +94,7 @@ def h0(D):
         val = QQ(0)  # not a discriminant
     else:
         val = QQ(2 * len(_reduced_forms(-D, primitive_only=True)), _unit_count(D))
-    with _lock:
-        _h0_cache[D] = val
+    _h0_cache[D] = val
     return val
 
 
@@ -131,30 +127,28 @@ def precompute(limit):
                         prim[D] += 1
                 c += 1
         a += 1
-    with _lock:
-        for D in range(limit + 1):
-            if D == 0:
-                _H_cache[0] = QQ(-1, 12)
-                _h0_cache[0] = QQ(-1, 12)
-                continue
-            if D % 4 in (1, 2):
-                _H_cache[D] = QQ(0)
-                _h0_cache[-D] = QQ(0)
-            else:
-                _H_cache[D] = sums[D]
-                _h0_cache[-D] = QQ(2 * prim[D], _unit_count(-D))
+    for D in range(limit + 1):
+        if D == 0:
+            _H_cache[0] = QQ(-1, 12)
+            _h0_cache[0] = QQ(-1, 12)
+            continue
+        if D % 4 in (1, 2):
+            _H_cache[D] = QQ(0)
+            _h0_cache[-D] = QQ(0)
+        else:
+            _H_cache[D] = sums[D]
+            _h0_cache[-D] = QQ(2 * prim[D], _unit_count(-D))
 
 
 def cache_snapshot():
     """Rows (kind, D, num, den) of everything cached, deterministically ordered."""
     rows = []
-    with _lock:
-        for D in sorted(_H_cache):
-            v = _H_cache[D]
-            rows.append(("H", D, int(v.numerator), int(v.denominator)))
-        for D in sorted(_h0_cache):
-            v = _h0_cache[D]
-            rows.append(("h0", D, int(v.numerator), int(v.denominator)))
+    for D in sorted(_H_cache):
+        v = _H_cache[D]
+        rows.append(("H", D, int(v.numerator), int(v.denominator)))
+    for D in sorted(_h0_cache):
+        v = _h0_cache[D]
+        rows.append(("h0", D, int(v.numerator), int(v.denominator)))
     return rows
 
 
@@ -164,12 +158,11 @@ def load_cache(rows):
     Correctness never depends on this: a poisoned row would be caught by the
     verification suite, and tests compare cached against recomputed values.
     """
-    with _lock:
-        for kind, D, num, den in rows:
-            val = QQ(num, den)
-            if kind == "H":
-                _H_cache[int(D)] = val
-            elif kind == "h0":
-                _h0_cache[int(D)] = val
-            else:
-                raise ValueError(f"unknown class-number kind {kind!r}")
+    for kind, D, num, den in rows:
+        val = QQ(num, den)
+        if kind == "H":
+            _H_cache[int(D)] = val
+        elif kind == "h0":
+            _h0_cache[int(D)] = val
+        else:
+            raise ValueError(f"unknown class-number kind {kind!r}")

@@ -12,7 +12,7 @@ from functools import lru_cache
 from .arith import QQ, crt_solve, divisors, euler_phi, require_exact_divisor, sigma1_N, validate_query, xgcd
 from .dirichlet import CycloNum
 from .matrix_forms import mat_mul
-from .period_oracle import sigma_contains, sigma_det
+from .period_oracle import sigma_contains, sigma_det, sigma_twist
 
 __all__ = [
     "CuspRep",
@@ -136,7 +136,7 @@ def phi_generic(sigma, chi, w, a, d):
         return CycloNum.zero(chi.order)
     if chi.parity() != (1 if w % 2 == 0 else -1):
         return CycloNum.zero(chi.order)
-    N = sigma[1]
+    N = sigma[0]
     g = math.gcd(a, d)
     total = CycloNum.zero(chi.order)
     for rep in admissible_cusp_reps(N, chi):
@@ -147,19 +147,7 @@ def phi_generic(sigma, chi, w, a, d):
             m = (a, b, 0, d)
             cm = mat_mul(mat_mul(C, m), Cinv)
             if sigma_contains(sigma, cm):
-                if sigma[0] == "hecke":
-                    total = total + chi(cm[0])
-                else:
-                    total = total + 1
-            else:
-                neg = (-cm[0], -cm[1], -cm[2], -cm[3])
-                if sigma_contains(sigma, neg):
-                    # (-1)^w chi-tilde(-CMC^-1); parity makes this equal to
-                    # the positive branch, kept for completeness
-                    val = chi(neg[0]) if sigma[0] == "hecke" else CycloNum.one(chi.order)
-                    if w % 2:
-                        val = -val
-                    total = total + val
+                total = total + chi(sigma_twist(sigma, cm))
     return total / g
 
 

@@ -17,6 +17,7 @@ from .arith import (
     index_phi1,
     legendre,
     moebius,
+    require_exact_divisor,
     valuation,
 )
 from .dirichlet import CycloNum
@@ -36,7 +37,6 @@ __all__ = [
     "B_coeff",
     "C_coeff",
     "C_fast",
-    "in_hecke_coset",
     "in_atkin_coset",
     "c_class_closed",
     "c_class_direct",
@@ -169,17 +169,12 @@ def C_fast(N, u, D):
 # -- conjugacy-class weights ---------------------------------------------------
 
 
-def in_hecke_coset(m, N, n):
-    """Membership in the level-N determinant-n Hecke double coset."""
-    a, _, c, _ = m
-    return mat_det(m) == n and c % N == 0 and math.gcd(a, N) == 1
-
-
 def in_atkin_coset(m, N, ell, n):
     """Membership in the composed Hecke/Atkin-Lehner double coset.
 
     Conditions: det = ell*n, N | c, ell | trace, ell | a, (a, N/ell) = 1,
-    (b, ell) = 1.
+    (b, ell) = 1.  With ell = 1 this is the determinant-n Hecke double coset:
+    det = n, N | c, (a, N) = 1.
     """
     a, b, c, d = m
     ellp = N // ell
@@ -212,7 +207,7 @@ def c_class_direct(N, chi, m):
     total = CycloNum.zero(chi.order)
     for A in table.lifts:
         conj = mat_mul(mat_mul(A, m), mat_inv_unimodular(A))
-        if in_hecke_coset(conj, N, n):
+        if in_atkin_coset(conj, N, 1, n):
             total = total + chi(conj[0])
     return total
 
@@ -221,8 +216,7 @@ def c_atkin_closed(N, ell, m):
     """Atkin-Lehner composed class weight, closed form (integer valued)."""
     from .dirichlet import trivial_character
 
-    if N % ell or math.gcd(ell, N // ell) != 1:
-        raise ValueError("ell must be an exact divisor of N")
+    require_exact_divisor(N, ell)
     det = mat_det(m)
     if det % ell:
         raise ValueError("determinant must be divisible by ell")
@@ -251,8 +245,7 @@ def c_atkin_direct(N, ell, m):
     """Atkin-Lehner class weight by direct coset enumeration."""
     from .period_oracle import coset_table
 
-    if N % ell or math.gcd(ell, N // ell) != 1:
-        raise ValueError("ell must be an exact divisor of N")
+    require_exact_divisor(N, ell)
     det = mat_det(m)
     if det % ell:
         raise ValueError("determinant must be divisible by ell")

@@ -1,10 +1,12 @@
 """Exact linear algebra on induced polynomial modules over the projective line.
 
 The degree-w module attached to (level N, character chi) has one polynomial
-block of dimension w+1 per point of P^1(Z/N).  Unimodular matrices act by
-coset permutation, a chi twist, and the weight -w substitution action; a
-double coset acts through the same recipe with a membership scan deciding
-which block (if any) each point feeds.
+block of dimension w+1 per point of P^1(Z/N).  A double coset acts by
+sending each point's block, through the weight -w substitution action and a
+chi twist, to the one point (if any) it comes from; that source point is
+read off the matrix by a congruence and a P^1(Z/N) index lookup, as with
+Manin-symbol tables.  Unimodular matrices act as the determinant-1 coset,
+so there is one action routine for both.
 
 Representation: a vector over Q(zeta_m) is stored as phi(m) parallel
 "planes" of rationals, one per power basis coefficient, and this is the only
@@ -22,7 +24,7 @@ Every field operation (product, inverse, powers of zeta, multiplication
 matrices) comes from the coefficient-tuple kernel in dirichlet; this module
 only lays the numbers out.  It imports nothing from the closed formulas:
 the two routes share arith, that field arithmetic, matrix_forms and the
-coset membership tests of local_counts, and nothing else.
+coset membership test of local_counts, and nothing else.
 """
 
 import math
@@ -31,8 +33,8 @@ from functools import cached_property, lru_cache
 
 from .arith import QQ, euler_phi, sigma1_N, validate_query, xgcd
 from .dirichlet import CycloNum, cyclo_inverse, cyclo_mul, mult_matrix, zeta_power
-from .local_counts import in_atkin_coset, in_hecke_coset
-from .matrix_forms import S, T, U, mat_inv_unimodular, mat_mul
+from .local_counts import in_atkin_coset
+from .matrix_forms import IDENT, S, T, U, mat_det, mat_inv_unimodular, mat_mul
 
 __all__ = [
     "coset_table",
@@ -42,6 +44,7 @@ __all__ = [
     "atkin_coset_desc",
     "sigma_det",
     "sigma_contains",
+    "sigma_twist",
     "PeriodModule",
     "period_module",
     "dim_period_space",
@@ -59,8 +62,8 @@ class CosetTable:
     """Canonical points of P^1(Z/N) with unimodular lifts.
 
     points[i] is the canonical pair (c, d); lifts[i] is an integral
-    determinant-1 matrix whose bottom row reduces to it.  lookup(g) returns
-    (index, gamma) with g = gamma * lift and gamma in the level-N group.
+    determinant-1 matrix whose bottom row reduces to it.  index_of(c, d) is
+    the index of the point of any pair with gcd(c, d, N) = 1.
     """
 
     def __init__(self, N):
@@ -99,14 +102,6 @@ class CosetTable:
         if self.N == 1:
             return 0
         return self._index[self._canon[(c % self.N, d % self.N)]]
-
-    def lookup(self, g):
-        """(point index, connecting gamma) for a determinant-1 matrix g."""
-        i = self.index_of(g[2], g[3])
-        gamma = mat_mul(g, mat_inv_unimodular(self.lifts[i]))
-        if gamma[2] % self.N:
-            raise RuntimeError("coset lookup produced a bad connector")
-        return i, gamma
 
     def __len__(self):
         return len(self.points)
@@ -164,30 +159,37 @@ def _weight_rows_nz(m, w):
 
 
 # -- double coset descriptors ---------------------------------------------------
+#
+# A descriptor (N, ell, n) names the level-N double coset of determinant
+# ell*n cut out by local_counts.in_atkin_coset.  ell = 1 is the Hecke coset,
+# and (N, 1, 1) is the level-N group itself, whose action is the unimodular
+# one.
 
 
 def hecke_coset_desc(N, n):
     """Descriptor for the determinant-n Hecke double coset at level N."""
     validate_query(N, n=n)
-    return ("hecke", N, n)
+    return (N, 1, n)
 
 
 def atkin_coset_desc(N, ell, n):
     """Descriptor for the composed Hecke/Atkin-Lehner coset (det = ell*n)."""
     validate_query(N, n=n, ell=ell)
-    return ("atkin", N, ell, n)
+    return (N, ell, n)
 
 
 def sigma_det(sigma):
-    if sigma[0] == "hecke":
-        return sigma[2]
-    return sigma[2] * sigma[3]
+    return sigma[1] * sigma[2]
 
 
 def sigma_contains(sigma, m):
-    if sigma[0] == "hecke":
-        return in_hecke_coset(m, sigma[1], sigma[2])
-    return in_atkin_coset(m, sigma[1], sigma[2], sigma[3])
+    return in_atkin_coset(m, *sigma)
+
+
+def sigma_twist(sigma, m):
+    """Character argument of a member m: its top-left entry for a Hecke
+    coset, 1 for a composed one (which carries the trivial character)."""
+    return m[0] if sigma[1] == 1 else 1
 
 
 @lru_cache(maxsize=None)
@@ -196,43 +198,37 @@ def sigma_block_map(sigma, m):
 
     Encodes the double-coset action: the value block at point j of the image
     is the twist by chi(argument) times the weight action applied to the
-    block at point i of the input.
+    block at point i of the input, where A_i m A_j^-1 is in the coset (A the
+    lifts).  With y = m A_j^-1 and N' = N/ell, the coset's conditions fix
+    the bottom row (c : d) of A_i: c = -y_c, d = y_a mod N' and c = -y_d,
+    d = y_b mod ell, joined by CRT.  There is no source when y_a or y_c is
+    nonzero mod ell, (y_a, y_c) is not primitive mod N' or (y_b, y_d) is not
+    primitive mod ell.  Each source found is certified by sigma_contains.
     """
-    N = sigma[1]
+    N, ell, _ = sigma
     table = coset_table(N)
+    if mat_det(m) != sigma_det(sigma):
+        return (None,) * len(table)
+    Np = N // ell
+    # CRT idempotents: e = 1 mod ell, 0 mod N'; f = 1 - e
+    e = Np * pow(Np, -1, ell)
+    f = 1 - e
     out = []
     for Aj in table.lifts:
         y = mat_mul(m, mat_inv_unimodular(Aj))
-        entry = None
-        for i, Ai in enumerate(table.lifts):
-            cand = mat_mul(Ai, y)
-            if sigma_contains(sigma, cand):
-                if N == 1:
-                    arg = 0
-                elif sigma[0] == "hecke":
-                    arg = cand[0] % N
-                else:
-                    arg = 1
-                entry = (i, arg)
-                break
-        out.append(entry)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _gamma_point_map(N, g):
-    """For each point j: (target point, d-entry of the connector mod N)."""
-    table = coset_table(N)
-    ginv = mat_inv_unimodular(g)
-    out = []
-    for Aj in table.lifts:
-        i, gamma = table.lookup(mat_mul(Aj, ginv))
-        out.append((i, gamma[3] % N if N > 1 else 0))
+        ya, yb, yc, yd = y
+        if ya % ell or yc % ell or math.gcd(ya, yc, Np) != 1 or math.gcd(yb, yd, ell) != 1:
+            out.append(None)
+            continue
+        i = table.index_of(-yc * f - yd * e, ya * f + yb * e)
+        member = mat_mul(table.lifts[i], y)
+        if not sigma_contains(sigma, member):
+            raise RuntimeError("coset lookup produced a non-member")
+        out.append((i, sigma_twist(sigma, member) % N))
     return tuple(out)
 
 
 # -- the module ---------------------------------------------------------------
-
 
 class PeriodModule:
     """Induced polynomial module for (N, chi, w); requires chi(-1) = (-1)^w.
@@ -250,6 +246,7 @@ class PeriodModule:
         self.chi = chi
         self.w = w
         self.table = coset_table(N)
+        self.unimodular = hecke_coset_desc(N, 1)
         self.npoints = len(self.table)
         self.dim = self.npoints * (w + 1)
         self.order = chi.order
@@ -290,20 +287,6 @@ class PeriodModule:
             raise RuntimeError("character argument is not a unit")
         # exponent is in units of zeta_order
         return e
-
-    def apply_gamma(self, g, vec):
-        """vec |-> vec | g for unimodular g."""
-        w1 = self.w + 1
-        wm = _weight_rows_nz(g, self.w)
-        pmap = _gamma_point_map(self.N, g)
-        out = self.zero_vec()
-        for j in range(self.npoints):
-            i, dg = pmap[j]
-            tw = [[0] * w1 for _ in range(self.g)]
-            _add_scaled(tw, self._zeta[self._chi_exponent(dg)], self._block_apply(wm, vec, i))
-            for dst, plane in zip(out, tw):
-                dst[j * w1 : (j + 1) * w1] = plane
-        return out
 
     def apply_operator(self, sigma, op, vectors):
         """Apply sum(q_M * |_Sigma M) to a list of plane vectors.
@@ -351,7 +334,11 @@ class PeriodModule:
         return outs
 
     def apply_sigma(self, sigma, m, vec):
-        return self.apply_operator(sigma, {m: QQ(1)}, [vec])[0]
+        return self.apply_operator(sigma, {m: 1}, [vec])[0]
+
+    def apply_gamma(self, g, vec):
+        """vec |-> vec | g for unimodular g: the determinant-1 coset action."""
+        return self.apply_sigma(self.unimodular, g, vec)
 
     # -- structured kernels ------------------------------------------------------
 
@@ -359,7 +346,7 @@ class PeriodModule:
         """Basis of Ker(1 + S): free blocks on point pairs, local kernels at
         fixed points.  Entries rational on the free side by construction."""
         w1 = self.w + 1
-        pmap = _gamma_point_map(self.N, S)
+        pmap = sigma_block_map(self.unimodular, S)
         wm = weight_action(S, self.w)
         one = zeta_power(self.order, 0)
         basis = []
@@ -399,11 +386,7 @@ class PeriodModule:
         bs = self.kernel_one_plus_S()
         if not bs:
             return []
-        images = []
-        for v in bs:
-            vu = self.apply_gamma(U, v)
-            vuu = self.apply_gamma(U, vu)
-            images.append([[a + b + c for a, b, c in zip(*planes)] for planes in zip(v, vu, vuu)])
+        images = self.apply_operator(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, bs)
         rows = [[[img[c][r] for img in images] for c in range(self.g)] for r in range(self.dim)]
         out = []
         for combo in _nullspace(rows, self.order, len(bs)):
@@ -417,7 +400,7 @@ class PeriodModule:
     def translation_fixed_space(self):
         """Basis of Ker(1 - T): one vector per admissible translation orbit."""
         w1 = self.w + 1
-        pmap = _gamma_point_map(self.N, T)
+        pmap = sigma_block_map(self.unimodular, T)
         basis = []
         done = set()
         for j0 in range(self.npoints):
@@ -614,18 +597,28 @@ def _trace_on_space(mod, sigma, op, space):
     return CycloNum(mod.order if mod.g > 1 else 1, (x / den for x in val))
 
 
+def _period_job(N, chi, w, sigma, op):
+    """The PeriodModule of a trace of op through sigma, once the descriptor
+    is checked to belong to the level, the character and the operator."""
+    if sigma[0] != N:
+        raise ValueError("coset descriptor level must equal N")
+    if sigma[1] > 1 and not chi.is_trivial():
+        raise ValueError("the composed coset needs the trivial character")
+    if sigma_det(sigma) != op.det:
+        raise ValueError("operator determinant does not match the double coset")
+    return period_module(N, chi, w)
+
+
 def trace_on_W(N, chi, w, sigma, op):
     """Trace of the group-ring element op acting through sigma on the period
     space; raises if the space is not preserved exactly."""
-    if sigma_det(sigma) != op.det:
-        raise ValueError("operator determinant does not match the double coset")
-    mod = period_module(N, chi, w)
+    mod = _period_job(N, chi, w, sigma, op)
     return _trace_on_space(mod, sigma, op, mod.period_basis)
 
 
 def trace_on_V(N, chi, w, sigma, op):
     """Trace of op on the full module (blockwise, no elimination)."""
-    mod = period_module(N, chi, w)
+    mod = _period_job(N, chi, w, sigma, op)
     total = CycloNum.zero(chi.order)
     for m, q in op.coeffs.items():
         bmap = sigma_block_map(sigma, m)
@@ -644,9 +637,8 @@ def trace_on_V(N, chi, w, sigma, op):
 def trace_coboundary(N, chi, w, sigma, n_infinity_op):
     """Trace of the infinity-coset operator on Ker(1-T), with the weight-2
     trivial-character correction; equals the Eisenstein trace."""
-    mod = period_module(N, chi, w)
+    mod = _period_job(N, chi, w, sigma, n_infinity_op)
     val = _trace_on_space(mod, sigma, n_infinity_op, mod.translation_basis)
     if w == 0 and chi.is_trivial():
-        n = sigma[2] if sigma[0] == "hecke" else sigma[3]
-        val = val - sigma1_N(N, n)
+        val = val - sigma1_N(N, sigma[2])
     return val

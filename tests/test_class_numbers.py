@@ -77,7 +77,6 @@ def test_cache_consistency():
     samples += [(cn.h0, D) for D in (-20, -4, 0, 4, 9, 49)]
     for fn, D in samples:
         first = fn(D)
-        with cn._lock:
-            cn._H_cache.pop(D, None)
-            cn._h0_cache.pop(D, None)
+        cn._H_cache.pop(D, None)
+        cn._h0_cache.pop(D, None)
         assert fn(D) == first

@@ -207,3 +207,10 @@ def test_c_atkin_direct_vs_closed():
 def test_c_atkin_invalid_factorization():
     with pytest.raises(ValueError):
         c_atkin_closed(4, 2, (2, 0, 0, 1))  # gcd(2, 4/2) != 1
+
+
+@pytest.mark.parametrize("N, ell", [(6, 0), (6, -2), (6, 4), (12, 2)])
+@pytest.mark.parametrize("weight", [c_atkin_closed, c_atkin_direct])
+def test_c_atkin_rejects_non_exact_ell(weight, N, ell):
+    with pytest.raises(ValueError, match="ell must be an exact divisor of N"):
+        weight(N, ell, (2, 1, 0, 1))

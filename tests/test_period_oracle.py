@@ -1,14 +1,15 @@
 import ast
+import math
 import random
 
 import pytest
 
-from trace_kit.arith import QQ, gegenbauer, index_phi1, sigma1_N
+from trace_kit.arith import QQ, divisors, gegenbauer, index_phi1, sigma1_N
 from trace_kit.cusp_terms import admissible_cusp_reps
 from trace_kit.dirichlet import enumerate_characters, trivial_character
 from trace_kit.hecke_operator import GroupRingElem, build_Tn, build_Tn_infty
-from trace_kit.local_counts import c_class_closed
-from trace_kit.matrix_forms import S, T, U, mat_det, mat_mul
+from trace_kit.local_counts import c_class_closed, in_atkin_coset
+from trace_kit.matrix_forms import S, T, U, mat_det, mat_inv_unimodular, mat_mul
 from trace_kit.period_oracle import (
     atkin_coset_desc,
     coset_table,
@@ -42,9 +43,12 @@ def test_coset_lifts_and_lookup():
             g = (1, 0, 0, 1)
             for _ in range(6):
                 g = mat_mul(g, rng.choice((S, T, (1, -1, 0, 1))))
-            idx, gamma = tb.lookup(g)
-            assert gamma[2] % N == 0
-            assert mat_mul(gamma, tb.lifts[idx]) == g
+            # the unimodular action sends block i to block j with
+            # lifts[i] g lifts[j]^-1 in the level-N group, twisted by its
+            # top-left entry
+            for j, (i, arg) in enumerate(sigma_block_map(hecke_coset_desc(N, 1), g)):
+                conn = mat_mul(mat_mul(tb.lifts[i], g), mat_inv_unimodular(tb.lifts[j]))
+                assert conn[2] % N == 0 and arg == conn[0] % N, (N, g, j)
 
 
 def test_weight_action_trace_is_gegenbauer():
@@ -148,6 +152,43 @@ def test_trace_identity_single_matrix():
                 lhs = trace_on_V(N, chi, w, hecke_coset_desc(N, n), op)
                 rhs = c_class_closed(N, chi, m) * gegenbauer(w, m[0] + m[3], n)
                 assert lhs == rhs, (N, chi.label(), m)
+
+
+def _scan_block_map(sigma, m):
+    """Reference for sigma_block_map: scan every point for a source lift A_i
+    with A_i m A_j^-1 in the double coset."""
+    N, ell, n = sigma
+    lifts = coset_table(N).lifts
+    out = []
+    for Aj in lifts:
+        y = mat_mul(m, mat_inv_unimodular(Aj))
+        entry = None
+        for i, Ai in enumerate(lifts):
+            cand = mat_mul(Ai, y)
+            if in_atkin_coset(cand, N, ell, n):
+                entry = (i, (cand[0] if ell == 1 else 1) % N)
+                break
+        out.append(entry)
+    return tuple(out)
+
+
+def test_block_map_equals_reference_scan():
+    # the direct P^1(Z/N) lookup finds the same source as the scan, on the
+    # supports of both operators at every level up to 30
+    pairs = 0
+    for N in range(1, 31):
+        jobs = [(hecke_coset_desc(N, n), n) for n in range(1, 9)]
+        jobs += [
+            (atkin_coset_desc(N, ell, n), n * ell)
+            for ell in divisors(N)
+            if ell > 1 and math.gcd(ell, N // ell) == 1
+            for n in range(1, 12 // ell + 1)
+        ]
+        for sigma, det in jobs:
+            for m in sorted(set(build_Tn(det).coeffs) | set(build_Tn_infty(det).coeffs)):
+                assert sigma_block_map(sigma, m) == _scan_block_map(sigma, m), (sigma, m)
+                pairs += 1
+    assert pairs == 10004
 
 
 def test_sigma_block_map_unreachable():
@@ -291,3 +332,24 @@ def test_wrong_modulus_rejected_in_either_call_order(same_exponents_first):
         assert dim_period_space(4, chi4, 1) == 2
     with pytest.raises(ValueError, match="modulus"):
         dim_period_space(4, chi3, 1)
+
+
+def test_descriptor_must_fit_the_job():
+    # level, character and determinant of the descriptor are all checked
+    # before any block map is built
+    chi2, chi4 = trivial_character(2), trivial_character(4)
+    with pytest.raises(ValueError, match="level"):
+        trace_on_V(2, chi2, 2, hecke_coset_desc(4, 3), build_Tn(3))
+    with pytest.raises(ValueError, match="level"):
+        trace_on_W(2, chi2, 2, hecke_coset_desc(4, 3), build_Tn(3))
+    with pytest.raises(ValueError, match="level"):
+        trace_on_W(4, chi4, 2, hecke_coset_desc(2, 3), build_Tn(3))
+    with pytest.raises(ValueError, match="level"):
+        trace_coboundary(4, chi4, 2, hecke_coset_desc(2, 3), build_Tn_infty(3))
+    chi6 = enumerate_characters(6)[1]
+    assert chi6.label() == "6.1" and not chi6.is_trivial()
+    for fn, op in ((trace_on_W, build_Tn(2)), (trace_on_V, build_Tn(2)), (trace_coboundary, build_Tn_infty(2))):
+        with pytest.raises(ValueError, match="trivial character"):
+            fn(6, chi6, 1, atkin_coset_desc(6, 2, 1), op)
+    with pytest.raises(ValueError, match="determinant"):
+        trace_on_V(4, chi4, 2, hecke_coset_desc(4, 2), build_Tn(3))

@@ -337,20 +337,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    # argparse exits with code 2 on usage errors already
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        raise exc
-    try:
-        code = args.func(args)
-    except SystemExit:
-        raise
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    return code
 
 
 if __name__ == "__main__":

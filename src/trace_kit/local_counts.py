@@ -44,32 +44,23 @@ __all__ = [
     "c_atkin_direct",
 ]
 
-_DEBUG_WELLDEF = False  # flipped on by tests to re-check mod-N well-definedness
-
 
 @lru_cache(maxsize=None)
 def solution_set(N, u, t, n):
     """Units alpha in Z/N with alpha^2 - t*alpha + n = 0 (mod N*u).
 
     Returns a tuple of residues mod N; empty when the key is invalid
-    (u does not divide N or u^2 does not divide t^2 - 4n).
+    (u does not divide N or u^2 does not divide t^2 - 4n).  On a valid key
+    every lift alpha + kN solves mod N*u or none does, so testing alpha
+    itself suffices.
     """
     if N % u or (t * t - 4 * n) % (u * u):
         return ()
     M = N * u
     out = []
     for alpha in range(N):
-        if math.gcd(alpha, N) != 1:
-            continue
-        if (alpha * alpha - t * alpha + n) % M == 0:
+        if math.gcd(alpha, N) == 1 and (alpha * alpha - t * alpha + n) % M == 0:
             out.append(alpha)
-        elif _DEBUG_WELLDEF:
-            # the congruence class mod N either solves mod N*u for every
-            # lift or for none; spot-check the first few lifts
-            assert all(
-                ((alpha + k * N) ** 2 - t * (alpha + k * N) + n) % M != 0
-                for k in range(1, min(u, 4) + 1)
-            ), (N, u, t, n, alpha)
     return tuple(out)
 
 

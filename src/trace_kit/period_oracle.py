@@ -16,9 +16,15 @@ independently; multiplying by a field element mixes planes through its
 multiplication matrix (an integer one for roots of unity).  This keeps the
 hot loops in plain rational arithmetic.  A row of an elimination is such a
 vector too, and pivots are scaled and cleared by multiplication matrices, so
-kernels and restricted traces are genuinely Q(zeta)-spaces and the traces
-are exact cyclotomic numbers, asserted to leave the subspace residual
-exactly zero.
+kernels are genuinely Q(zeta)-spaces.
+
+Every cached basis comes out reduced: vector k is the field's 1 at its own
+pivot coordinate p_k and 0 at the others' pivots (checked when it is scaled
+to integers d_k * basis_k).  A restricted trace therefore reads each image's
+coordinates v[p_k] / d_k straight off the pivots, with no further
+elimination, and certifies them first: L v - sum_k v[p_k] (L / d_k) basis_k
+must vanish exactly in Z, L = lcm(d_k), or the operator does not preserve
+the subspace.
 
 Every field operation (product, inverse, powers of zeta, multiplication
 matrices) comes from the coefficient-tuple kernel in dirichlet; this module
@@ -28,11 +34,10 @@ coset membership test of local_counts, and nothing else.
 """
 
 import math
-import operator
 from functools import cached_property, lru_cache
 
 from .arith import QQ, euler_phi, sigma1_N, validate_query, xgcd
-from .dirichlet import CycloNum, cyclo_inverse, cyclo_mul, mult_matrix, zeta_power
+from .dirichlet import CycloNum, cyclo_inverse, mult_matrix, zeta_power
 from .local_counts import in_atkin_coset
 from .matrix_forms import IDENT, S, T, U, mat_det, mat_inv_unimodular, mat_mul
 
@@ -343,13 +348,15 @@ class PeriodModule:
     # -- structured kernels ------------------------------------------------------
 
     def kernel_one_plus_S(self):
-        """Basis of Ker(1 + S): free blocks on point pairs, local kernels at
-        fixed points.  Entries rational on the free side by construction."""
+        """(basis of Ker(1 + S), its pivots): free blocks on point pairs,
+        local kernels at fixed points.  Each basis vector is the field's 1
+        at its own pivot coordinate and 0 at every other vector's pivot."""
         w1 = self.w + 1
         pmap = sigma_block_map(self.unimodular, S)
         wm = weight_action(S, self.w)
         one = zeta_power(self.order, 0)
         basis = []
+        pivots = []
         seen = set()
         for j in range(self.npoints):
             if j in seen:
@@ -362,11 +369,13 @@ class PeriodModule:
                     [[wm[r][c] * x + (r == c) * o for c in range(w1)] for x, o in zip(z, one)]
                     for r in range(w1)
                 ]
-                for sol in _nullspace(rows, self.order, w1):
+                sols, free = _nullspace(rows, self.order, w1)
+                for sol in sols:
                     vec = self.zero_vec()
                     for c, plane in enumerate(sol):
                         vec[c][j * w1 : (j + 1) * w1] = plane
                     basis.append(vec)
+                pivots.extend(j * w1 + fc for fc in free)
                 seen.add(j)
             else:
                 # free block at i, determined block at j = -zeta^e W_S block_i
@@ -377,31 +386,37 @@ class PeriodModule:
                         for r in range(w1):
                             vec[c][j * w1 + r] = -x * wm[r][k]
                     basis.append(vec)
+                    pivots.append(i * w1 + k)
                 seen.add(i)
                 seen.add(j)
-        return basis
+        return basis, pivots
 
     def period_space(self):
-        """Basis of Ker(1+S) intersect Ker(1+U+U^2), over the value field."""
-        bs = self.kernel_one_plus_S()
+        """(basis of Ker(1+S) intersect Ker(1+U+U^2) over the value field,
+        its pivots): the free columns of the elimination pick Ker(1+S)
+        vectors, whose pivots carry over."""
+        bs, bpivots = self.kernel_one_plus_S()
         if not bs:
-            return []
+            return [], []
         images = self.apply_operator(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, bs)
         rows = [[[img[c][r] for img in images] for c in range(self.g)] for r in range(self.dim)]
+        combos, free = _nullspace(rows, self.order, len(bs))
         out = []
-        for combo in _nullspace(rows, self.order, len(bs)):
+        for combo in combos:
             acc = self.zero_vec()
             for coef, bvec in zip(zip(*combo), bs):
                 if any(coef):
                     _add_scaled(acc, mult_matrix(self.order, coef), bvec)
             out.append(acc)
-        return out
+        return out, [bpivots[fc] for fc in free]
 
     def translation_fixed_space(self):
-        """Basis of Ker(1 - T): one vector per admissible translation orbit."""
+        """(basis of Ker(1 - T), its pivots): one vector per admissible
+        translation orbit, pivoted at the orbit's start point."""
         w1 = self.w + 1
         pmap = sigma_block_map(self.unimodular, T)
         basis = []
+        pivots = []
         done = set()
         for j0 in range(self.npoints):
             if j0 in done:
@@ -429,18 +444,19 @@ class PeriodModule:
                 for c, x in enumerate(zeta_power(self.order, e)):
                     vec[c][point * w1] = x
             basis.append(vec)
-        return basis
+            pivots.append(j0 * w1)
+        return basis, pivots
 
     @cached_property
     def period_basis(self):
-        """(integer-scaled basis of period_space(), its _SpanData or None)."""
-        return _int_space(self, self.period_space())
+        """(integer-scaled basis of period_space(), pivots, scales)."""
+        return _int_space(*self.period_space())
 
     @cached_property
     def translation_basis(self):
-        """(integer-scaled basis of translation_fixed_space(), its _SpanData
-        or None)."""
-        return _int_space(self, self.translation_fixed_space())
+        """(integer-scaled basis of translation_fixed_space(), pivots,
+        scales)."""
+        return _int_space(*self.translation_fixed_space())
 
 
 # -- eliminations on plane vectors --------------------------------------------
@@ -459,13 +475,13 @@ def _add_scaled(dst, qmat, src):
         dst[c] = plane
 
 
-def _rref(rows, m, limit):
+def _rref(rows, m):
     """Reduce plane-vector rows over Q(zeta_m) to reduced echelon form in
-    place, pivoting in the first `limit` columns; returns the pivot columns."""
+    place; returns the pivot columns."""
     one = zeta_power(m, 0)
     pivots = []
     r = 0
-    for col in range(limit):
+    for col in range(len(rows[0][0]) if rows else 0):
         piv = None
         for rr in range(r, len(rows)):
             if any([plane[col] for plane in rows[rr]]):
@@ -492,66 +508,25 @@ def _rref(rows, m, limit):
 
 
 def _nullspace(rows, m, ncols):
-    """Plane-vector basis of the vectors x with row . x = 0 for every
-    plane-vector row; the rows are reduced in place."""
+    """(plane-vector basis of the vectors x with row . x = 0 for every
+    plane-vector row, the free columns): basis vector k is the field's 1 at
+    free column k and 0 at the others.  The rows are reduced in place."""
     work = [row for row in rows if any(any(plane) for plane in row)]
-    pivots = _rref(work, m, ncols)
+    pivots = _rref(work, m)
     pivset = set(pivots)
+    free = [fc for fc in range(ncols) if fc not in pivset]
     basis = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
+    for fc in free:
         vec = [[0] * ncols for _ in range(euler_phi(m))]
         vec[0][fc] = 1
         for row, pc in zip(work, pivots):
             for dst, src in zip(vec, row):
                 dst[pc] = -src[fc]
         basis.append(vec)
-    return basis
+    return basis, free
 
 
-class _SpanData:
-    """Echelonized span of a basis with the transform back to it, both kept
-    as plane vectors."""
-
-    __slots__ = ("pivots", "echelon", "tmat", "mod")
-
-    def __init__(self, basis, mod):
-        dim, r = mod.dim, len(basis)
-        aug = []
-        for i, v in enumerate(basis):
-            row = [plane + [0] * r for plane in v]
-            row[0][dim + i] = 1
-            aug.append(row)
-        pivots = _rref(aug, mod.order, dim)
-        if len(pivots) != r:
-            raise RuntimeError("basis vectors are dependent")
-        self.pivots = pivots
-        self.echelon = [[plane[:dim] for plane in row] for row in aug]
-        self.tmat = [[plane[dim:] for plane in row] for row in aug]
-        self.mod = mod
-
-
-def _restricted_trace(span, image_planes):
-    """Trace (a coefficient tuple) of the restriction given plane-vector
-    images; asserts the images lie exactly in the span (zero residual) before
-    trusting anything."""
-    m = span.mod.order
-    total = (QQ(0),) * span.mod.g
-    for i, v in enumerate(image_planes):
-        resid = [list(plane) for plane in v]
-        for p, eplanes, tplanes in zip(span.pivots, span.echelon, span.tmat):
-            ck = tuple(plane[p] for plane in v)
-            if any(ck):
-                _add_scaled(resid, mult_matrix(m, tuple(-x for x in ck)), eplanes)
-                tki = tuple(plane[i] for plane in tplanes)
-                total = tuple(map(operator.add, total, cyclo_mul(m, ck, tki)))
-        if any(any(plane) for plane in resid):
-            raise RuntimeError("operator does not preserve the subspace")
-    return total
-
-
-# -- cached module assembly ---------------------------------------------------------
+# -- cached subspaces and restricted traces -----------------------------------
 
 
 def _common_denominator(values):
@@ -562,14 +537,19 @@ def _common_denominator(values):
     return den
 
 
-def _int_space(mod, vectors):
-    """(basis rescaled to integer entries, its _SpanData or None) of the span
-    of plane vectors."""
-    basis = []
-    for v in vectors:
-        den = _common_denominator(x for plane in v for x in plane)
-        basis.append([[int(x * den) for x in plane] for plane in v])
-    return basis, (_SpanData(basis, mod) if basis else None)
+def _int_space(vectors, pivots):
+    """(basis rescaled to integer entries, pivots, scales) of plane vectors
+    that are the field's 1 at their own pivot and 0 at the others' pivots.
+
+    Vector k is scaled by d_k = scales[k]; it must then read d_k at pivot k
+    and 0 at every other pivot, in every plane."""
+    scales = [_common_denominator(x for plane in v for x in plane) for v in vectors]
+    basis = [[[int(x * d) for x in plane] for plane in v] for v, d in zip(vectors, scales)]
+    for k, (v, d) in enumerate(zip(basis, scales)):
+        for c, plane in enumerate(v):
+            if [plane[p] for p in pivots] != [d * (c == 0 and j == k) for j in range(len(pivots))]:
+                raise RuntimeError("basis is not reduced at its pivots")
+    return basis, pivots, scales
 
 
 @lru_cache(maxsize=None)
@@ -587,14 +567,29 @@ def dim_translation_fixed(N, chi, w):
 
 
 def _trace_on_space(mod, sigma, op, space):
-    """Exact trace of op acting through sigma on a cached subspace."""
-    basis, span = space
+    """Exact trace of op acting through sigma on a cached subspace, read off
+    the images of its integer basis at the pivots.
+
+    Image v has coordinate v[p_k] / d_k on basis vector k.  Before any of it
+    is used, L v - sum_k v[p_k] (L / d_k) basis_k is checked to be zero in Z,
+    with L = lcm(d_k): the image lies exactly in the span."""
+    basis, pivots, scales = space
     if not basis:
         return CycloNum.zero(1)
     den = _common_denominator(op.coeffs.values())
-    int_op = {m: int(q * den) for m, q in op.coeffs.items()}
-    val = _restricted_trace(span, mod.apply_operator(sigma, int_op, basis))
-    return CycloNum(mod.order if mod.g > 1 else 1, (x / den for x in val))
+    images = mod.apply_operator(sigma, {m: int(q * den) for m, q in op.coeffs.items()}, basis)
+    L = math.lcm(*scales)
+    total = [0] * mod.g
+    for v, p, d in zip(images, pivots, scales):
+        resid = [[L * x for x in plane] for plane in v]
+        for pk, dk, bk in zip(pivots, scales, basis):
+            ck = [-plane[pk] * (L // dk) for plane in v]
+            if any(ck):
+                _add_scaled(resid, mult_matrix(mod.order, ck), bk)
+        if any(any(plane) for plane in resid):
+            raise RuntimeError("operator does not preserve the subspace")
+        total = [t + plane[p] * (L // d) for t, plane in zip(total, v)]
+    return CycloNum(mod.order if mod.g > 1 else 1, (QQ(t, L * den) for t in total))
 
 
 def _period_job(N, chi, w, sigma, op):

@@ -1,8 +1,8 @@
+import math
 import random
 
 import pytest
 
-import trace_kit.local_counts as lc
 from trace_kit.arith import divisors, index_phi1
 from trace_kit.dirichlet import enumerate_characters, trivial_character
 from trace_kit.local_counts import (
@@ -37,17 +37,27 @@ def test_invalid_keys_are_zero():
 
 
 def test_welldefinedness_debug_assert():
-    lc._DEBUG_WELLDEF = True
-    try:
-        solution_set.cache_clear()
-        for N in (2, 3, 4, 6, 8, 9, 12):
-            for u in divisors(N):
-                for t in range(-6, 7):
-                    for n in range(1, 13):
-                        count_S(N, u, t, n)
-    finally:
-        lc._DEBUG_WELLDEF = False
-        solution_set.cache_clear()
+    # on a valid key, whether a unit alpha solves alpha^2 - t alpha + n = 0
+    # mod N*u depends only on alpha mod N: all u lifts alpha + kN agree, and
+    # solution_set holds alpha exactly when they solve; invalid keys are empty
+    for N in (2, 3, 4, 6, 8, 9, 12):
+        for u in divisors(N):
+            M = N * u
+            for t in range(-6, 7):
+                for n in range(1, 13):
+                    sols = solution_set(N, u, t, n)
+                    if (t * t - 4 * n) % (u * u):
+                        assert sols == (), (N, u, t, n)
+                        continue
+                    for alpha in range(N):
+                        if math.gcd(alpha, N) != 1:
+                            continue
+                        lifts = {
+                            ((alpha + k * N) ** 2 - t * (alpha + k * N) + n) % M == 0
+                            for k in range(u)
+                        }
+                        assert len(lifts) == 1, (N, u, t, n, alpha)
+                        assert (alpha in sols) == lifts.pop(), (N, u, t, n, alpha)
 
 
 def test_B_examples():

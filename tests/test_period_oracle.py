@@ -106,7 +106,7 @@ def test_kernel_sum_spans_module():
     for N, w in ((1, 0), (1, 4), (2, 0), (4, 2), (6, 0)):
         chi = trivial_character(N)
         mod = period_module(N, chi, w)
-        bs = mod.kernel_one_plus_S()
+        bs, _ = mod.kernel_one_plus_S()
         # dim Ker(1+U+U^2) via the structured route: images of (1-U)
         # instead compute rank of (1+U+U^2) acting on the whole module
         dim = mod.dim
@@ -123,7 +123,7 @@ def test_kernel_sum_spans_module():
         import trace_kit.period_oracle as po
 
         work = [list(r) for r in rows if any(r)]
-        pivots = po._rref([[r] for r in work], mod.order, dim)
+        pivots = po._rref([[r] for r in work], mod.order)
         rank_uuu = len(pivots)
         dim_ker_uuu = dim - rank_uuu
         dim_w = dim_period_space(N, chi, w)
@@ -238,12 +238,29 @@ def test_trace_on_W_examples():
 def test_kernel_certification():
     # the period space is annihilated by both defining operators, exactly
     # (9, 4) and (11, 3) reach characters of order 3 and 10, where the
-    # elimination mixes planes
+    # elimination mixes planes.  Each cached basis is d_k times the field's 1
+    # at its own pivot and 0 at the others' pivots, in every plane, and the
+    # integer scaling checks that
+    import trace_kit.period_oracle as po
+
     for N, w in ((1, 10), (4, 2), (6, 1), (9, 4), (11, 3)):
         chars = [c for c in enumerate_characters(N) if c.parity() == (1 if w % 2 == 0 else -1)]
         for chi in chars[:2]:
             mod = period_module(N, chi, w)
-            for v in mod.period_space():
+            for basis, pivots, scales in (mod.period_basis, mod.translation_basis):
+                assert len(basis) == len(pivots) == len(scales)
+                for k, (vec, d) in enumerate(zip(basis, scales)):
+                    assert d >= 1
+                    for c, plane in enumerate(vec):
+                        assert [plane[p] for p in pivots] == [
+                            d if (c, j) == (0, k) else 0 for j in range(len(pivots))
+                        ], (N, chi.label(), w, k, c)
+            vectors, pivots = mod.period_space()
+            if len(pivots) > 1:
+                # read at the wrong coordinates, the basis is not reduced
+                with pytest.raises(RuntimeError, match="pivots"):
+                    po._int_space(vectors, pivots[1:] + pivots[:1])
+            for v in vectors:
                 vs = mod.apply_gamma(S, v)
                 assert all(not any(QQ(x) + QQ(y) for x, y in zip(p, q)) for p, q in zip(v, vs))
                 vu = mod.apply_gamma(U, v)
@@ -253,6 +270,17 @@ def test_kernel_certification():
                     for p, q, r in zip(v, vu, vuu)
                 ]
                 assert not any(any(p) for p in total)
+
+
+def test_trace_rejects_an_operator_leaving_the_space():
+    # one coset matrix alone is not the universal operator: its images leave
+    # the period space and Ker(1 - T), and the zero-residual check sees it
+    with pytest.raises(RuntimeError, match="preserve"):
+        trace_on_W(1, T1, 10, hecke_coset_desc(1, 2), GroupRingElem(2, {(2, 0, 0, 1): 1}))
+    with pytest.raises(RuntimeError, match="preserve"):
+        trace_coboundary(
+            4, trivial_character(4), 2, hecke_coset_desc(4, 2), GroupRingElem(2, {(1, 1, 0, 2): 1})
+        )
 
 
 def test_proof_chain_correction():

@@ -6,8 +6,12 @@ class (fixed point in a fundamental strip, boundary tie-breaks applied
 verbatim), an upper-triangular family, a scalar term at square n, and three
 auxiliary inequality-system families with their conjugate corrections.  The
 condensed construction is a five-sum simplification with half/third-weighted
-boundary terms.  Both must agree exactly, and the result is checked against
-the three structural properties that make it act on period polynomials:
+boundary terms.  Every family and every sum is generated straight from its
+defining inequalities, each by its own loops, so the two constructions share
+no enumeration; det_matrices, the box of all determinant-n matrices with
+bounded entries, stays as the reference the tests filter.  Both must agree
+exactly, and the result is checked against the three structural properties
+that make it act on period polynomials:
 
   transfer:    (1-S) Op_n - Inf_n (1-S)  lies in  (1-T) R_n
   exchange:    Op_n (1+S) in (1+U+U^2) R_n  and  Op_n (1+U+U^2) in (1+S) R_n
@@ -139,11 +143,20 @@ ONE_PLUS_S = _gamma_elem([(IDENT, 1), (S, 1)])
 ONE_PLUS_UUU = _gamma_elem([(IDENT, 1), (U, 1), (mat_mul(U, U), 1)])
 
 
-# -- matrix family enumeration ---------------------------------------------------
+# -- matrix families ---------------------------------------------------------------
+#
+# Each family is a finite set of integer matrices (a, b, c, d) of determinant n,
+# cut out by a few linear inequalities.  Writing beta = -b, the determinant reads
+# ad + beta*c = n.  Every generator below walks only the parameters its own
+# inequalities leave and solves the determinant for the last entry; the loop
+# bounds are derived next to each loop.
 
 
 def det_matrices(n, bound):
-    """All integer matrices of determinant n with |entries| <= bound."""
+    """All integer matrices of determinant n with |entries| <= bound.
+
+    The reference box: the tests filter it to check every generator below.
+    """
     for a in range(-bound, bound + 1):
         for d in range(-bound, bound + 1):
             r = a * d - n
@@ -163,77 +176,116 @@ def det_matrices(n, bound):
                         yield (a, -b, -c, d)
 
 
-def in_upper_family(m, n):
-    """Upper-triangular part: 0 <= b < d - a, a > 0."""
-    a, b, c, d = m
-    return c == 0 and a > 0 and 0 <= b < d - a
+def _upper_family(n):
+    """c = 0, a > 0, 0 <= b < d - a."""
+    # ad = n with a > 0, so a runs over the divisors of n
+    for a in divisors(n):
+        d = n // a
+        for b in range(d - a):
+            yield (a, b, 0, d)
 
 
-def in_X_family(m, n):
-    a, b, c, d = m
-    return 0 < -b < c and 0 < d < a
+def _x_family(n):
+    """0 < beta < c, 0 < d < a."""
+    # beta*c = n - ad with 1 <= beta < c needs n - ad >= 2, and then
+    # beta = 1 is a member; with 1 <= d < a that gives d*(d + 1) <= n - 2.
+    # beta < c means beta^2 < n - ad: beta runs over the divisors of n - ad
+    # below its square root, and c = (n - ad)/beta.
+    d = 1
+    while d * (d + 1) <= n - 2:
+        a = d + 1
+        while a * d <= n - 2:
+            r = n - a * d
+            for beta in divisors(r):
+                if beta * beta >= r:
+                    break
+                yield (a, -beta, r // beta, d)
+            a += 1
+        d += 1
 
 
-def in_Y_family(m, n):
-    a, b, c, d = m
-    return a - d < -b <= c and 0 < c < a
+def _y_family(n):
+    """a - d < beta <= c, 0 < c < a."""
+    # With d = (n - beta*c)/a, beta > a - d (so d >= a - beta + 1) reads
+    # beta*(a - c) >= a^2 + a - n, so beta runs over
+    # [(a^2 + a - n)/(a - c), c], non-empty iff a^2 - ac + c^2 + a <= n.
+    # For fixed c that grows with a > c, and at a = c + 1 it reads
+    # c^2 + 2c + 2 <= n.
+    c = 1
+    while c * c + 2 * c + 2 <= n:
+        a = c + 1
+        while a * a - a * c + c * c + a <= n:
+            for beta in range(-((n - a * a - a) // (a - c)), c + 1):
+                r = n - beta * c
+                if r % a == 0:
+                    yield (a, -beta, c, r // a)
+            a += 1
+        c += 1
 
 
-def in_Z_family(m, n):
-    a, b, c, d = m
-    if not (a - d <= c < -b and 0 < a and 0 < c):
-        return False
-    if a - d == c and not (-d >= a):
-        return False
-    return True
+def _z_family(n):
+    """a - d <= c < beta, 0 < a, 0 < c; on a - d = c only d <= -a."""
+    # d = (n - beta*c)/a >= a - c reads beta*c <= n - a^2 + ac, so beta runs
+    # over [c + 1, (n - a^2 + ac)/c], non-empty iff a^2 - ac + c^2 + c <= n:
+    # a lies between the roots (c -+ sqrt(4n - 3c^2 - 4c))/2, which are real
+    # while 3c^2 + 4c <= 4n.  The upper end of beta is the edge d = a - c,
+    # which counts only when a - c <= -a.
+    c = 1
+    while 3 * c * c + 4 * c <= 4 * n:
+        s = isqrt(4 * n - 3 * c * c - 4 * c)
+        for a in range(max(1, (c - s + 1) // 2), (c + s) // 2 + 1):
+            for beta in range(c + 1, (n - a * a + a * c) // c + 1):
+                r = n - beta * c
+                if r % a == 0 and (r // a != a - c or c >= 2 * a):
+                    yield (a, -beta, c, r // a)
+        c += 1
 
 
-def in_elliptic_rep(m, n):
-    """Membership in the canonical elliptic representative set.
+def _elliptic_family(n):
+    """One representative per elliptic conjugacy class.
 
-    Positive definite attached form, fixed point inside the strip
-    {0 <= Re z <= 1/2, |z-1| >= 1}, boundary resolved by trace sign:
-      Re z = 0,  |z| > 1  -> tr > 0        Re z = 0,  |z| < 1 -> tr <= 0
-      Re z = 1/2, |z| > 1 -> tr <= 0       |z-1| = 1, |z| < 1 -> tr > 0
-    Algebraically (with mm = a - d, nb = -b): c > 0, 0 <= mm <= c, nb >= mm.
+    The fixed point z = (mm + i*sqrt(4n - t^2))/(2c) of the matrix, with
+    t = a + d and mm = a - d, lies in the strip {0 <= Re z <= 1/2,
+    |z - 1| >= 1}; that is c > 0, t^2 < 4n, 0 <= mm <= c and beta >= mm.
+    The boundary is resolved by the trace sign:
+      Re z = 0,  |z| > 1  -> t > 0         Re z = 0,  |z| < 1 -> t <= 0
+      Re z = 1/2, |z| > 1 -> t <= 0        |z-1| = 1, |z| < 1 -> t > 0
     """
-    a, b, c, d = m
-    t = a + d
-    if c <= 0 or t * t >= 4 * n:
-        return False
-    mm = a - d
-    nb = -b
-    if not (0 <= mm <= c and nb >= mm):
-        return False
-    if mm == 0 and nb > c and not t > 0:
-        return False
-    if mm == 0 and nb < c and not t <= 0:
-        return False
-    if mm == c and nb > c and not t <= 0:
-        return False
-    if nb == mm and nb < c and not t > 0:
-        return False
-    return True
+    # t^2 < 4n is |t| <= isqrt(4n - 1).  The determinant gives
+    # beta*c = (4n - t^2 + mm^2)/4 =: p, an integer as mm has t's parity, so
+    # c runs over the divisors of p.  c >= mm and beta >= mm give p >= mm^2,
+    # that is 3mm^2 <= 4n - t^2.
+    T = isqrt(4 * n - 1)
+    for t in range(-T, T + 1):
+        for mm in range(t % 2, isqrt((4 * n - t * t) // 3) + 1, 2):
+            p = (4 * n - t * t + mm * mm) // 4
+            for c in divisors(p):
+                beta = p // c
+                if c < mm or beta < mm:
+                    continue
+                if mm == 0 and beta > c and not t > 0:
+                    continue
+                if mm == 0 and beta < c and not t <= 0:
+                    continue
+                if mm == c and beta > c and not t <= 0:
+                    continue
+                if beta == mm and beta < c and not t > 0:
+                    continue
+                yield ((t + mm) // 2, -beta, c, (t - mm) // 2)
 
 
 _FAMILIES = {
-    "upper": in_upper_family,
-    "X": in_X_family,
-    "Y": in_Y_family,
-    "Z": in_Z_family,
-    "elliptic": in_elliptic_rep,
+    "upper": _upper_family,
+    "X": _x_family,
+    "Y": _y_family,
+    "Z": _z_family,
+    "elliptic": _elliptic_family,
 }
 
 
-def family_bound(n):
-    """Entry bound covering every family member of determinant n."""
-    return 2 * n + 2
-
-
-def enumerate_family(n, name, bound=None):
-    pred = _FAMILIES[name]
-    b = family_bound(n) if bound is None else bound
-    return sorted(m for m in det_matrices(n, b) if pred(m, n))
+def enumerate_family(n, name):
+    """Sorted members of determinant n of the named matrix family."""
+    return sorted(_FAMILIES[name](n))
 
 
 # -- constructions ----------------------------------------------------------------
@@ -261,7 +313,7 @@ def _family_elem(n, name):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def build_Tn(n, variant="geometric"):
     """The universal degree-n operator.
 
@@ -291,32 +343,133 @@ def build_Tn(n, variant="geometric"):
 
 
 def _build_condensed(n):
-    bound = family_bound(n)
     out = GroupRingElem(n)
-    for m in det_matrices(n, bound):
-        a, b, c, d = m
-        mm, nb = a - d, -b
-        if mm < nb <= c and 0 <= c < a:
-            out.add_term(m, QQ(1))
-        if nb <= mm < c and 0 <= -d < nb:
-            out.add_term(m, QQ(-1))
-        if 0 < mm <= c < nb and a <= 0:
-            out.add_term(m, QQ(-1))
-        if 0 <= mm < nb < c and d <= 0:
-            out.add_term(m, QQ(-1))
-        if 0 <= mm <= nb == c:
-            # primed boundary sum: half/third weights at the circle corners;
-            # both sign lifts of the scalar land here, so its -1/12 raw
-            # weight accumulates to the projective coefficient 1/6
-            if mm == 0 and nb == 0:
-                out.add_term(m, QQ(1, 12))
-            elif mm == 0:
-                out.add_term(m, QQ(-1, 2))
-            elif mm == nb:
-                out.add_term(m, QQ(-1, 3))
-            else:
-                out.add_term(m, QQ(-1))
+    for condensed_sum in _CONDENSED_SUMS:
+        for m, q in condensed_sum(n):
+            out.add_term(m, q)
     return out
+
+
+# The five sums of the condensed form, each a generator of (matrix, weight)
+# walking its own parameters (mm = a - d, beta = -b as above).  None of them
+# calls a geometric family generator, so variants_agree compares two
+# independent enumerations.
+
+
+def _condensed_plus(n):
+    """+1 on mm < beta <= c, 0 <= c < a."""
+    # Members have a >= c + 1 and, with d solved from the determinant,
+    # d >= a - beta + 1 >= a - c + 1 >= 2; so ad = n - beta*c >= 2c + 2,
+    # which with beta <= c needs c^2 + 2c + 2 <= n.  The same bound on d reads
+    # beta*(a - c) >= a^2 + a - n >= 2 - n, so beta >= 2 - n.  For each
+    # (c, beta), a runs over the divisors of ad above c.
+    c = 0
+    while c * c + 2 * c + 2 <= n:
+        for beta in range(2 - n, c + 1):
+            r = n - beta * c
+            if r < 2 * c + 2:
+                break
+            for a in divisors(r):
+                d = r // a
+                if a > c and a - d < beta:
+                    yield (a, -beta, c, d), QQ(1)
+        c += 1
+
+
+def _condensed_d_nonpositive(n):
+    """-1 on beta <= mm < c, 0 <= -d < beta."""
+    # With e = -d, a = mm - e and e < beta <= mm < c, the determinant gives
+    # beta*c = n + e*(mm - e), and c >= mm + 1 reads
+    # mm*(beta - e) + beta <= n - e^2.  That grows with mm >= beta, so it
+    # bounds beta at mm = beta, and e at beta = mm = e + 1: e^2 + 2e + 2 <= n.
+    e = 0
+    while e * e + 2 * e + 2 <= n:
+        beta = e + 1
+        while beta * (beta - e + 1) <= n - e * e:
+            mm = beta
+            while mm * (beta - e) + beta <= n - e * e:
+                r = n + e * (mm - e)
+                if r % beta == 0:
+                    yield (mm - e, -beta, r // beta, -e), QQ(-1)
+                mm += 1
+            beta += 1
+        e += 1
+
+
+def _condensed_a_nonpositive(n):
+    """-1 on 0 < mm <= c < beta, a <= 0."""
+    # With f = -a >= 0, d = -(f + mm) and the determinant reads
+    # f*(f + mm) + beta*c = n with beta >= c + 1: so c*(c + 1) <= n and
+    # f*(f + mm) <= n - c*(c + 1), and beta = (n - f*(f + mm))/c.
+    c = 1
+    while c * (c + 1) <= n:
+        for mm in range(1, c + 1):
+            f = 0
+            while f * (f + mm) + c * (c + 1) <= n:
+                r = n - f * (f + mm)
+                if r % c == 0:
+                    yield (-f, -(r // c), c, -f - mm), QQ(-1)
+                f += 1
+        c += 1
+
+
+def _condensed_inner(n):
+    """-1 on 0 <= mm < beta < c, d <= 0."""
+    # With e = -d, a = mm - e, the determinant gives
+    # beta*c = n + e*(mm - e) =: r, and mm < beta < c needs
+    # r >= (mm + 1)*(mm + 2): e lies between the roots
+    # (mm -+ sqrt(4n + mm^2 - 4(mm + 1)(mm + 2)))/2.  beta runs over the
+    # divisors of r in (mm, sqrt(r)).
+    mm = 0
+    while 4 * (mm + 1) * (mm + 2) <= 4 * n + mm * mm:
+        s = isqrt(4 * n + mm * mm - 4 * (mm + 1) * (mm + 2))
+        for e in range(max(0, (mm - s + 1) // 2), (mm + s) // 2 + 1):
+            r = n + e * (mm - e)
+            beta = mm + 1
+            while beta * beta < r:
+                if r % beta == 0:
+                    yield (mm - e, -beta, r // beta, -e), QQ(-1)
+                beta += 1
+        mm += 1
+
+
+def _condensed_boundary(n):
+    """The primed sum on 0 <= mm <= beta = c.
+
+    Half/third weights at the circle corners; both sign lifts of the
+    scalar land here, so its 1/12 raw weight accumulates to the projective
+    coefficient 1/6.
+    """
+    # The determinant is d^2 + mm*d + c^2 = n, a quadratic in d with
+    # discriminant mm^2 + 4(n - c^2); d*(d + mm) >= -mm^2/4 >= -c^2/4 gives
+    # 3c^2 <= 4n.
+    c = 0
+    while 3 * c * c <= 4 * n:
+        for mm in range(c + 1):
+            disc = mm * mm + 4 * (n - c * c)
+            if not is_square(disc):
+                continue
+            s = isqrt(disc)
+            if c == 0:
+                q = QQ(1, 12)
+            elif mm == 0:
+                q = QQ(-1, 2)
+            elif mm == c:
+                q = QQ(-1, 3)
+            else:
+                q = QQ(-1)
+            for d in sorted({(s - mm) // 2, (-s - mm) // 2}):
+                yield (d + mm, -c, c, d), q
+        c += 1
+
+
+_CONDENSED_SUMS = (
+    _condensed_plus,
+    _condensed_d_nonpositive,
+    _condensed_a_nonpositive,
+    _condensed_inner,
+    _condensed_boundary,
+)
 
 
 # -- ideal membership ---------------------------------------------------------------

@@ -25,6 +25,9 @@ from trace_kit.hecke_operator import build_Tn
 
 value = trace_kit.trace_on_W(1, trace_kit.trivial_character(1), 10, trace_kit.hecke_coset_desc(1, 2), build_Tn(2))
 assert value == 2001, value
+# build_Tn does not walk the reference box; walk it once through the module
+# attribute, where the tracer binds its candidate counter
+assert len(list(trace_kit.hecke_operator.det_matrices(2, 6))) > 0
 tracer.finish(sys.argv[2])
 """
 
@@ -45,3 +48,4 @@ def test_tracer_installs_and_traces_a_period_call(tmp_path):
     assert data["counts"].get("period_oracle.trace_on_W") == 1
     assert data["counts"].get("period_oracle.sigma_block_map", 0) > 0
     assert data["candidates"] > 0
+    assert data["support"] > 0

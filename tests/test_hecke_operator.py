@@ -8,11 +8,11 @@ from trace_kit.hecke_operator import (
     GroupRingElem,
     build_Tn,
     build_Tn_infty,
+    _CONDENSED_SUMS,
     build_elliptic_reps,
     det_matrices,
     enumerate_family,
     expected_class_weights,
-    family_bound,
     ideal_membership,
     operator_json_entries,
     verify_operator,
@@ -53,10 +53,117 @@ def test_elliptic_coefficient_sums():
     assert sum((c for _, c in build_elliptic_reps(2)), QQ(0)) == -4
 
 
+# -- the box oracle ---------------------------------------------------------------
+#
+# Every family and every condensed sum, defined as the determinant-n matrices of
+# a bounded box that satisfy its inequalities.  The package generates each set
+# straight from its inequalities; these filters are the independent reference.
+
+
+def family_bound(n):
+    """Entry bound covering every family member of determinant n."""
+    return 2 * n + 2
+
+
+def in_upper_family(m, n):
+    """Upper-triangular part: 0 <= b < d - a, a > 0."""
+    a, b, c, d = m
+    return c == 0 and a > 0 and 0 <= b < d - a
+
+
+def in_X_family(m, n):
+    a, b, c, d = m
+    return 0 < -b < c and 0 < d < a
+
+
+def in_Y_family(m, n):
+    a, b, c, d = m
+    return a - d < -b <= c and 0 < c < a
+
+
+def in_Z_family(m, n):
+    a, b, c, d = m
+    if not (a - d <= c < -b and 0 < a and 0 < c):
+        return False
+    if a - d == c and not (-d >= a):
+        return False
+    return True
+
+
+def in_elliptic_rep(m, n):
+    """Fixed point inside the strip {0 <= Re z <= 1/2, |z-1| >= 1}, boundary
+    resolved by trace sign (mm = a - d, nb = -b): c > 0, 0 <= mm <= c, nb >= mm.
+    """
+    a, b, c, d = m
+    t = a + d
+    if c <= 0 or t * t >= 4 * n:
+        return False
+    mm = a - d
+    nb = -b
+    if not (0 <= mm <= c and nb >= mm):
+        return False
+    if mm == 0 and nb > c and not t > 0:
+        return False
+    if mm == 0 and nb < c and not t <= 0:
+        return False
+    if mm == c and nb > c and not t <= 0:
+        return False
+    if nb == mm and nb < c and not t > 0:
+        return False
+    return True
+
+
+BOX_FAMILIES = {
+    "upper": in_upper_family,
+    "X": in_X_family,
+    "Y": in_Y_family,
+    "Z": in_Z_family,
+    "elliptic": in_elliptic_rep,
+}
+
+
+def box_condensed_weights(m):
+    """The weight of m in each of the five condensed sums, in package order."""
+    a, b, c, d = m
+    mm, nb = a - d, -b
+    out = [
+        QQ(1) if mm < nb <= c and 0 <= c < a else 0,
+        QQ(-1) if nb <= mm < c and 0 <= -d < nb else 0,
+        QQ(-1) if 0 < mm <= c < nb and a <= 0 else 0,
+        QQ(-1) if 0 <= mm < nb < c and d <= 0 else 0,
+        0,
+    ]
+    if 0 <= mm <= nb == c:
+        if mm == 0 and nb == 0:
+            out[4] = QQ(1, 12)
+        elif mm == 0:
+            out[4] = QQ(-1, 2)
+        elif mm == nb:
+            out[4] = QQ(-1, 3)
+        else:
+            out[4] = QQ(-1)
+    return out
+
+
+def box_sets(n, bound):
+    """(family name -> sorted members, [sorted (matrix, weight) per condensed
+    sum]) from one walk of the box |entries| <= bound."""
+    families = {name: [] for name in BOX_FAMILIES}
+    sums = [[] for _ in _CONDENSED_SUMS]
+    for m in det_matrices(n, bound):
+        for name, pred in BOX_FAMILIES.items():
+            if pred(m, n):
+                families[name].append(m)
+        for terms, q in zip(sums, box_condensed_weights(m)):
+            if q:
+                terms.append((m, q))
+    return {k: sorted(v) for k, v in families.items()}, [sorted(t) for t in sums]
+
+
 def test_one_representative_per_elliptic_class():
     # the enumerated representatives biject with the elliptic labels found by
     # a bounded scan
-    for n in range(1, 9):
+    for n in range(1, 25):
         reps = enumerate_family(n, "elliptic")
         labels = [class_label(m) for m in reps]
         assert len(set(labels)) == len(labels), n
@@ -69,17 +176,26 @@ def test_one_representative_per_elliptic_class():
 
 
 def test_family_bound_stability():
-    # doubling the entry bound adds no family members
+    # every family and every condensed sum, generated from its inequalities,
+    # equals the box filter at family_bound(n) ...
+    for n in range(1, 33):
+        families, sums = box_sets(n, family_bound(n))
+        for name, members in families.items():
+            assert enumerate_family(n, name) == members, (n, name)
+        for condensed_sum, terms in zip(_CONDENSED_SUMS, sums):
+            assert sorted(condensed_sum(n)) == terms, (n, condensed_sum.__name__)
+    # ... and doubling the box adds no member
     for n in range(1, 13):
-        for name in ("upper", "X", "Y", "Z", "elliptic"):
-            small = enumerate_family(n, name)
-            big = enumerate_family(n, name, bound=2 * family_bound(n))
-            assert small == big, (n, name)
+        assert box_sets(n, family_bound(n)) == box_sets(n, 2 * family_bound(n)), n
 
 
 def test_variants_agree():
-    for n in range(1, 21):
+    for n in range(1, 61):
         assert build_Tn(n, "geometric") == build_Tn(n, "condensed"), n
+
+
+def test_build_Tn_memo_is_bounded():
+    assert build_Tn.cache_info().maxsize is not None
 
 
 def test_group_ring_relations():

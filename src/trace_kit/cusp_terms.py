@@ -11,8 +11,7 @@ from functools import lru_cache
 
 from .arith import QQ, crt_solve, divisors, euler_phi, require_exact_divisor, sigma1_N, validate_query, xgcd
 from .dirichlet import CycloNum
-from .matrix_forms import mat_mul
-from .period_oracle import sigma_contains, sigma_det, sigma_twist
+from .matrix_forms import in_atkin_coset, mat_mul, sigma_det, sigma_twist
 
 __all__ = [
     "CuspRep",
@@ -146,7 +145,7 @@ def phi_generic(sigma, chi, w, a, d):
         for b in range(span):
             m = (a, b, 0, d)
             cm = mat_mul(mat_mul(C, m), Cinv)
-            if sigma_contains(sigma, cm):
+            if in_atkin_coset(cm, *sigma):
                 total = total + chi(sigma_twist(sigma, cm))
     return total / g
 

@@ -125,22 +125,10 @@ class GroupRingElem:
         return f"GroupRingElem(det={self.det}, support={len(self.coeffs)})"
 
 
-def _single(m):
-    out = GroupRingElem(mat_det(m))
-    out.add_term(m, QQ(1))
-    return out
-
-
-def _gamma_elem(terms):
-    out = GroupRingElem(1)
-    for m, q in terms:
-        out.add_term(m, QQ(q))
-    return out
-
-
-ONE_MINUS_S = _gamma_elem([(IDENT, 1), (S, -1)])
-ONE_PLUS_S = _gamma_elem([(IDENT, 1), (S, 1)])
-ONE_PLUS_UUU = _gamma_elem([(IDENT, 1), (U, 1), (mat_mul(U, U), 1)])
+_UU = mat_mul(U, U)
+ONE_MINUS_S = GroupRingElem(1, {IDENT: 1, S: -1})
+ONE_PLUS_S = GroupRingElem(1, {IDENT: 1, S: 1})
+ONE_PLUS_UUU = GroupRingElem(1, {IDENT: 1, U: 1, _UU: 1})
 
 
 # -- matrix families ---------------------------------------------------------------
@@ -297,20 +285,13 @@ def build_Tn_infty(n):
     for d in divisors(n):
         a = n // d
         for b in range(d):
-            out.add_term((a, b, 0, d), QQ(1))
+            out.add_term((a, b, 0, d), 1)
     return out
 
 
 def build_elliptic_reps(n):
     """(matrix, -1/stabilizer order) for one representative per elliptic class."""
     return [(m, QQ(-1, stab_order(m))) for m in enumerate_family(n, "elliptic")]
-
-
-def _family_elem(n, name):
-    out = GroupRingElem(n)
-    for m in enumerate_family(n, name):
-        out.add_term(m, QQ(1))
-    return out
 
 
 @lru_cache(maxsize=256)
@@ -328,15 +309,18 @@ def build_Tn(n, variant="geometric"):
         out = GroupRingElem(n)
         for m, c in build_elliptic_reps(n):
             out.add_term(m, c)
-        out = out + _family_elem(n, "upper")
+        for m in enumerate_family(n, "upper"):
+            out.add_term(m, 1)
         if is_square(n):
             r = isqrt(n)
             out.add_term((r, 0, 0, r), QQ(1, 6))
-        x = _family_elem(n, "X")
-        sxs = _single(S) * x * _single(S)
-        yz = _family_elem(n, "Y") + _family_elem(n, "Z")
-        uuyzu = _single(mat_mul(U, U)) * yz * _single(U)
-        return out + x - sxs + yz - uuyzu
+        # a correction member enters with +1 and its conjugate with -1:
+        # S m S for the X family, U^2 m U for the Y and Z families
+        for name, left, right in (("X", S, S), ("Y", _UU, U), ("Z", _UU, U)):
+            for m in enumerate_family(n, name):
+                out.add_term(m, 1)
+                out.add_term(mat_mul(mat_mul(left, m), right), -1)
+        return out
     if variant == "condensed":
         return _build_condensed(n)
     raise ValueError(f"unknown variant {variant!r}")
@@ -497,7 +481,7 @@ def _gamma_orbit(m, gens):
 
 
 _S_GENS = (IDENT, S)
-_U_GENS = (IDENT, U, mat_mul(U, U))
+_U_GENS = (IDENT, U, _UU)
 
 
 def ideal_membership(elem, which):

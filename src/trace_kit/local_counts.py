@@ -3,8 +3,10 @@
 S_N(u,t,n) counts units alpha mod N with alpha^2 - t*alpha + n = 0 (mod N*u);
 B is its character-weighted, index-scaled version, C its Moebius inverse.
 C_fast is the closed multiplicative evaluation of the trivial-character C
-via prime-power tables.  c_class / c_atkin are the conjugacy-class weights,
-each with a direct coset-sum implementation next to the closed form.
+via prime-power tables.  c_class_closed / c_atkin_closed are the closed
+conjugacy-class weights; their direct counterparts, sums over the fixed
+points of the double-coset action on P^1(Z/N), live on the period side
+(period_oracle), so the two stay independent.
 """
 
 import math
@@ -20,15 +22,8 @@ from .arith import (
     require_exact_divisor,
     valuation,
 )
-from .dirichlet import CycloNum
-from .matrix_forms import (
-    form_content,
-    mat_det,
-    mat_inv_unimodular,
-    mat_mul,
-    mat_trace,
-    quad_form_of,
-)
+from .dirichlet import CycloNum, trivial_character
+from .matrix_forms import form_content, mat_det, mat_trace, quad_form_of
 
 __all__ = [
     "solution_set",
@@ -37,11 +32,8 @@ __all__ = [
     "B_coeff",
     "C_coeff",
     "C_fast",
-    "in_atkin_coset",
     "c_class_closed",
-    "c_class_direct",
     "c_atkin_closed",
-    "c_atkin_direct",
 ]
 
 
@@ -160,25 +152,6 @@ def C_fast(N, u, D):
 # -- conjugacy-class weights ---------------------------------------------------
 
 
-def in_atkin_coset(m, N, ell, n):
-    """Membership in the composed Hecke/Atkin-Lehner double coset.
-
-    Conditions: det = ell*n, N | c, ell | trace, ell | a, (a, N/ell) = 1,
-    (b, ell) = 1.  With ell = 1 this is the determinant-n Hecke double coset:
-    det = n, N | c, (a, N) = 1.
-    """
-    a, b, c, d = m
-    ellp = N // ell
-    return (
-        mat_det(m) == ell * n
-        and c % N == 0
-        and (a + d) % ell == 0
-        and a % ell == 0
-        and math.gcd(a, ellp) == 1
-        and math.gcd(b, ell) == 1
-    )
-
-
 def c_class_closed(N, chi, m):
     """Class weight via the closed form B(gcd(content, N), trace, det)."""
     n = mat_det(m)
@@ -189,24 +162,8 @@ def c_class_closed(N, chi, m):
     return B_coeff(N, chi, u, mat_trace(m), n)
 
 
-def c_class_direct(N, chi, m):
-    """Class weight by direct summation over unimodular coset representatives."""
-    from .period_oracle import coset_table  # local import to avoid a cycle
-
-    n = mat_det(m)
-    table = coset_table(N)
-    total = CycloNum.zero(chi.order)
-    for A in table.lifts:
-        conj = mat_mul(mat_mul(A, m), mat_inv_unimodular(A))
-        if in_atkin_coset(conj, N, 1, n):
-            total = total + chi(conj[0])
-    return total
-
-
 def c_atkin_closed(N, ell, m):
     """Atkin-Lehner composed class weight, closed form (integer valued)."""
-    from .dirichlet import trivial_character
-
     require_exact_divisor(N, ell)
     det = mat_det(m)
     if det % ell:
@@ -230,21 +187,3 @@ def c_atkin_closed(N, ell, m):
             c = C_coeff(ellp, chi1, up, t, ell * n)
             total += mu * int(c.as_rational())
     return total
-
-
-def c_atkin_direct(N, ell, m):
-    """Atkin-Lehner class weight by direct coset enumeration."""
-    from .period_oracle import coset_table
-
-    require_exact_divisor(N, ell)
-    det = mat_det(m)
-    if det % ell:
-        raise ValueError("determinant must be divisible by ell")
-    n = det // ell
-    table = coset_table(N)
-    count = 0
-    for A in table.lifts:
-        conj = mat_mul(mat_mul(A, m), mat_inv_unimodular(A))
-        if in_atkin_coset(conj, N, ell, n):
-            count += 1
-    return count

@@ -34,6 +34,9 @@ __all__ = [
     "stab_order",
     "conjugate",
     "conjugacy_search",
+    "in_atkin_coset",
+    "sigma_det",
+    "sigma_twist",
 ]
 
 S = (0, -1, 1, 0)
@@ -81,6 +84,42 @@ def proj_canonical(m):
 def conjugate(g, m):
     """g * m * g^{-1} for unimodular g."""
     return mat_mul(mat_mul(g, m), mat_inv_unimodular(g))
+
+
+# -- the level-N double cosets ------------------------------------------------
+#
+# A descriptor sigma = (N, ell, n) names the level-N double coset of
+# determinant ell*n that in_atkin_coset cuts out; ell = 1 is the Hecke coset.
+# Both routes test membership here.
+
+
+def in_atkin_coset(m, N, ell, n):
+    """Membership in the composed Hecke/Atkin-Lehner double coset.
+
+    Conditions: det = ell*n, N | c, ell | trace, ell | a, (a, N/ell) = 1,
+    (b, ell) = 1.  With ell = 1 this is the determinant-n Hecke double coset:
+    det = n, N | c, (a, N) = 1.
+    """
+    a, b, c, d = m
+    ellp = N // ell
+    return (
+        mat_det(m) == ell * n
+        and c % N == 0
+        and (a + d) % ell == 0
+        and a % ell == 0
+        and math.gcd(a, ellp) == 1
+        and math.gcd(b, ell) == 1
+    )
+
+
+def sigma_det(sigma):
+    return sigma[1] * sigma[2]
+
+
+def sigma_twist(sigma, m):
+    """Character argument of a member m: its top-left entry for a Hecke
+    coset, 1 for a composed one (which carries the trivial character)."""
+    return m[0] if sigma[1] == 1 else 1
 
 
 def quad_form_of(m):

@@ -1,12 +1,15 @@
 """Exact linear algebra on induced polynomial modules over the projective line.
 
 The degree-w module attached to (level N, character chi) has one polynomial
-block of dimension w+1 per point of P^1(Z/N).  A double coset acts by
-sending each point's block, through the weight -w substitution action and a
-chi twist, to the one point (if any) it comes from; that source point is
-read off the matrix by a congruence and a P^1(Z/N) index lookup, as with
-Manin-symbol tables.  Unimodular matrices act as the determinant-1 coset,
-so there is one action routine for both.
+block of dimension w+1 per point of P^1(Z/N), the product of the local lines
+P^1(Z/p^e), so that a point is indexed one prime at a time, as Manin symbols
+are normalised.  A double coset acts by sending each point's block, through
+the weight -w substitution action and a chi twist, to the one point (if any)
+it comes from; that source point is read off the matrix by a congruence and
+a P^1(Z/N) index lookup.  Unimodular matrices act as the determinant-1
+coset, so there is one action routine for both.  The points fixed by a
+matrix give the direct conjugacy-class weights (c_class_direct,
+c_atkin_direct) and the trace on the whole module.
 
 Representation: a vector over Q(zeta_m) is stored as phi(m) parallel
 "planes" of rationals, one per power basis coefficient, and this is the only
@@ -29,17 +32,27 @@ the subspace.
 Every field operation (product, inverse, powers of zeta, multiplication
 matrices) comes from the coefficient-tuple kernel in dirichlet; this module
 only lays the numbers out.  It imports nothing from the closed formulas:
-the two routes share arith, that field arithmetic, matrix_forms and the
-coset membership test of local_counts, and nothing else.
+the two routes share arith, that field arithmetic and matrix_forms, which
+holds the coset membership test, and nothing else.
 """
 
 import math
 from functools import cached_property, lru_cache
 
-from .arith import QQ, euler_phi, sigma1_N, validate_query, xgcd
+from .arith import QQ, euler_phi, factorize, require_exact_divisor, sigma1_N, validate_query, xgcd
 from .dirichlet import CycloNum, cyclo_inverse, mult_matrix, zeta_power
-from .local_counts import in_atkin_coset
-from .matrix_forms import IDENT, S, T, U, mat_det, mat_inv_unimodular, mat_mul
+from .matrix_forms import (
+    IDENT,
+    S,
+    T,
+    U,
+    in_atkin_coset,
+    mat_det,
+    mat_inv_unimodular,
+    mat_mul,
+    sigma_det,
+    sigma_twist,
+)
 
 __all__ = [
     "coset_table",
@@ -47,9 +60,8 @@ __all__ = [
     "weight_action",
     "hecke_coset_desc",
     "atkin_coset_desc",
-    "sigma_det",
-    "sigma_contains",
-    "sigma_twist",
+    "c_class_direct",
+    "c_atkin_direct",
     "PeriodModule",
     "period_module",
     "dim_period_space",
@@ -64,35 +76,34 @@ __all__ = [
 
 
 class CosetTable:
-    """Canonical points of P^1(Z/N) with unimodular lifts.
+    """Points of P^1(Z/N) with unimodular lifts.
 
-    points[i] is the canonical pair (c, d); lifts[i] is an integral
-    determinant-1 matrix whose bottom row reduces to it.  index_of(c, d) is
-    the index of the point of any pair with gcd(c, d, N) = 1.
+    P^1(Z/N) is the product of the P^1(Z/q) over the prime powers q = p^e
+    exactly dividing N.  A local point is (1 : x) with x mod q, local index
+    x, or (p*y : 1) with y mod q/p, local index q + y.  index_of(c, d) reads
+    each local point of a pair with gcd(c, d, N) = 1 by one modular inverse,
+    read from a table of the inverses mod q, and joins the local indices in
+    mixed radix, the first prime least significant.  points[i] is the CRT of its local pairs; lifts[i] is an
+    integral determinant-1 matrix whose bottom row reduces to it.
     """
 
     def __init__(self, N):
         self.N = N
-        units = [x for x in range(max(N, 1)) if math.gcd(x, N) == 1] or [0]
-        canon = {}
-        points = set()
-        for c in range(N or 1):
-            for d in range(N or 1):
-                if N > 1 and math.gcd(math.gcd(c, d), N) != 1:
-                    continue
-                rep = min(((u * c) % N, (u * d) % N) for u in units) if N > 1 else (0, 0)
-                canon[(c, d)] = rep
-                points.add(rep)
-        self.points = sorted(points)
-        self._index = {p: i for i, p in enumerate(self.points)}
-        self._canon = canon
-        self.lifts = [self._lift(p) for p in self.points]
+        self._local = []  # (q, p, place value of the local index, inverses mod q)
+        points = [(0, 0)]
+        for p, e in factorize(N):
+            q = p**e
+            idem = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N/q
+            inv = [pow(x, -1, q) if x % p else None for x in range(q)]
+            self._local.append((q, p, len(points), inv))
+            local = [(1, x) for x in range(q)] + [(p * y, 1) for y in range(q // p)]
+            points = [((c + lc * idem) % N, (d + ld * idem) % N) for lc, ld in local for c, d in points]
+        self.points = points
+        self.lifts = [self._lift(pt) for pt in points]
 
     def _lift(self, point):
         N = self.N
         c, d = point
-        if N == 1:
-            return (1, 0, 0, 1)
         if c % N == 0:
             c1, d1 = 0, 1
         else:
@@ -104,15 +115,21 @@ class CosetTable:
         return (a, -y, c1, d1)
 
     def index_of(self, c, d):
-        if self.N == 1:
-            return 0
-        return self._index[self._canon[(c % self.N, d % self.N)]]
+        i = 0
+        for q, p, place, inv in self._local:
+            cq = c % q
+            if cq % p:
+                k = d * inv[cq] % q
+            else:
+                k = q + cq * inv[d % q] % q // p
+            i += k * place
+        return i
 
     def __len__(self):
         return len(self.points)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def coset_table(N):
     return CosetTable(N)
 
@@ -166,7 +183,7 @@ def _weight_rows_nz(m, w):
 # -- double coset descriptors ---------------------------------------------------
 #
 # A descriptor (N, ell, n) names the level-N double coset of determinant
-# ell*n cut out by local_counts.in_atkin_coset.  ell = 1 is the Hecke coset,
+# ell*n cut out by matrix_forms.in_atkin_coset.  ell = 1 is the Hecke coset,
 # and (N, 1, 1) is the level-N group itself, whose action is the unimodular
 # one.
 
@@ -183,21 +200,7 @@ def atkin_coset_desc(N, ell, n):
     return (N, ell, n)
 
 
-def sigma_det(sigma):
-    return sigma[1] * sigma[2]
-
-
-def sigma_contains(sigma, m):
-    return in_atkin_coset(m, *sigma)
-
-
-def sigma_twist(sigma, m):
-    """Character argument of a member m: its top-left entry for a Hecke
-    coset, 1 for a composed one (which carries the trivial character)."""
-    return m[0] if sigma[1] == 1 else 1
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def sigma_block_map(sigma, m):
     """Per point j: None, or (source point i, chi argument mod N).
 
@@ -208,7 +211,7 @@ def sigma_block_map(sigma, m):
     the bottom row (c : d) of A_i: c = -y_c, d = y_a mod N' and c = -y_d,
     d = y_b mod ell, joined by CRT.  There is no source when y_a or y_c is
     nonzero mod ell, (y_a, y_c) is not primitive mod N' or (y_b, y_d) is not
-    primitive mod ell.  Each source found is certified by sigma_contains.
+    primitive mod ell.  Each source found is certified by in_atkin_coset.
     """
     N, ell, _ = sigma
     table = coset_table(N)
@@ -227,10 +230,41 @@ def sigma_block_map(sigma, m):
             continue
         i = table.index_of(-yc * f - yd * e, ya * f + yb * e)
         member = mat_mul(table.lifts[i], y)
-        if not sigma_contains(sigma, member):
+        if not in_atkin_coset(member, *sigma):
             raise RuntimeError("coset lookup produced a non-member")
         out.append((i, sigma_twist(sigma, member) % N))
     return tuple(out)
+
+
+def _fixed_point_args(sigma, m):
+    """Character arguments at the fixed points of the action of m through
+    sigma: the points j whose block comes from j itself, that is
+    A_j m A_j^-1 in the coset."""
+    return [ent[1] for j, ent in enumerate(sigma_block_map(sigma, m)) if ent is not None and ent[0] == j]
+
+
+def _class_weight(chi, sigma, m):
+    """sum of chi over the fixed points of the action of m through sigma."""
+    total = CycloNum.zero(chi.order)
+    for arg in _fixed_point_args(sigma, m):
+        total = total + chi(arg)
+    return total
+
+
+def c_class_direct(N, chi, m):
+    """Class weight by direct summation over P^1(Z/N): chi at the fixed
+    points of m in the determinant-det(m) Hecke coset."""
+    return _class_weight(chi, (N, 1, mat_det(m)), m)
+
+
+def c_atkin_direct(N, ell, m):
+    """Atkin-Lehner class weight: the fixed points of m in the composed
+    coset of determinant det(m)."""
+    require_exact_divisor(N, ell)
+    det = mat_det(m)
+    if det % ell:
+        raise ValueError("determinant must be divisible by ell")
+    return len(_fixed_point_args((N, ell, det // ell), m))
 
 
 # -- the module ---------------------------------------------------------------
@@ -257,7 +291,7 @@ class PeriodModule:
         self.order = chi.order
         self.g = euler_phi(self.order)
         # chi exponent per residue (None on non-units)
-        self._chi_exp = [chi.value_exponent(x) for x in range(max(N, 1))] if N > 1 else [0]
+        self._chi_exp = [chi.value_exponent(x) for x in range(N)]
         # integer plane-mixing matrix of zeta^e, per exponent e
         self._zeta = [mult_matrix(self.order, zeta_power(self.order, e)) for e in range(self.order)]
 
@@ -287,7 +321,7 @@ class PeriodModule:
         return out
 
     def _chi_exponent(self, arg):
-        e = self._chi_exp[arg % self.N if self.N > 1 else 0]
+        e = self._chi_exp[arg % self.N]
         if e is None:
             raise RuntimeError("character argument is not a unit")
         # exponent is in units of zeta_order
@@ -613,19 +647,13 @@ def trace_on_W(N, chi, w, sigma, op):
 
 def trace_on_V(N, chi, w, sigma, op):
     """Trace of op on the full module (blockwise, no elimination)."""
-    mod = _period_job(N, chi, w, sigma, op)
+    _period_job(N, chi, w, sigma, op)
     total = CycloNum.zero(chi.order)
     for m, q in op.coeffs.items():
-        bmap = sigma_block_map(sigma, m)
         wm = weight_action(m, w)
         ptrace = sum(wm[r][r] for r in range(w + 1))
-        if not ptrace:
-            continue
-        for j in range(mod.npoints):
-            ent = bmap[j]
-            if ent is not None and ent[0] == j:
-                zeta = CycloNum.root_of_unity(chi.order, mod._chi_exponent(ent[1]))
-                total = total + zeta * (QQ(q) * ptrace)
+        if ptrace:
+            total = total + _class_weight(chi, sigma, m) * (QQ(q) * ptrace)
     return total
 
 

@@ -10,14 +10,13 @@ from trace_kit.local_counts import (
     C_coeff,
     C_fast,
     c_atkin_closed,
-    c_atkin_direct,
     c_class_closed,
-    c_class_direct,
     count_S,
     count_S_plain,
     solution_set,
 )
 from trace_kit.matrix_forms import conjugate, mat_det
+from trace_kit.period_oracle import c_atkin_direct, c_class_direct
 
 
 def test_count_examples():

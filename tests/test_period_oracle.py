@@ -1,15 +1,17 @@
 import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import trace_kit
 from trace_kit.arith import QQ, divisors, gegenbauer, index_phi1, sigma1_N
 from trace_kit.cusp_terms import admissible_cusp_reps
 from trace_kit.dirichlet import enumerate_characters, trivial_character
 from trace_kit.hecke_operator import GroupRingElem, build_Tn, build_Tn_infty
-from trace_kit.local_counts import c_class_closed, in_atkin_coset
-from trace_kit.matrix_forms import S, T, U, mat_det, mat_inv_unimodular, mat_mul
+from trace_kit.local_counts import c_class_closed
+from trace_kit.matrix_forms import S, T, U, in_atkin_coset, mat_det, mat_inv_unimodular, mat_mul
 from trace_kit.period_oracle import (
     atkin_coset_desc,
     coset_table,
@@ -30,6 +32,40 @@ T1 = trivial_character(1)
 def test_projective_line_sizes():
     for N in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12):
         assert len(coset_table(N)) == index_phi1(N)
+
+
+def _unit_orbit_classes(N):
+    """Reference P^1(Z/N): every primitive pair mod N mapped to the least of
+    its multiples by the units mod N."""
+    units = [u for u in range(N) if math.gcd(u, N) == 1]
+    return {
+        (c, d): min(((u * c) % N, (u * d) % N) for u in units)
+        for c in range(N)
+        for d in range(N)
+        if math.gcd(c, d, N) == 1
+    }
+
+
+def test_projective_line_matches_the_unit_orbit_reference():
+    # index_of splits the primitive pairs into the unit orbits, one index
+    # per orbit; each point and the bottom row of its lift read back their
+    # own index
+    for N in list(range(1, 61)) + [120, 210]:
+        tb = coset_table(N)
+        index = {}
+        for (c, d), orbit in _unit_orbit_classes(N).items():
+            i = tb.index_of(c, d)
+            assert index.setdefault(orbit, i) == i, (N, c, d)
+        assert sorted(index.values()) == list(range(len(tb))), N
+        for i, (point, lift) in enumerate(zip(tb.points, tb.lifts)):
+            assert mat_det(lift) == 1, (N, i)
+            assert (lift[2] - point[0]) % N == 0 and (lift[3] - point[1]) % N == 0, (N, i)
+            assert tb.index_of(*point) == i and tb.index_of(lift[2], lift[3]) == i, (N, i)
+
+
+def test_memo_tables_are_bounded():
+    for table in (coset_table, sigma_block_map):
+        assert table.cache_info().maxsize is not None
 
 
 def test_coset_lifts_and_lookup():
@@ -314,21 +350,34 @@ def test_coboundary_examples():
     assert val == eisenstein_trace_atkin(6, 2, 4, 1)
 
 
-def test_imports_stay_below_the_closed_formulas():
-    # the period route may share the number-theory layers with the closed
-    # formulas, but must never reach the formulas themselves
-    import trace_kit.period_oracle as po
-
-    with open(po.__file__) as fh:
-        tree = ast.parse(fh.read())
-    sources = set()
+def _package_imports(module):
+    """trace_kit modules named by any import in the module's source, at top
+    level or inside a function body."""
+    tree = ast.parse(Path(trace_kit.__file__).with_name(module + ".py").read_text())
+    names = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            sources.add("." * node.level + (node.module or ""))
-        elif isinstance(node, ast.Import):
-            sources.update(alias.name for alias in node.names)
-    package = {s for s in sources if s.startswith(".") or s.startswith("trace_kit")}
-    assert package <= {".arith", ".dirichlet", ".local_counts", ".matrix_forms"}, package
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["trace_kit" if node.level else None, node.module]))
+            names += [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("trace_kit.")} - {module}
+
+
+def test_imports_stay_below_the_closed_formulas():
+    # the two routes share arith, dirichlet and matrix_forms (where the coset
+    # membership test lives) and nothing else: the closed formulas import
+    # only those and each other, the period side only those and itself.
+    # The one edge left across is hecke_operator's use of the reduced-form
+    # enumeration of class_numbers for its class-sum check.
+    shared = {"arith", "dirichlet", "matrix_forms"}
+    closed = {"class_numbers", "local_counts", "cusp_terms", "trace_formulas"}
+    allowed = {m: shared for m in shared}
+    allowed.update({m: shared | closed for m in closed})
+    allowed["period_oracle"] = shared
+    allowed["hecke_operator"] = shared | {"period_oracle", "class_numbers"}
+    crossing = {m: _package_imports(m) - allowed[m] for m in allowed}
+    assert not any(crossing.values()), crossing
 
 
 def test_period_side_validation():

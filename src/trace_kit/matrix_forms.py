@@ -33,7 +33,6 @@ __all__ = [
     "epsilon",
     "stab_order",
     "conjugate",
-    "conjugacy_search",
     "in_atkin_coset",
     "sigma_det",
     "sigma_twist",
@@ -371,41 +370,3 @@ def stab_order(m):
     if d0 == -4:
         return 2
     return 1
-
-
-_GENS = (S, (0, 1, -1, 0), T, (1, -1, 0, 1))  # S, S^-1, T, T^-1 (up to sign)
-
-
-def conjugacy_search(m1, m2, depth=8, cap=200000):
-    """Bidirectional BFS deciding conjugacy by generator words of length <= depth.
-
-    Test-only oracle: exhaustive over words in S, T and inverses, never used
-    by the runtime formulas.
-    """
-    a = proj_canonical(m1)
-    b = proj_canonical(m2)
-    if mat_det(a) != mat_det(b):
-        return False
-    if a == b:
-        return True
-    front_a, front_b = {a}, {b}
-    seen_a, seen_b = {a}, {b}
-    for _ in range(depth):
-        # expand the smaller frontier
-        if len(front_a) > len(front_b):
-            front_a, front_b = front_b, front_a
-            seen_a, seen_b = seen_b, seen_a
-        nxt = set()
-        for m in front_a:
-            for g in _GENS:
-                c = proj_canonical(conjugate(g, m))
-                if c in seen_b:
-                    return True
-                if c not in seen_a:
-                    seen_a.add(c)
-                    nxt.add(c)
-        if not nxt or len(seen_a) + len(seen_b) > cap:
-            front_a = nxt
-            break
-        front_a = nxt
-    return bool(front_a & seen_b)

@@ -11,6 +11,17 @@ coset, so there is one action routine for both.  The points fixed by a
 matrix give the direct conjugacy-class weights (c_class_direct,
 c_atkin_direct) and the trace on the whole module.
 
+An operator sum(q_M M) is applied in two passes.  It is first assembled
+into sparse integer columns, one per source coordinate that some input
+vector uses, each holding lists of (target coordinate, coefficient) grouped
+by chi twist exponent: every term's q_M times its weight action lands there
+block by block, terms that meet in the same (source, target, twist) block
+are summed, and entries that cancel are dropped.  Each vector's nonzero
+entries are then scattered through the columns, in one walk, into one
+accumulator per exponent, and each accumulator is twisted once.  So the
+Ker(1+S) basis vectors, each supported on one or two points, cost little at
+any level.
+
 Representation: a vector over Q(zeta_m) is stored as phi(m) parallel
 "planes" of rationals, one per power basis coefficient, and this is the only
 layout: the operator actions and the eliminations both work on it, whatever
@@ -37,6 +48,7 @@ holds the coset membership test, and nothing else.
 """
 
 import math
+from collections import defaultdict
 from functools import cached_property, lru_cache
 
 from .arith import QQ, euler_phi, factorize, require_exact_divisor, sigma1_N, validate_query, xgcd
@@ -171,15 +183,6 @@ def _poly_mul_int(p, q, size):
     return out
 
 
-@lru_cache(maxsize=200000)
-def _weight_rows_nz(m, w):
-    """weight_action rows with zero entries stripped: ((idx, coef), ...)."""
-    wm = weight_action(m, w)
-    return tuple(
-        tuple((idx, coef) for idx, coef in enumerate(row) if coef) for row in wm
-    )
-
-
 # -- double coset descriptors ---------------------------------------------------
 #
 # A descriptor (N, ell, n) names the level-N double coset of determinant
@@ -302,24 +305,6 @@ class PeriodModule:
         # integral, which is what the hot paths arrange
         return [[0] * self.dim for _ in range(self.g)]
 
-    def _block_apply(self, rows_nz, vec, i):
-        """Integer weight action (nonzero-structured rows) on block i."""
-        w1 = self.w + 1
-        lo = i * w1
-        out = []
-        for c in range(self.g):
-            src = vec[c][lo : lo + w1]
-            plane = []
-            for row in rows_nz:
-                acc = 0
-                for cidx, coef in row:
-                    s = src[cidx]
-                    if s:
-                        acc += coef * s
-                plane.append(acc)
-            out.append(plane)
-        return out
-
     def _chi_exponent(self, arg):
         e = self._chi_exp[arg % self.N]
         if e is None:
@@ -330,46 +315,49 @@ class PeriodModule:
     def apply_operator(self, sigma, op, vectors):
         """Apply sum(q_M * |_Sigma M) to a list of plane vectors.
 
-        Contributions accumulate untwisted in buckets keyed by the chi twist
-        exponent; each bucket is mixed through the integer zeta matrix once
-        at the end.  With integer-scaled operators and basis vectors (what
-        the cached spaces provide) the inner loops are pure int arithmetic.
+        Assembles the operator into sparse columns keyed by source
+        coordinate, for the coordinates some vector uses, each holding its
+        entries grouped by chi twist exponent, then scatters each vector's
+        nonzero entries through them once, into one untwisted accumulator
+        per exponent, mixed through the integer zeta matrix once.  With
+        integer-scaled operators and basis vectors (what the cached spaces
+        provide) both passes are int arithmetic; inputs may also hold
+        Fractions.
         """
         w1 = self.w + 1
-        nv = len(vectors)
-        buckets = {}
-        for m, qq in op.items():
-            wm = _weight_rows_nz(m, self.w)
-            bmap = sigma_block_map(sigma, m)
-            sub_cache = {}
-            for j in range(self.npoints):
-                ent = bmap[j]
+        nonzero = [[(c, s, x) for c, plane in enumerate(vec) for s, x in enumerate(plane) if x] for vec in vectors]
+        support = {s for nz in nonzero for _, s, _ in nz}
+        columns = {}  # source coordinate -> exponent -> {target coordinate: coefficient}
+        for m, q in op.items():
+            wcols = [[(r, q * x) for r, x in enumerate(col) if x] for col in zip(*weight_action(m, self.w))]
+            for j, ent in enumerate(sigma_block_map(sigma, m)):
                 if ent is None:
                     continue
                 i, arg = ent
-                exp = self._chi_exponent(arg)
-                bucket = buckets.get(exp)
-                if bucket is None:
-                    bucket = buckets[exp] = [self.zero_vec() for _ in range(nv)]
-                lo = j * w1
-                for vi in range(nv):
-                    ck = (i, vi)
-                    sub = sub_cache.get(ck)
-                    if sub is None:
-                        sub = self._block_apply(wm, vectors[vi], i)
-                        sub_cache[ck] = sub
-                    dstv = bucket[vi]
-                    for c in range(self.g):
-                        dst = dstv[c]
-                        srcp = sub[c]
-                        for r in range(w1):
-                            v = srcp[r]
-                            if v:
-                                dst[lo + r] += qq * v
-        outs = [self.zero_vec() for _ in range(nv)]
-        for exp, bucket in buckets.items():
-            for out, src in zip(outs, bucket):
-                _add_scaled(out, self._zeta[exp], src)
+                exp = self._chi_exponent(arg)  # checked whether or not a column is kept
+                for c, wcol in enumerate(wcols):
+                    if i * w1 + c not in support:
+                        continue
+                    col = columns.setdefault(i * w1 + c, {}).setdefault(exp, {})
+                    for r, x in wcol:
+                        t = j * w1 + r
+                        col[t] = col.get(t, 0) + x
+        columns = {
+            s: [(exp, [(t, x) for t, x in col.items() if x]) for exp, col in by_exp.items()]
+            for s, by_exp in columns.items()
+        }
+        outs = []
+        for nz in nonzero:
+            accs = defaultdict(self.zero_vec)
+            for c, s, x in nz:
+                for exp, col in columns.get(s, ()):
+                    dst = accs[exp][c]
+                    for t, coef in col:
+                        dst[t] += coef * x
+            out = self.zero_vec()
+            for exp, acc in accs.items():
+                _add_scaled(out, self._zeta[exp], acc)
+            outs.append(out)
         return outs
 
     def apply_sigma(self, sigma, m, vec):
@@ -586,7 +574,8 @@ def _int_space(vectors, pivots):
     return basis, pivots, scales
 
 
-@lru_cache(maxsize=None)
+# criteria 4, 5 and 6 open 210 modules in one process and reuse them
+@lru_cache(maxsize=256)
 def period_module(N, chi, w):
     """The PeriodModule of (N, chi, w); its subspaces are cached on it."""
     return PeriodModule(N, chi, w)

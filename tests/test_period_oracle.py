@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,10 +9,20 @@ import pytest
 import trace_kit
 from trace_kit.arith import QQ, divisors, gegenbauer, index_phi1, sigma1_N
 from trace_kit.cusp_terms import admissible_cusp_reps
-from trace_kit.dirichlet import enumerate_characters, trivial_character
+from trace_kit.dirichlet import enumerate_characters, mult_matrix, trivial_character, zeta_power
 from trace_kit.hecke_operator import GroupRingElem, build_Tn, build_Tn_infty
 from trace_kit.local_counts import c_class_closed
-from trace_kit.matrix_forms import S, T, U, in_atkin_coset, mat_det, mat_inv_unimodular, mat_mul
+from trace_kit.matrix_forms import (
+    S,
+    T,
+    U,
+    in_atkin_coset,
+    mat_det,
+    mat_inv_unimodular,
+    mat_mul,
+    mat_neg,
+    sigma_det,
+)
 from trace_kit.period_oracle import (
     atkin_coset_desc,
     coset_table,
@@ -25,6 +36,7 @@ from trace_kit.period_oracle import (
     trace_on_W,
     weight_action,
 )
+from trace_kit.verification import _DIM_LEVELS, _parity_chars
 
 T1 = trivial_character(1)
 
@@ -64,8 +76,20 @@ def test_projective_line_matches_the_unit_orbit_reference():
 
 
 def test_memo_tables_are_bounded():
-    for table in (coset_table, sigma_block_map):
+    for table in (coset_table, sigma_block_map, period_module):
         assert table.cache_info().maxsize is not None
+
+
+def test_period_module_bound_holds_the_criteria_grid():
+    # criteria 4 and 5 run in one process, and 5 revisits the modules 4
+    # opened; a bound below their number rebuilds every basis
+    keys = {
+        (N, chi, k - 2)
+        for N in (*_DIM_LEVELS, *range(1, 10))
+        for k in range(2, 13)
+        for chi in _parity_chars(N, k)
+    }
+    assert len(keys) <= period_module.cache_info().maxsize
 
 
 def test_coset_lifts_and_lookup():
@@ -225,6 +249,77 @@ def test_block_map_equals_reference_scan():
                 assert sigma_block_map(sigma, m) == _scan_block_map(sigma, m), (sigma, m)
                 pairs += 1
     assert pairs == 10004
+
+
+def _blockwise_apply(mod, sigma, op, vectors):
+    """Reference for apply_operator: every term on its own, its weight action
+    applied to the source block of each point and twisted by chi there."""
+    import trace_kit.period_oracle as po
+
+    w1 = mod.w + 1
+    outs = []
+    for vec in vectors:
+        out = mod.zero_vec()
+        for m, q in op.items():
+            wm = weight_action(m, mod.w)
+            for j, ent in enumerate(sigma_block_map(sigma, m)):
+                if ent is None:
+                    continue
+                i, arg = ent
+                term = mod.zero_vec()
+                for dst, src in zip(term, vec):
+                    for r in range(w1):
+                        dst[j * w1 + r] = q * sum(wm[r][c] * src[i * w1 + c] for c in range(w1))
+                zeta = mult_matrix(mod.order, zeta_power(mod.order, mod.chi.value_exponent(arg)))
+                po._add_scaled(out, zeta, term)
+        outs.append(out)
+    return outs
+
+
+def _random_vectors(mod, rng):
+    """Integer and Fraction vectors, supported on two points and dense."""
+    w1 = mod.w + 1
+    vectors = []
+    for exact in (int, Fraction):
+        for points in (rng.sample(range(mod.npoints), 2), range(mod.npoints)):
+            vec = mod.zero_vec()
+            for plane in vec:
+                for p in points:
+                    for r in range(w1):
+                        x = rng.randint(-5, 5)
+                        plane[p * w1 + r] = x if exact is int else Fraction(x, rng.randint(1, 6))
+            vectors.append(vec)
+    return vectors
+
+
+def test_apply_operator_equals_the_blockwise_reference():
+    rng = random.Random(13)
+    jobs = []
+    # Hecke cosets under characters of order 1, 2, 4 and 10
+    for N, ci, w in ((6, 0, 2), (4, 1, 1), (5, 1, 1), (11, 1, 1)):
+        for n in (2, 3, 4):
+            jobs.append((N, enumerate_characters(N)[ci], w, hecke_coset_desc(N, n), build_Tn(n).coeffs))
+    # composed Atkin-Lehner cosets with ell = 2 and ell = 5
+    for N, ell, n in ((6, 2, 1), (6, 2, 2), (10, 5, 1)):
+        jobs.append((N, trivial_character(N), 2, atkin_coset_desc(N, ell, n), build_Tn(ell * n).coeffs))
+    # m and -m act alike under the trivial character at even weight, so
+    # their terms cancel within every block they reach
+    m = sorted(build_Tn(2).coeffs)[0]
+    cancelling = {m: 1, mat_neg(m): -1}
+    jobs.append((6, trivial_character(6), 2, hecke_coset_desc(6, 2), cancelling))
+    jobs.append((6, trivial_character(6), 2, hecke_coset_desc(6, 2), {**cancelling, (1, 0, 0, 2): 3}))
+    # a determinant the coset does not have: every image is zero
+    jobs.append((6, trivial_character(6), 2, hecke_coset_desc(6, 2), build_Tn(3).coeffs))
+    for N, chi, w, sigma, op in jobs:
+        mod = period_module(N, chi, w)
+        vectors = _random_vectors(mod, rng)
+        images = mod.apply_operator(sigma, op, vectors)
+        assert images == _blockwise_apply(mod, sigma, op, vectors), (N, chi.label(), w, sigma)
+        # alone, a sparse vector has the operator assembled on its support only
+        for vec, image in zip(vectors, images):
+            assert mod.apply_operator(sigma, op, [vec]) == [image], (N, chi.label(), w, sigma)
+        zero = op is cancelling or sigma_det(sigma) != mat_det(next(iter(op)))
+        assert zero == (not any(any(plane) for image in images for plane in image)), (sigma, op)
 
 
 def test_sigma_block_map_unreachable():

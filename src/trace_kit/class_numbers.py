@@ -12,157 +12,107 @@ Both are extended to all integer arguments:
          D = 0 -> -1/12;
          D = u^2 > 0 -> -phi(u)/2, else 0.
 
-The pair satisfies the Moebius-type inversion used throughout the trace
-formulas, which the test suite checks for |D| <= 10^4.
+For D > 0 both are counted together in integers (12*H(D) and the primitive
+reduced forms of discriminant -D), by a per-D walk or, for a range, by the
+one sweep of `precompute`; the tests check the two walks against each other.
 """
 
 import math
 
 from .arith import QQ, euler_phi, is_square, isqrt
 
-__all__ = ["hurwitz_H", "h0", "precompute", "cache_snapshot", "load_cache"]
+__all__ = ["hurwitz_H", "h0", "precompute"]
 
 _H_cache: dict[int, QQ] = {}
 _h0_cache: dict[int, QQ] = {}
 
 
-def _reduced_forms(D, primitive_only=False):
-    """Reduced positive definite forms (a, b, c) of discriminant -D, D > 0."""
-    out = []
+def _twelfths(a, b, c):
+    """12 times the weight of the reduced form (a, b, c): the multiples of
+    (1, 1, 1) weigh 1/3, those of (1, 0, 1) weigh 1/2."""
+    if c == a and b in (0, a):
+        return 6 if b == 0 else 4
+    return 12
+
+
+def _class_counts(D):
+    """(12*H(D), primitive form count) over the reduced forms of disc -D, D > 0."""
+    twelve_h = prim = 0
     a = 1
     while 3 * a * a <= D:
-        for b in range(-a + 1, a + 1):
-            if (b * b + D) % (4 * a):
+        # b^2 = -D (mod 4a) fixes b's parity; (a, -b, c) is reduced as well
+        # unless b = 0, b = a or c = a
+        for b in range(D % 2, a + 1, 2):
+            c, r = divmod(b * b + D, 4 * a)
+            if r or c < a:
                 continue
-            c = (b * b + D) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (c == a or b == -a):
-                continue  # normalized mate is counted instead
-            if primitive_only and math.gcd(math.gcd(a, b), c) != 1:
-                continue
-            out.append((a, b, c))
+            mult = 1 if b in (0, a) or c == a else 2
+            twelve_h += mult * _twelfths(a, b, c)
+            if math.gcd(a, b, c) == 1:
+                prim += mult
         a += 1
-    return out
+    return twelve_h, prim
 
 
-def _hurwitz_positive(D):
-    total = QQ(0)
-    for a, b, c in _reduced_forms(D):
-        g = math.gcd(math.gcd(a, b), c)
-        d0 = (b * b - 4 * a * c) // (g * g)
-        if d0 == -3:
-            total += QQ(1, 3)
-        elif d0 == -4:
-            total += QQ(1, 2)
-        else:
-            total += 1
-    return total
-
-
-def hurwitz_H(D):
-    if D in _H_cache:
-        return _H_cache[D]
-    if D == 0:
-        val = QQ(-1, 12)
-    elif D < 0:
-        val = QQ(-isqrt(-D), 2) if is_square(-D) else QQ(0)
-    elif D % 4 in (1, 2):
-        val = QQ(0)
-    else:
-        val = _hurwitz_positive(D)
-    _H_cache[D] = val
-    return val
-
-
-def _unit_count(D):
-    if D == -3:
-        return 6
-    if D == -4:
-        return 4
-    return 2
-
-
-def h0(D):
-    if D in _h0_cache:
-        return _h0_cache[D]
-    if D == 0:
-        val = QQ(-1, 12)
-    elif D > 0:
-        val = QQ(-euler_phi(isqrt(D)), 2) if is_square(D) else QQ(0)
-    elif D % 4 in (2, 3):
-        val = QQ(0)  # not a discriminant
-    else:
-        val = QQ(2 * len(_reduced_forms(-D, primitive_only=True)), _unit_count(D))
-    _h0_cache[D] = val
-    return val
-
-
-def precompute(limit):
-    """Batch-fill H(D) and h0(-D) for 0 <= D <= limit in one sweep.
-
-    One pass over reduced (a, b, c) with 4ac - b^2 <= limit; much faster
-    than the per-D loops when a whole range is needed.
-    """
-    sums = [QQ(0)] * (limit + 1)
+def _class_sweep(limit):
+    """Lists of 12*H(D) and of the primitive form count for 0 <= D <= limit."""
+    twelve_h = [0] * (limit + 1)
     prim = [0] * (limit + 1)
     a = 1
     while 3 * a * a <= limit:
-        for b in range(-a + 1, a + 1):
-            c = a
-            while True:
+        for b in range(a + 1):
+            # c = a first: the only c with a weight below 1 or without (a, -b, c)
+            D = 4 * a * a - b * b
+            mult = 2 if 0 < b < a else 1
+            g = math.gcd(a, b)
+            if D <= limit:
+                twelve_h[D] += _twelfths(a, b, a)
+                prim[D] += g == 1
+            for c in range(a + 1, (limit + b * b) // (4 * a) + 1):
                 D = 4 * a * c - b * b
-                if D > limit:
-                    break
-                if D >= 0 and not (b < 0 and (c == a or b == -a)):
-                    g = math.gcd(math.gcd(a, b), c)
-                    d0 = (b * b - 4 * a * c) // (g * g)
-                    if d0 == -3:
-                        sums[D] += QQ(1, 3)
-                    elif d0 == -4:
-                        sums[D] += QQ(1, 2)
-                    else:
-                        sums[D] += 1
-                    if g == 1:
-                        prim[D] += 1
-                c += 1
+                twelve_h[D] += 12 * mult
+                if g == 1 or math.gcd(g, c) == 1:
+                    prim[D] += mult
         a += 1
-    for D in range(limit + 1):
-        if D == 0:
-            _H_cache[0] = QQ(-1, 12)
-            _h0_cache[0] = QQ(-1, 12)
-            continue
-        if D % 4 in (1, 2):
-            _H_cache[D] = QQ(0)
-            _h0_cache[-D] = QQ(0)
+    return twelve_h, prim
+
+
+def _store(D, twelve_h, prim):
+    _H_cache[D] = QQ(twelve_h, 12)
+    # h0(-D) = 2*prim/w, with w = 6 units at D = 3, 4 at D = 4, else 2
+    _h0_cache[-D] = QQ(prim, {3: 3, 4: 2}.get(D, 1))
+
+
+def _fill(D):
+    """Cache H(D) and h0(-D), D > 0, from one walk over the reduced forms."""
+    # -D is a discriminant only for D = 0, 3 (mod 4)
+    _store(D, *(_class_counts(D) if D % 4 in (0, 3) else (0, 0)))
+
+
+def hurwitz_H(D):
+    if D not in _H_cache:
+        if D > 0:
+            _fill(D)
+        elif D == 0:
+            _H_cache[D] = QQ(-1, 12)
         else:
-            _H_cache[D] = sums[D]
-            _h0_cache[-D] = QQ(2 * prim[D], _unit_count(-D))
+            _H_cache[D] = QQ(-isqrt(-D), 2) if is_square(-D) else QQ(0)
+    return _H_cache[D]
 
 
-def cache_snapshot():
-    """Rows (kind, D, num, den) of everything cached, deterministically ordered."""
-    rows = []
-    for D in sorted(_H_cache):
-        v = _H_cache[D]
-        rows.append(("H", D, int(v.numerator), int(v.denominator)))
-    for D in sorted(_h0_cache):
-        v = _h0_cache[D]
-        rows.append(("h0", D, int(v.numerator), int(v.denominator)))
-    return rows
-
-
-def load_cache(rows):
-    """Seed the caches from (kind, D, num, den) rows; values are re-trusted.
-
-    Correctness never depends on this: a poisoned row would be caught by the
-    verification suite, and tests compare cached against recomputed values.
-    """
-    for kind, D, num, den in rows:
-        val = QQ(num, den)
-        if kind == "H":
-            _H_cache[int(D)] = val
-        elif kind == "h0":
-            _h0_cache[int(D)] = val
+def h0(D):
+    if D not in _h0_cache:
+        if D < 0:
+            _fill(-D)
+        elif D == 0:
+            _h0_cache[D] = QQ(-1, 12)
         else:
-            raise ValueError(f"unknown class-number kind {kind!r}")
+            _h0_cache[D] = QQ(-euler_phi(isqrt(D)), 2) if is_square(D) else QQ(0)
+    return _h0_cache[D]
+
+
+def precompute(limit):
+    """Fill H(D) and h0(-D) for every 0 < D <= limit by one sweep."""
+    twelve_h, prim = _class_sweep(limit)
+    for D in range(1, limit + 1):
+        _store(D, twelve_h[D], prim[D])

@@ -11,7 +11,7 @@ import os
 import sys
 
 from .arith import QQ, require_exact_divisor
-from .class_numbers import cache_snapshot, h0, hurwitz_H, load_cache
+from .class_numbers import h0, hurwitz_H, precompute
 from .dirichlet import CycloNum, enumerate_characters, trivial_character
 from .hecke_operator import build_Tn, operator_json_entries, verify_operator
 from .period_oracle import atkin_coset_desc, hecke_coset_desc, trace_on_W
@@ -196,11 +196,13 @@ def cmd_trace(args):
 
 
 def cmd_classnum(args):
-    if args.cache_file and os.path.exists(args.cache_file):
-        with open(args.cache_file, newline="") as fh:
-            rows = [(r[0], int(r[1]), int(r[2]), int(r[3])) for r in csv.reader(fh) if r]
-        load_cache(rows)
     lo, hi = args.d
+    # H(D) walks for D > 0 and h0(D) for D < 0.  One sweep to top takes
+    # about top**1.5/7 steps and a per-D walk about |D|/12: sweep once the
+    # range holds more than about sqrt(top) values
+    top = hi if args.kind == "H" else -lo
+    if (hi - lo + 1) ** 2 >= top:
+        precompute(top)
     fn = hurwitz_H if args.kind == "H" else h0
     records = []
     for D in range(lo, hi + 1):
@@ -214,11 +216,6 @@ def cmd_classnum(args):
             }
         )
     _emit(records, args.format, sys.stdout)
-    if args.cache_file:
-        with open(args.cache_file, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in cache_snapshot():
-                writer.writerow(row)
     return 0
 
 
@@ -310,7 +307,6 @@ def build_parser():
     p_cn.add_argument("--kind", choices=("H", "h0"), required=True)
     p_cn.add_argument("--d", type=_parse_range, required=True, metavar="A[:B]")
     p_cn.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_cn.add_argument("--cache-file", help="CSV cache (kind,D,num,den); read before, rewritten after")
     p_cn.set_defaults(func=cmd_classnum)
 
     p_vf = sub.add_parser("verify", help="verification suites")

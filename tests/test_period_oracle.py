@@ -462,15 +462,13 @@ def _package_imports(module):
 def test_imports_stay_below_the_closed_formulas():
     # the two routes share arith, dirichlet and matrix_forms (where the coset
     # membership test lives) and nothing else: the closed formulas import
-    # only those and each other, the period side only those and itself.
-    # The one edge left across is hecke_operator's use of the reduced-form
-    # enumeration of class_numbers for its class-sum check.
+    # only those and each other, the period side and the universal operator
+    # only those.
     shared = {"arith", "dirichlet", "matrix_forms"}
     closed = {"class_numbers", "local_counts", "cusp_terms", "trace_formulas"}
     allowed = {m: shared for m in shared}
     allowed.update({m: shared | closed for m in closed})
-    allowed["period_oracle"] = shared
-    allowed["hecke_operator"] = shared | {"period_oracle", "class_numbers"}
+    allowed["period_oracle"] = allowed["hecke_operator"] = shared
     crossing = {m: _package_imports(m) - allowed[m] for m in allowed}
     assert not any(crossing.values()), crossing
 

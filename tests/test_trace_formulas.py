@@ -1,9 +1,10 @@
 import pytest
 
-from trace_kit.arith import QQ, divisors
+from trace_kit.arith import QQ, divisors, is_square
 from trace_kit.cusp_terms import eisenstein_trace, eisenstein_trace_atkin
 from trace_kit.dirichlet import enumerate_characters, trivial_character
 from trace_kit.trace_formulas import (
+    _t_range_full,
     cohen_gamma04,
     scalar_term,
     trace_atkin_full,
@@ -24,6 +25,14 @@ def test_level_one_examples():
     assert trace_hecke_cusp(1, T1, 12, 3).value == 252
     assert trace_hecke_full(1, T1, 12, 1) == 3
     assert trace_hecke_full(1, T1, 12, 2) == 2001
+
+
+def test_t_range_full_matches_the_scan():
+    # the reference scan: every t up to n + 1 (the largest split trace,
+    # 4n = 2 * 2n) with t^2 <= 4n or t^2 - 4n a square
+    for n in range(1, 3001):
+        scan = [t for t in range(n + 2) if t * t <= 4 * n or is_square(t * t - 4 * n)]
+        assert _t_range_full(n) == scan, n
 
 
 def test_breakdown_assembles():

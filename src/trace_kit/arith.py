@@ -6,11 +6,7 @@ this package targets (N, n up to about 10**6).
 """
 
 import math
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as QQ
+from fractions import Fraction as QQ
 
 __all__ = [
     "QQ",

@@ -137,7 +137,7 @@ def phi_generic(sigma, chi, w, a, d):
         return CycloNum.zero(chi.order)
     N = sigma[0]
     g = math.gcd(a, d)
-    total = CycloNum.zero(chi.order)
+    args = []
     for rep in admissible_cusp_reps(N, chi):
         C = rep.matrix
         Cinv = (C[3], -C[1], -C[2], C[0])
@@ -146,8 +146,8 @@ def phi_generic(sigma, chi, w, a, d):
             m = (a, b, 0, d)
             cm = mat_mul(mat_mul(C, m), Cinv)
             if in_atkin_coset(cm, *sigma):
-                total = total + chi(sigma_twist(sigma, cm))
-    return total / g
+                args.append(sigma_twist(sigma, cm))
+    return chi.total(args) / g
 
 
 # -- Eisenstein and coboundary traces ----------------------------------------------

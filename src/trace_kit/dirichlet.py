@@ -1,20 +1,23 @@
 """Dirichlet characters with exact values in cyclotomic fields.
 
 CycloNum is an element of Q(zeta_m): a rational-coefficient polynomial of
-degree < phi(m) reduced modulo the m-th cyclotomic polynomial.  Characters
-evaluate to roots of unity in their own order; all downstream formulas stay
-exact by carrying these around instead of complex floats.
+degree < phi(m) reduced modulo the m-th cyclotomic polynomial.  A character
+holds one table, built once by walking the powers of the generators of
+(Z/N)^*: the exponent k with chi(x) = zeta_order^k for every residue x,
+None on non-units.  Values, parity, conductor and character sums all read
+it; a sum counts exponents in ints and builds one CycloNum.
 
 The coefficient-tuple kernel (cyclo_mul, cyclo_inverse, zeta_power,
 mult_matrix) is the package's one implementation of that field: CycloNum
-wraps it, and the period oracle calls it on its elimination entries.
+wraps it, and the period oracle calls it on its elimination entries.  The
+inverse is the product of the other Galois conjugates over the norm.
 """
 
 import cmath
 import math
 from functools import lru_cache
 
-from .arith import QQ, crt_solve, divisors, euler_phi, factorize
+from .arith import QQ, crt_solve, divisors, euler_phi, factorize, moebius
 
 __all__ = [
     "CycloNum",
@@ -48,7 +51,10 @@ def _poly_divmod_int(num, den):
     return q
 
 
-@lru_cache(maxsize=None)
+# Memo bounds, from the distinct keys seen: a Tier-1 run asks for 167 orders
+# (all but 31 from the lcm lifts of one test) and 63 levels, a benchmark
+# round for at most 6 orders and 5 levels.
+@lru_cache(maxsize=256)
 def cyclotomic_poly(m):
     """Coefficients (low to high) of the m-th cyclotomic polynomial."""
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
@@ -66,7 +72,7 @@ def cyclotomic_poly(m):
 # functions.  Integer inputs give integer outputs (except for the inverse).
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _powers(m):
     """zeta_m^k as integer coefficient tuples for k < max(m, 2*phi(m) - 1).
 
@@ -116,18 +122,25 @@ def cyclo_mul(m, a, b):
 
 
 def cyclo_inverse(m, a):
-    """Inverse of a nonzero reduced coefficient tuple, by extended Euclid
-    modulo Phi_m; the coefficients are exact rationals."""
+    """Inverse of a nonzero reduced coefficient tuple: the product of its
+    other Galois conjugates sigma_k(a), k a unit mod m other than 1, over
+    its norm a * prod sigma_k(a).  Works on a scaled to integers; the
+    coefficients are exact rationals."""
     if not any(a):
         raise ZeroDivisionError("inverse of zero cyclotomic number")
-    if len(a) == 1:
-        return (1 / QQ(a[0]),)
-    phi = [QQ(c) for c in cyclotomic_poly(m)]
-    g, s = _poly_xgcd_mod([QQ(c) for c in a], phi)
-    # g is a nonzero constant
-    inv_g = 1 / g[0]
-    coeffs = [c * inv_g for c in s] + [QQ(0)] * len(a)
-    return tuple(coeffs[: len(a)])
+    den = math.lcm(*(QQ(c).denominator for c in a))
+    ints = [int(c * den) for c in a]
+    conj = (1,) + (0,) * (len(a) - 1)
+    for k in range(2, m):
+        if math.gcd(k, m) == 1:
+            raw = [0] * m
+            for i, c in enumerate(ints):
+                raw[i * k % m] += c
+            conj = cyclo_mul(m, conj, _reduce(m, raw))
+    norm = cyclo_mul(m, ints, conj)
+    if any(norm[1:]):
+        raise ArithmeticError("the norm of a cyclotomic number is not rational")
+    return tuple(QQ(den * c, norm[0]) for c in conj)
 
 
 def zeta_power(m, k):
@@ -216,7 +229,7 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via extended Euclid mod the cyclotomic poly."""
+        """Multiplicative inverse: the other Galois conjugates over the norm."""
         return CycloNum(self.order, cyclo_inverse(self.order, self.coeffs))
 
     def __truediv__(self, other):
@@ -237,9 +250,16 @@ class CycloNum:
         return any(self.coeffs)
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        # the normalised trace sum a_i mu(m/g_i)/phi(m/g_i), g_i = gcd(i, m):
+        # unchanged by _lift, so equal values of different orders hash
+        # equal, and a_0 on rationals
+        m = self.order
+        tr = QQ(0)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                d = m // math.gcd(i, m)
+                tr += QQ(c * moebius(d), euler_phi(d))
+        return hash(tr)
 
     def __repr__(self):
         return f"CycloNum(order={self.order}, coeffs={self.coeffs})"
@@ -260,53 +280,6 @@ class CycloNum:
         return sum(float(c) * z**i for i, c in enumerate(self.coeffs))
 
 
-def _poly_xgcd_mod(a, b):
-    """(g, s) with s*a = g (mod b) in Q[x], g the gcd (nonzero constant here)."""
-    r0, r1 = list(b), list(a)
-    s0, s1 = [QQ(0)], [QQ(1)]
-
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    r0, r1 = trim(r0), trim(r1)
-    while r1:
-        q, r = _poly_divmod_q(r0, r1)
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, trim(_poly_sub(s0, _poly_mul(q, s1)))
-    return r0, s0
-
-
-def _poly_mul(a, b):
-    out = [QQ(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = a + [QQ(0)] * (n - len(a))
-    b = b + [QQ(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_divmod_q(num, den):
-    num = list(num)
-    dlead = den[-1]
-    q = [QQ(0)] * max(0, len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / dlead
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return q, num[: len(den) - 1]
-
-
 # -- unit group structure -------------------------------------------------
 
 def _primitive_root_mod_p(p):
@@ -319,7 +292,7 @@ def _primitive_root_mod_p(p):
     raise RuntimeError(f"no primitive root mod {p}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _unit_group(N):
     """CRT generators of (Z/N)^*: tuple of (gen mod N, order).
 
@@ -354,33 +327,13 @@ def _unit_group(N):
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
-def _dlog_table(N):
-    """residue -> exponent vector over the generators of (Z/N)^*."""
-    gens = _unit_group(N)
-    table = {1 % N: (0,) * len(gens)}
-    for idx, (g, order) in enumerate(gens):
-        new = {}
-        for x, vec in table.items():
-            cur = x
-            for k in range(1, order):
-                cur = cur * g % N
-                v = list(vec)
-                v[idx] = k
-                new[cur] = tuple(v)
-        table.update(new)
-    if len(table) != euler_phi(N):
-        raise RuntimeError(f"unit group enumeration failed for N={N}")
-    return table
-
-
 class DirichletChar:
     """Character mod N given by exponents on the CRT generators.
 
     chi(g_i) = zeta_{s_i}^{e_i};  chi(x) = 0 exactly when gcd(x, N) > 1.
     """
 
-    __slots__ = ("modulus", "exponents", "_order", "_conductor", "_parity")
+    __slots__ = ("modulus", "exponents", "order", "_conductor", "_table")
 
     def __init__(self, modulus, exponents):
         gens = _unit_group(modulus)
@@ -388,77 +341,71 @@ class DirichletChar:
             raise ValueError("exponent vector does not match the unit group")
         self.modulus = modulus
         self.exponents = tuple(e % s for e, (_, s) in zip(exponents, gens))
-        self._order = None
+        self.order = math.lcm(1, *(s // math.gcd(s, e) for e, (_, s) in zip(self.exponents, gens)))
         self._conductor = None
-        self._parity = None
+        self._table = None
 
     # -- basic invariants ---------------------------------------------------
 
-    @property
-    def order(self):
-        if self._order is None:
-            o = 1
-            for e, (_, s) in zip(self.exponents, _unit_group(self.modulus)):
-                o = math.lcm(o, s // math.gcd(s, e))
-            self._order = o
-        return self._order
+    def table(self):
+        """k with chi(x) = zeta_order^k for each residue x mod N, None on
+        non-units: the powers of each generator walked from the units
+        reached so far."""
+        if self._table is None:
+            N, m = self.modulus, self.order
+            tab = [None] * N
+            tab[1 % N] = 0
+            units = [1 % N]
+            for e, (g, s) in zip(self.exponents, _unit_group(N)):
+                step = e * m // s
+                reached = []
+                for x in units:
+                    y, k = x, tab[x]
+                    for _ in range(s - 1):
+                        y = y * g % N
+                        k = (k + step) % m
+                        tab[y] = k
+                        reached.append(y)
+                units += reached
+            if N - tab.count(None) != euler_phi(N):
+                raise RuntimeError(f"unit group enumeration failed for N={N}")
+            self._table = tuple(tab)
+        return self._table
 
     def is_trivial(self):
         return all(e == 0 for e in self.exponents)
 
-    def _value_exponent(self, x):
+    def value_exponent(self, x):
         """k with chi(x) = zeta_order^k, or None when gcd(x, N) > 1."""
-        N = self.modulus
-        x %= N
-        if N == 1:
-            return 0
-        if math.gcd(x, N) != 1:
-            return None
-        vec = _dlog_table(N)[x]
-        gens = _unit_group(N)
-        L = 1
-        for _, s in gens:
-            L = math.lcm(L, s)
-        E = 0
-        for e, t, (_, s) in zip(self.exponents, vec, gens):
-            E += e * t * (L // s)
-        E %= L
-        m = self.order
-        return E * m // L % m
+        return self.table()[x % self.modulus]
 
     def __call__(self, x):
         """chi(x) as a CycloNum of the character's order."""
-        k = self._value_exponent(x)
+        k = self.table()[x % self.modulus]
         if k is None:
             return CycloNum.zero(self.order)
         return CycloNum.root_of_unity(self.order, k)
 
-    def value_exponent(self, x):
-        return self._value_exponent(x)
+    def total(self, residues):
+        """sum of chi(x) over residues (repeats counted), as one CycloNum:
+        the exponents are counted in ints and reduced once."""
+        tab, N, m = self.table(), self.modulus, self.order
+        counts = [0] * m
+        for x in residues:
+            k = tab[x % N]
+            if k is not None:
+                counts[k] += 1
+        return CycloNum(m, (QQ(c) for c in _reduce(m, counts)))
 
     def parity(self):
         """chi(-1) as +-1."""
-        if self._parity is None:
-            k = self._value_exponent(self.modulus - 1 if self.modulus > 1 else 0)
-            if self.modulus == 1:
-                k = 0
-            self._parity = 1 if k == 0 else -1
-        return self._parity
+        return 1 if self.table()[-1 % self.modulus] == 0 else -1
 
     def conductor(self):
-        """Smallest modulus the character factors through."""
+        """Smallest c | N with chi trivial on the units = 1 (mod c)."""
         if self._conductor is None:
-            N = self.modulus
-            for c in divisors(N):
-                ok = True
-                for x in range(1, N + 1):
-                    if x % c == 1 % c and math.gcd(x, N) == 1:
-                        if self._value_exponent(x) != 0:
-                            ok = False
-                            break
-                if ok:
-                    self._conductor = c
-                    break
+            tab, N = self.table(), self.modulus
+            self._conductor = next(c for c in divisors(N) if not any(tab[x] for x in range(1, N, c)))
         return self._conductor
 
     def eval_mod(self, x, M0):
@@ -501,7 +448,8 @@ class DirichletChar:
         return f"{self.modulus}.{enumerate_characters(self.modulus).index(self)}"
 
 
-@lru_cache(maxsize=None)
+# each character holds its N-entry table once one is asked for
+@lru_cache(maxsize=128)
 def enumerate_characters(N):
     """All phi(N) characters mod N, ordered lexicographically by exponents."""
     gens = _unit_group(N)

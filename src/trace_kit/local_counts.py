@@ -66,11 +66,7 @@ def count_S_plain(N, t, n):
 
 def B_coeff(N, chi, u, t, n):
     """(phi1(N)/phi1(N/u)) * sum of chi over the local solution set."""
-    sols = solution_set(N, u, t, n)
-    total = CycloNum.zero(chi.order)
-    for alpha in sols:
-        total = total + chi(alpha)
-    return total * (index_phi1(N) // index_phi1(N // u))
+    return chi.total(solution_set(N, u, t, n)) * (index_phi1(N) // index_phi1(N // u))
 
 
 def C_coeff(N, chi, u, t, n):

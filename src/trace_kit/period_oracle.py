@@ -161,7 +161,7 @@ def weight_action(m, w):
     for _ in range(w):
         top.append(_poly_shift(top[-1], b, a))
         bot.append(_poly_shift(bot[-1], d, c))
-    cols = [_poly_mul_int(top[i], bot[w - i], w + 1) for i in range(w + 1)]
+    cols = [_int_poly_product(top[i], bot[w - i], w + 1) for i in range(w + 1)]
     return tuple(tuple(cols[j][r] for j in range(w + 1)) for r in range(w + 1))
 
 
@@ -173,7 +173,7 @@ def _poly_shift(p, c0, c1):
     return tuple(out)
 
 
-def _poly_mul_int(p, q, size):
+def _int_poly_product(p, q, size):
     out = [0] * size
     for i, v in enumerate(p):
         if v:
@@ -248,10 +248,7 @@ def _fixed_point_args(sigma, m):
 
 def _class_weight(chi, sigma, m):
     """sum of chi over the fixed points of the action of m through sigma."""
-    total = CycloNum.zero(chi.order)
-    for arg in _fixed_point_args(sigma, m):
-        total = total + chi(arg)
-    return total
+    return chi.total(_fixed_point_args(sigma, m))
 
 
 def c_class_direct(N, chi, m):
@@ -293,8 +290,6 @@ class PeriodModule:
         self.dim = self.npoints * (w + 1)
         self.order = chi.order
         self.g = euler_phi(self.order)
-        # chi exponent per residue (None on non-units)
-        self._chi_exp = [chi.value_exponent(x) for x in range(N)]
         # integer plane-mixing matrix of zeta^e, per exponent e
         self._zeta = [mult_matrix(self.order, zeta_power(self.order, e)) for e in range(self.order)]
 
@@ -305,8 +300,8 @@ class PeriodModule:
         # integral, which is what the hot paths arrange
         return [[0] * self.dim for _ in range(self.g)]
 
-    def _chi_exponent(self, arg):
-        e = self._chi_exp[arg % self.N]
+    def _twist_exponent(self, arg):
+        e = self.chi.table()[arg % self.N]
         if e is None:
             raise RuntimeError("character argument is not a unit")
         # exponent is in units of zeta_order
@@ -334,7 +329,7 @@ class PeriodModule:
                 if ent is None:
                     continue
                 i, arg = ent
-                exp = self._chi_exponent(arg)  # checked whether or not a column is kept
+                exp = self._twist_exponent(arg)  # checked whether or not a column is kept
                 for c, wcol in enumerate(wcols):
                     if i * w1 + c not in support:
                         continue
@@ -360,13 +355,6 @@ class PeriodModule:
             outs.append(out)
         return outs
 
-    def apply_sigma(self, sigma, m, vec):
-        return self.apply_operator(sigma, {m: 1}, [vec])[0]
-
-    def apply_gamma(self, g, vec):
-        """vec |-> vec | g for unimodular g: the determinant-1 coset action."""
-        return self.apply_sigma(self.unimodular, g, vec)
-
     # -- structured kernels ------------------------------------------------------
 
     def kernel_one_plus_S(self):
@@ -384,7 +372,7 @@ class PeriodModule:
             if j in seen:
                 continue
             i, dg = pmap[j]
-            z = zeta_power(self.order, self._chi_exponent(dg))
+            z = zeta_power(self.order, self._twist_exponent(dg))
             if i == j:
                 # local condition (I + zeta^e W_S) x = 0 over the field
                 rows = [
@@ -448,7 +436,7 @@ class PeriodModule:
             cur = j0
             while True:
                 i, dg = pmap[cur]
-                exps.append(self._chi_exponent(dg))
+                exps.append(self._twist_exponent(dg))
                 if i == j0:
                     break
                 cycle.append(i)

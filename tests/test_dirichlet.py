@@ -1,13 +1,17 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trace_kit.arith import QQ, euler_phi
 from trace_kit.dirichlet import (
     CycloNum,
+    _unit_group,
+    cyclo_inverse,
     cyclo_mul,
     cyclotomic_poly,
     enumerate_characters,
@@ -93,7 +97,7 @@ def test_multiplicativity_random():
 
 
 def test_parity_flag():
-    for N in (1, 3, 4, 5, 8, 12, 21):
+    for N in range(1, 61):
         for chi in enumerate_characters(N):
             val = chi(N - 1 if N > 1 else 1)
             assert val == chi.parity()
@@ -168,3 +172,79 @@ def test_cyclotomic_polys():
     # degree phi(m), and x^m - 1 factors through them
     for m in range(1, 40):
         assert len(cyclotomic_poly(m)) == euler_phi(m) + 1
+
+
+def test_table_on_generators_and_units():
+    # chi(g_i) = zeta_{s_i}^{e_i}, read in units of zeta_order; None exactly
+    # on the non-units
+    for N in range(1, 61):
+        for chi in enumerate_characters(N):
+            tab = chi.table()
+            assert len(tab) == N
+            assert [x for x in range(N) if tab[x] is None] == [x for x in range(N) if math.gcd(x, N) > 1]
+            for (g, s), e in zip(_unit_group(N), chi.exponents):
+                assert tab[g] == e * chi.order // s
+                assert chi.value_exponent(g - N) == tab[g]
+
+
+def test_table_multiplicative_on_all_unit_pairs():
+    for N in range(1, 31):
+        units = [x for x in range(N) if math.gcd(x, N) == 1]
+        for chi in enumerate_characters(N):
+            tab, m = chi.table(), chi.order
+            assert all(tab[x * y % N] == (tab[x] + tab[y]) % m for x in units for y in units)
+
+
+def test_conductor_by_definition():
+    # the least c | N with chi(x) constant on each class of units mod c
+    for N in range(1, 61):
+        units = [x for x in range(N) if math.gcd(x, N) == 1] or [0]
+        for chi in enumerate_characters(N):
+            factors = []
+            for c in range(1, N + 1):
+                if N % c == 0:
+                    seen = {}
+                    if all(seen.setdefault(x % c, chi(x)) == chi(x) for x in units):
+                        factors.append(c)
+            assert chi.conductor() == min(factors), (N, chi.exponents)
+
+
+def test_total_equals_sum_of_values():
+    rng = random.Random(31)
+    for N in (1, 5, 12, 13, 16, 41, 60):
+        for chi in enumerate_characters(N)[:6]:
+            for size in (0, 1, 7, 40):
+                xs = [rng.randint(-3 * N, 3 * N) for _ in range(size)]
+                xs += xs[: size // 3]  # repeats
+                expected = CycloNum.zero(chi.order)
+                for x in xs:
+                    expected = expected + chi(x)
+                got = chi.total(xs)
+                assert got.order == chi.order and got == expected, (N, chi.exponents, xs)
+
+
+def test_cyclo_inverse_by_norm():
+    rng = random.Random(37)
+    for m in range(1, 61):
+        deg = euler_phi(m)
+        with pytest.raises(ZeroDivisionError):
+            cyclo_inverse(m, (Fraction(0),) * deg)
+        for _ in range(3):
+            a = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(deg)]
+            if not any(a):
+                a[0] = Fraction(1)
+            prod = cyclo_mul(m, cyclo_inverse(m, tuple(a)), tuple(a))
+            assert prod == (1,) + (0,) * (deg - 1), (m, a)
+
+
+def test_hash_agrees_with_lifts():
+    # equal values hash equal whatever their declared order
+    assert len({CycloNum.root_of_unity(3), CycloNum.root_of_unity(6, 2)}) == 1
+    assert len({CycloNum.root_of_unity(4), CycloNum.root_of_unity(8, 2)}) == 1
+    assert hash(CycloNum.from_rational(QQ(-1, 12), 5)) == hash(QQ(-1, 12))
+    rng = random.Random(41)
+    for m in range(1, 25):
+        a = CycloNum(m, [QQ(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(euler_phi(m))])
+        for m2 in range(1, 25):
+            lifted = a._lift(math.lcm(m, m2))
+            assert lifted == a and len({a, lifted}) == 1, (m, m2)

@@ -38,6 +38,12 @@ from trace_kit.period_oracle import (
 )
 from trace_kit.verification import _DIM_LEVELS, _parity_chars
 
+
+def _act(mod, sigma, m, vec):
+    """vec acted on by the single matrix m through the coset descriptor sigma."""
+    return mod.apply_operator(sigma, {m: 1}, [vec])[0]
+
+
 T1 = trivial_character(1)
 
 
@@ -138,9 +144,9 @@ def test_generator_relations_on_module():
         for c in range(mod.g):
             for i in range(mod.dim):
                 vec[c][i] = QQ(rng.randint(-4, 4))
-        s2 = mod.apply_gamma(S, mod.apply_gamma(S, vec))
+        s2 = _act(mod, mod.unimodular, S, _act(mod, mod.unimodular, S, vec))
         assert s2 == vec
-        u3 = mod.apply_gamma(U, mod.apply_gamma(U, mod.apply_gamma(U, vec)))
+        u3 = _act(mod, mod.unimodular, U, _act(mod, mod.unimodular, U, _act(mod, mod.unimodular, U, vec)))
         assert u3 == vec
 
 
@@ -149,7 +155,7 @@ def test_translation_permutation_at_weight_zero():
     mod = period_module(6, trivial_character(6), 0)
     vec = mod.zero_vec()
     vec[0][3] = QQ(1)
-    out = mod.apply_gamma(T, vec)
+    out = _act(mod, mod.unimodular, T, vec)
     assert sorted(out[0]) == sorted(vec[0])
 
 
@@ -174,8 +180,8 @@ def test_kernel_sum_spans_module():
         for i in range(dim):
             e = mod.zero_vec()
             e[0][i] = QQ(1)
-            vu = mod.apply_gamma(U, e)
-            vuu = mod.apply_gamma(U, vu)
+            vu = _act(mod, mod.unimodular, U, e)
+            vuu = _act(mod, mod.unimodular, U, vu)
             img = [x + y + z for x, y, z in zip(e[0], vu[0], vuu[0])]
             cols.append(img)
         # rank over Q
@@ -333,7 +339,7 @@ def test_sigma_block_map_unreachable():
     vec = mod.zero_vec()
     for i in range(mod.dim):
         vec[0][i] = QQ(1)
-    out = mod.apply_sigma(sigma, (2, 4, 4, 10), vec)  # det 4 != 2: never members
+    out = _act(mod, sigma, (2, 4, 4, 10), vec)  # det 4 != 2: never members
     assert not any(any(p) for p in out)
 
 
@@ -354,8 +360,8 @@ def test_action_compatibility():
             for c in range(mod.g):
                 for i in range(mod.dim):
                     vec[c][i] = QQ(rng.randint(-3, 3))
-            lhs = mod.apply_sigma(sigma, gm, vec)
-            rhs = mod.apply_sigma(sigma, m, mod.apply_gamma(g, vec))
+            lhs = _act(mod, sigma, gm, vec)
+            rhs = _act(mod, sigma, m, _act(mod, mod.unimodular, g, vec))
             assert lhs == rhs, (m, g)
 
 
@@ -392,10 +398,10 @@ def test_kernel_certification():
                 with pytest.raises(RuntimeError, match="pivots"):
                     po._int_space(vectors, pivots[1:] + pivots[:1])
             for v in vectors:
-                vs = mod.apply_gamma(S, v)
+                vs = _act(mod, mod.unimodular, S, v)
                 assert all(not any(QQ(x) + QQ(y) for x, y in zip(p, q)) for p, q in zip(v, vs))
-                vu = mod.apply_gamma(U, v)
-                vuu = mod.apply_gamma(U, vu)
+                vu = _act(mod, mod.unimodular, U, v)
+                vuu = _act(mod, mod.unimodular, U, vu)
                 total = [
                     [QQ(x) + QQ(y) + QQ(z) for x, y, z in zip(p, q, r)]
                     for p, q, r in zip(v, vu, vuu)

@@ -10,7 +10,7 @@ import math
 from functools import lru_cache
 
 from .arith import QQ, crt_solve, divisors, euler_phi, require_exact_divisor, sigma1_N, validate_query, xgcd
-from .dirichlet import CycloNum
+from .dirichlet import CycloNum, trivial_character
 from .matrix_forms import in_atkin_coset, mat_mul, sigma_det, sigma_twist
 
 __all__ = [
@@ -53,7 +53,7 @@ class CuspRep:
         return f"CuspRep(N={self.N}, r={self.r}, q={self.q})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cusp_reps(N):
     """Representatives C = (p,*;r,q), one per cusp: r | N, q running over a
     canonical set of phi((r, N/r)) residues coprime to r."""
@@ -89,10 +89,11 @@ def phi_chi(N, chi, a, d):
 
     Valid under the parity hypothesis chi(-1) = (-1)^k; each admissible
     factorization contributes phi((r,s)) times chi at the CRT class
-    alpha = a (r), d (s), evaluated through the induced modulus N/(r,s).
+    alpha = a (r), d (s), evaluated through the induced modulus N/(r,s):
+    the unit lifts are collected, each phi((r,s)) times, and summed once.
     """
     c = chi.conductor()
-    total = CycloNum.zero(chi.order)
+    lifts = []
     for r in divisors(N):
         s = N // r
         g = math.gcd(r, s)
@@ -100,24 +101,20 @@ def phi_chi(N, chi, a, d):
             continue
         alpha, mod = crt_solve([(a, r), (d, s)])
         assert mod == N // g
-        total = total + chi.eval_mod(alpha, mod) * euler_phi(g)
-    return total
+        x = chi.unit_lift(alpha, mod)
+        if x is not None:
+            lifts += [x] * euler_phi(g)
+    return chi.total(lifts)
 
 
 def phi_ell(N, ell, a, d):
-    """Cusp sum for the composed Hecke/Atkin-Lehner coset (exact rational)."""
+    """Cusp sum for the composed Hecke/Atkin-Lehner coset (exact rational):
+    phi(ell)/ell times the trivial-character sum at level N/ell when
+    ell | a + d, else 0."""
     require_exact_divisor(N, ell)
-    ellp = N // ell
     if (a + d) % ell:
         return QQ(0)
-    count = 0
-    for r in divisors(ellp):
-        s = ellp // r
-        g = math.gcd(r, s)
-        if (a - d) % g or math.gcd(r, a) != 1 or math.gcd(s, d) != 1:
-            continue
-        count += euler_phi(g)
-    return QQ(euler_phi(ell) * count, ell)
+    return phi_chi(N // ell, trivial_character(N // ell), a, d).as_rational() * QQ(euler_phi(ell), ell)
 
 
 # -- direct enumeration oracle ----------------------------------------------------
@@ -153,19 +150,18 @@ def phi_generic(sigma, chi, w, a, d):
 # -- Eisenstein and coboundary traces ----------------------------------------------
 
 
-def _divisor_pairs(n):
-    for a in divisors(n):
-        yield a, n // a
-
-
-def _eisenstein(N, chi, k, n, side):
-    """sum over n = a*d of phi_chi(N, chi, a, d) times (a, d)[side]^(k-1)."""
-    validate_query(N, chi, k, n)
+def _eisenstein(N, ell, chi, k, n, side):
+    """phi(ell)/ell times the sum over n*ell = a*d with ell | a + d of
+    phi_chi(N/ell, chi, a, d) (a, d)[side]^(k-1); chi is a character mod
+    N/ell, and ell = 1 is the Hecke operator."""
     if chi.parity() != (1 if k % 2 == 0 else -1):
         return CycloNum.zero(chi.order)
     total = CycloNum.zero(chi.order)
-    for pair in _divisor_pairs(n):
-        total = total + phi_chi(N, chi, *pair) * pair[side] ** (k - 1)
+    for a in divisors(n * ell):
+        pair = (a, n * ell // a)
+        if sum(pair) % ell == 0:
+            total = total + phi_chi(N // ell, chi, *pair) * pair[side] ** (k - 1)
+    total = total * QQ(euler_phi(ell), ell)
     if k == 2 and chi.is_trivial():
         total = total - sigma1_N(N, n)
     return total
@@ -173,23 +169,19 @@ def _eisenstein(N, chi, k, n, side):
 
 def eisenstein_trace(N, chi, k, n):
     """Trace of the degree-n Hecke operator on the Eisenstein subspace."""
-    return _eisenstein(N, chi, k, n, 0)
+    validate_query(N, chi, k, n)
+    return _eisenstein(N, 1, chi, k, n, 0)
 
 
 def coboundary_trace(N, chi, k, n):
     """Same trace computed from the coboundary side: d^(k-1) weights."""
-    return _eisenstein(N, chi, k, n, 1)
+    validate_query(N, chi, k, n)
+    return _eisenstein(N, 1, chi, k, n, 1)
 
 
-def _eisenstein_atkin(N, ell, k, n, side):
-    """sum over n*ell = a*d of phi_ell(N, ell, a, d) times (a, d)[side]^(k-1)."""
+def _eisenstein_composed(N, ell, k, n, side):
     validate_query(N, None, k, n, ell)
-    total = QQ(0)
-    for pair in _divisor_pairs(n * ell):
-        total += phi_ell(N, ell, *pair) * pair[side] ** (k - 1)
-    if k == 2:
-        total -= sigma1_N(N, n)
-    return total
+    return _eisenstein(N, ell, trivial_character(N // ell), k, n, side).as_rational()
 
 
 def eisenstein_trace_atkin(N, ell, k, n):
@@ -198,9 +190,9 @@ def eisenstein_trace_atkin(N, ell, k, n):
     No ell^(w/2) normalization here: this matches the trace of the plain
     double-coset action used by the period oracle.
     """
-    return _eisenstein_atkin(N, ell, k, n, 0)
+    return _eisenstein_composed(N, ell, k, n, 0)
 
 
 def coboundary_trace_atkin(N, ell, k, n):
     """The composed trace from the coboundary side: d^(k-1) weights."""
-    return _eisenstein_atkin(N, ell, k, n, 1)
+    return _eisenstein_composed(N, ell, k, n, 1)

@@ -386,16 +386,25 @@ class DirichletChar:
             return CycloNum.zero(self.order)
         return CycloNum.root_of_unity(self.order, k)
 
-    def total(self, residues):
-        """sum of chi(x) over residues (repeats counted), as one CycloNum:
-        the exponents are counted in ints and reduced once."""
-        tab, N, m = self.table(), self.modulus, self.order
-        counts = [0] * m
+    def counts(self, residues):
+        """Exponent histogram in ints: entry k counts the x in residues
+        (repeats counted) with chi(x) = zeta_order^k; non-units are skipped."""
+        tab, N = self.table(), self.modulus
+        out = [0] * self.order
         for x in residues:
             k = tab[x % N]
             if k is not None:
-                counts[k] += 1
+                out[k] += 1
+        return out
+
+    def value(self, counts):
+        """sum of counts[k] * zeta_order^k, reduced once into one CycloNum."""
+        m = self.order
         return CycloNum(m, (QQ(c) for c in _reduce(m, counts)))
+
+    def total(self, residues):
+        """sum of chi(x) over residues (repeats counted), as one CycloNum."""
+        return self.value(self.counts(residues))
 
     def parity(self):
         """chi(-1) as +-1."""
@@ -408,27 +417,24 @@ class DirichletChar:
             self._conductor = next(c for c in divisors(N) if not any(tab[x] for x in range(1, N, c)))
         return self._conductor
 
-    def eval_mod(self, x, M0):
-        """Evaluate through the induced character mod M0 (conductor | M0 | N).
-
-        Returns 0 when gcd(x, M0) > 1; otherwise lifts x to a unit mod N
-        congruent to x mod M0 and evaluates there.
-        """
+    def unit_lift(self, x, M0):
+        """A unit mod N congruent to x mod M0 (conductor | M0 | N), through
+        which the induced character mod M0 is evaluated; None when
+        gcd(x, M0) > 1."""
         N = self.modulus
         if N % M0:
             raise ValueError("M0 must divide the modulus")
         if M0 % self.conductor():
             raise ValueError("character does not factor through M0")
         if math.gcd(x, M0) != 1:
-            return CycloNum.zero(self.order)
-        residues = [(x, M0)]
-        for p, _ in factorize(N):
-            if M0 % p:
-                residues.append((1, p))
-        x1 = crt_solve(residues)[0]
-        if math.gcd(x1, N) != 1:  # pragma: no cover - construction guarantees a unit
-            raise RuntimeError("unit lift failed")
-        return self(x1)
+            return None
+        return crt_solve([(x, M0)] + [(1, p) for p, _ in factorize(N) if M0 % p])[0]
+
+    def eval_mod(self, x, M0):
+        """Evaluate through the induced character mod M0 (conductor | M0 | N):
+        0 when gcd(x, M0) > 1, else chi at the unit lift of x."""
+        x1 = self.unit_lift(x, M0)
+        return CycloNum.zero(self.order) if x1 is None else self(x1)
 
     def __eq__(self, other):
         return (

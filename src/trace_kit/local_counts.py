@@ -1,12 +1,12 @@
 """Local solution counts and conjugacy-class weights for the level-N formulas.
 
 S_N(u,t,n) counts units alpha mod N with alpha^2 - t*alpha + n = 0 (mod N*u);
-B is its character-weighted, index-scaled version, C its Moebius inverse.
-C_fast is the closed multiplicative evaluation of the trivial-character C
-via prime-power tables.  c_class_closed / c_atkin_closed are the closed
-conjugacy-class weights; their direct counterparts, sums over the fixed
-points of the double-coset action on P^1(Z/N), live on the period side
-(period_oracle), so the two stay independent.
+B is its character-weighted, index-scaled version, C its Moebius inverse,
+both summed as exponent histograms in ints.  C_fast is the closed
+multiplicative evaluation of the trivial-character C via prime-power tables.
+c_class_closed is the closed conjugacy-class weight, and c_atkin_closed the
+one at level N/ell; their direct counterparts, sums over the fixed points of
+the double-coset action on P^1(Z/N), live on the period side.
 """
 
 import math
@@ -19,10 +19,10 @@ from .arith import (
     index_phi1,
     legendre,
     moebius,
-    require_exact_divisor,
+    validate_query,
     valuation,
 )
-from .dirichlet import CycloNum, trivial_character
+from .dirichlet import trivial_character
 from .matrix_forms import form_content, mat_det, mat_trace, quad_form_of
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def solution_set(N, u, t, n):
     """Units alpha in Z/N with alpha^2 - t*alpha + n = 0 (mod N*u).
 
@@ -64,21 +64,29 @@ def count_S_plain(N, t, n):
     return count_S(N, 1, t, n)
 
 
+def _B_counts(N, chi, u, t, n):
+    """(phi1(N)/phi1(N/u)) * the exponent histogram of chi over the local
+    solution set."""
+    scale = index_phi1(N) // index_phi1(N // u)
+    return [c * scale for c in chi.counts(solution_set(N, u, t, n))]
+
+
 def B_coeff(N, chi, u, t, n):
     """(phi1(N)/phi1(N/u)) * sum of chi over the local solution set."""
-    return chi.total(solution_set(N, u, t, n)) * (index_phi1(N) // index_phi1(N // u))
+    return chi.value(_B_counts(N, chi, u, t, n))
 
 
 def C_coeff(N, chi, u, t, n):
-    """Moebius inverse of B over divisors of u."""
+    """Moebius inverse of B over divisors of u, summed in ints and built
+    into one CycloNum."""
     if N % u:
         raise ValueError("u must divide N")
-    total = CycloNum.zero(chi.order)
+    acc = [0] * chi.order
     for d in divisors(u):
         mu = moebius(d)
         if mu:
-            total = total + B_coeff(N, chi, u // d, t, n) * mu
-    return total
+            acc = [x + mu * y for x, y in zip(acc, _B_counts(N, chi, u // d, t, n))]
+    return chi.value(acc)
 
 
 def _C_fast_local(p, a, i, D):
@@ -151,35 +159,19 @@ def C_fast(N, u, D):
 def c_class_closed(N, chi, m):
     """Class weight via the closed form B(gcd(content, N), trace, det)."""
     n = mat_det(m)
-    if n < 1:
-        raise ValueError("determinant must be positive")
-    G = form_content(quad_form_of(m))
-    u = math.gcd(G, N) if G else N  # content 0 (scalars): gcd(0, N) = N
-    return B_coeff(N, chi, u, mat_trace(m), n)
+    validate_query(N, chi, n=n)
+    # content 0 (scalars): gcd(0, N) = N
+    return B_coeff(N, chi, math.gcd(form_content(quad_form_of(m)), N), mat_trace(m), n)
 
 
 def c_atkin_closed(N, ell, m):
-    """Atkin-Lehner composed class weight, closed form (integer valued)."""
-    require_exact_divisor(N, ell)
+    """Atkin-Lehner composed class weight, closed form (integer valued):
+    delta(gcd(ell, content), 1) times the trivial-character class weight at
+    level N/ell, when ell divides the trace."""
     det = mat_det(m)
+    validate_query(N, n=det, ell=ell)
     if det % ell:
         raise ValueError("determinant must be divisible by ell")
-    n = det // ell
-    t = mat_trace(m)
-    if t % ell:
+    if mat_trace(m) % ell or math.gcd(ell, form_content(quad_form_of(m))) != 1:
         return 0
-    G = form_content(quad_form_of(m))
-    ellp = N // ell
-    # delta((ell, G), 1) * c_{ell', 1}(M), both expanded as Moebius sums
-    gl = math.gcd(ell, G) if G else ell
-    glp = math.gcd(ellp, G) if G else ellp
-    chi1 = trivial_character(ellp)
-    total = 0
-    for u in divisors(gl):
-        mu = moebius(u)
-        if not mu:
-            continue
-        for up in divisors(glp):
-            c = C_coeff(ellp, chi1, up, t, ell * n)
-            total += mu * int(c.as_rational())
-    return total
+    return int(c_class_closed(N // ell, trivial_character(N // ell), m).as_rational())

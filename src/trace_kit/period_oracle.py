@@ -51,7 +51,7 @@ import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
 
-from .arith import QQ, euler_phi, factorize, require_exact_divisor, sigma1_N, validate_query, xgcd
+from .arith import QQ, euler_phi, factorize, sigma1_N, validate_query, xgcd
 from .dirichlet import CycloNum, cyclo_inverse, mult_matrix, zeta_power
 from .matrix_forms import (
     IDENT,
@@ -254,14 +254,16 @@ def _class_weight(chi, sigma, m):
 def c_class_direct(N, chi, m):
     """Class weight by direct summation over P^1(Z/N): chi at the fixed
     points of m in the determinant-det(m) Hecke coset."""
-    return _class_weight(chi, (N, 1, mat_det(m)), m)
+    det = mat_det(m)
+    validate_query(N, chi, n=det)
+    return _class_weight(chi, (N, 1, det), m)
 
 
 def c_atkin_direct(N, ell, m):
     """Atkin-Lehner class weight: the fixed points of m in the composed
     coset of determinant det(m)."""
-    require_exact_divisor(N, ell)
     det = mat_det(m)
+    validate_query(N, n=det, ell=ell)
     if det % ell:
         raise ValueError("determinant must be divisible by ell")
     return len(_fixed_point_args((N, ell, det // ell), m))

@@ -1,9 +1,11 @@
 """Closed trace formulas for Hecke and composed Atkin-Lehner operators.
 
-All values are exact; characters produce cyclotomic numbers, the trivial
-character and the Atkin-Lehner case produce rationals.  Every formula here
-has an independent verification route (group-ring operator acting on period
-polynomials) exercised by the oracle comparisons in the verification suite.
+One route serves both: T_n composed with W_ell is the ell > 1 case of the
+Hecke formulas at level N/ell, with the class sum Moebius-twisted over
+u | ell at the multiples t of ell, and the cusp sum scaled by phi(ell)/ell.
+All values are exact; the composed entry points return rationals.  Every
+formula has an independent verification route (group-ring operator acting
+on period polynomials) exercised by the oracle comparisons.
 """
 
 import math
@@ -13,6 +15,7 @@ from functools import partial
 from .arith import (
     QQ,
     divisors,
+    euler_phi,
     gegenbauer,
     index_phi1,
     is_square,
@@ -23,7 +26,7 @@ from .arith import (
     validate_query,
 )
 from .class_numbers import h0, hurwitz_H
-from .cusp_terms import phi_chi, phi_ell
+from .cusp_terms import phi_chi
 from .dirichlet import CycloNum, trivial_character
 from .local_counts import B_coeff, C_coeff
 
@@ -76,38 +79,47 @@ def _fold_t(ts, term):
     return total
 
 
-def _elliptic_term(N, chi, w, n, t):
-    """Gegenbauer weight times sum over u | N of H((4n - t^2)/u^2) C(u, t, n)."""
+def _class_sum(N, ell, chi, w, n, t):
+    """Gegenbauer weight P_w(t, ell n) times the Moebius-twisted class sum
+    over u | ell, u' | N/ell of mu(u) H(D/(u u')^2) C_{N/ell}(u', t, ell n),
+    D = 4 ell n - t^2, for chi a character mod N/ell; ell = 1 is the Hecke
+    operator's sum over u | N of H(D/u^2) C(u, t, n)."""
+    Np, m = N // ell, ell * n
+    D = 4 * m - t * t
     acc = CycloNum.zero(chi.order)
-    D = 4 * n - t * t
-    for u in divisors(N):
-        if D % (u * u):
-            continue
-        hval = hurwitz_H(D // (u * u))
-        if hval:
-            acc = acc + C_coeff(N, chi, u, t, n) * hval
-    return acc * gegenbauer(w, t, n)
-
-
-def _atkin_term(N, ell, w, n, t):
-    """Gegenbauer weight times the Moebius-twisted class sum of the composed
-    operator: sum over u | ell, u' | N/ell of mu(u) H(D/(u u')^2) C(u', t, ell n)."""
-    ellp = N // ell
-    chi1p = trivial_character(ellp)
-    D = 4 * ell * n - t * t
-    inner = QQ(0)
     for u in divisors(ell):
         mu = moebius(u)
         if not mu:
             continue
-        for up in divisors(ellp):
+        for up in divisors(Np):
             uu = u * up
             if D % (uu * uu):
                 continue
             hval = hurwitz_H(D // (uu * uu))
             if hval:
-                inner += hval * C_coeff(ellp, chi1p, up, t, ell * n).as_rational() * mu
-    return inner * gegenbauer(w, t, ell * n)
+                acc = acc + C_coeff(Np, chi, up, t, m) * (hval * mu)
+    return acc * gegenbauer(w, t, m)
+
+
+def _cusp_trace(N, ell, chi, k, n):
+    """Trace of T_n composed with W_ell on cusp forms, chi a character mod
+    N/ell: t runs over the multiples of ell, the elliptic and hyperbolic
+    terms carry ell^(-w/2), and the hyperbolic term phi(ell)/ell with
+    ell | a + d."""
+    w, m = k - 2, ell * n
+    scale = QQ(-1, 2 * ell ** (w // 2))
+    ts = range(0, isqrt(4 * m) + 1, ell)
+    elliptic = _fold_t(ts, partial(_class_sum, N, ell, chi, w, n)) * scale
+
+    hyper = CycloNum.zero(chi.order)
+    for a in divisors(m):
+        d = m // a
+        if (a + d) % ell == 0:
+            hyper = hyper + phi_chi(N // ell, chi, a, d) * min(a, d) ** (k - 1)
+    hyper = hyper * (scale * QQ(euler_phi(ell), ell))
+
+    corr = CycloNum.from_rational(sigma1_N(N, n) if k == 2 and chi.is_trivial() else 0, chi.order)
+    return TraceResult(elliptic + hyper + corr, elliptic, hyper, corr)
 
 
 def trace_hecke_cusp(N, chi, k, n):
@@ -119,20 +131,7 @@ def trace_hecke_cusp(N, chi, k, n):
     validate_query(N, chi, k, n)
     if not _parity_ok(chi, k):
         return _zero_result(chi, warning="character parity does not match the weight")
-
-    elliptic = _fold_t(range(isqrt(4 * n) + 1), partial(_elliptic_term, N, chi, k - 2, n)) * QQ(-1, 2)
-
-    hyper = CycloNum.zero(chi.order)
-    for a in divisors(n):
-        d = n // a
-        hyper = hyper + phi_chi(N, chi, a, d) * min(a, d) ** (k - 1)
-    hyper = hyper * QQ(-1, 2)
-
-    corr = CycloNum.zero(chi.order)
-    if k == 2 and chi.is_trivial():
-        corr = corr + sigma1_N(N, n)
-
-    return TraceResult(elliptic + hyper + corr, elliptic, hyper, corr)
+    return _cusp_trace(N, 1, chi, k, n)
 
 
 def _t_range_full(n):
@@ -141,6 +140,17 @@ def _t_range_full(n):
     t = (e + f)/2 for 4n = e*f with e < f of the same parity."""
     split = [(e + 4 * n // e) // 2 for e in divisors(4 * n) if e * e < 4 * n and (4 * n // e - e) % 2 == 0]
     return list(range(isqrt(4 * n) + 1)) + split[::-1]
+
+
+def _full_trace(N, ell, chi, k, n):
+    """Raw double-coset trace of T_n composed with W_ell on cusp plus all
+    modular forms by Hurwitz class numbers, chi a character mod N/ell (no
+    ell^(w/2) normalization)."""
+    ts = [t for t in _t_range_full(ell * n) if t % ell == 0]
+    total = -_fold_t(ts, partial(_class_sum, N, ell, chi, k - 2, n))
+    if k == 2 and chi.is_trivial():
+        total = total + sigma1_N(N, n)
+    return total
 
 
 def trace_hecke_full(N, chi, k, n):
@@ -170,13 +180,10 @@ def trace_hecke_full(N, chi, k, n):
             u += 1
         return acc * gegenbauer(w, t, n)
 
-    ts = _t_range_full(n)
-    total_h = -_fold_t(ts, partial(_elliptic_term, N, chi, w, n))
-    total_h0 = -_fold_t(ts, h0_term)
+    total_h = _full_trace(N, 1, chi, k, n)
+    total_h0 = -_fold_t(_t_range_full(n), h0_term)
     if k == 2 and chi.is_trivial():
-        extra = sigma1_N(N, n)
-        total_h = total_h + extra
-        total_h0 = total_h0 + extra
+        total_h0 = total_h0 + sigma1_N(N, n)
     if total_h != total_h0:
         raise RuntimeError(
             f"class-number variants disagree at N={N}, k={k}, n={n}: "
@@ -189,41 +196,19 @@ def trace_atkin_lehner(N, ell, k, n):
     """Trace of (degree-n Hecke) composed with the Atkin-Lehner involution
     at an exact divisor ell, on the cusp-form space (trivial character)."""
     validate_query(N, None, k, n, ell)
-    w = k - 2
-    scale = QQ(1, ell ** (w // 2))
-
-    ts = range(0, isqrt(4 * ell * n) + 1, ell)
-    elliptic = -_fold_t(ts, partial(_atkin_term, N, ell, w, n)) * scale / 2
-
-    hyper = QQ(0)
-    for a in divisors(n * ell):
-        d = n * ell // a
-        if (a + d) % ell == 0:
-            hyper += min(a, d) ** (k - 1) * scale * phi_ell(N, ell, a, d)
-    hyper = -hyper / 2
-
-    corr = QQ(sigma1_N(N, n)) if k == 2 else QQ(0)
-    return TraceResult(
-        CycloNum.from_rational(elliptic + hyper + corr),
-        CycloNum.from_rational(elliptic),
-        CycloNum.from_rational(hyper),
-        CycloNum.from_rational(corr),
-    )
+    return _cusp_trace(N, ell, trivial_character(N // ell), k, n)
 
 
 def trace_atkin_full(N, ell, k, n):
     """Raw double-coset trace on cusp plus all modular forms (no ell^(w/2)
     normalization); the quantity the period oracle computes directly."""
     validate_query(N, None, k, n, ell)
-    ts = [t for t in _t_range_full(n * ell) if t % ell == 0]
-    total = -_fold_t(ts, partial(_atkin_term, N, ell, k - 2, n))
-    if k == 2:
-        total += sigma1_N(N, n)
-    return total
+    return _full_trace(N, ell, trivial_character(N // ell), k, n).as_rational()
 
 
 def scalar_term(N, chi, k, n):
     """Closed form of the square-index scalar-class slice of the trace."""
+    validate_query(N, chi, k, n)
     if not is_square(n):
         return CycloNum.zero(chi.order)
     r = isqrt(n)

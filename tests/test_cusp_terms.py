@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from trace_kit.arith import QQ, divisors, sigma1_N, xgcd
+from trace_kit.arith import QQ, divisors, euler_phi, sigma1_N, xgcd
 from trace_kit.cusp_terms import (
     admissible_cusp_reps,
     coboundary_trace,
@@ -40,6 +40,32 @@ def test_phi_ell_matches_phi_chi_at_one():
         for ad in range(1, 16):
             for a in divisors(ad):
                 assert phi_ell(N, 1, a, ad // a) == phi_chi(N, chiN, a, ad // a)
+
+
+def _phi_ell_by_gcd_conditions(N, ell, a, d):
+    """The composed cusp sum by its gcd conditions: when ell | a + d,
+    phi(ell)/ell times the sum of phi((r,s)) over N/ell = r*s with
+    (r,s) | a - d, (r, a) = 1 and (s, d) = 1."""
+    if (a + d) % ell:
+        return QQ(0)
+    count = 0
+    for r in divisors(N // ell):
+        s = N // ell // r
+        g = math.gcd(r, s)
+        if (a - d) % g == 0 and math.gcd(r, a) == 1 and math.gcd(s, d) == 1:
+            count += euler_phi(g)
+    return QQ(euler_phi(ell) * count, ell)
+
+
+def test_phi_ell_matches_the_gcd_condition_count():
+    for N in range(1, 61):
+        for ell in divisors(N):
+            if math.gcd(ell, N // ell) != 1:
+                continue
+            for ad in range(1, 40):
+                for a in divisors(ad):
+                    d = ad // a
+                    assert phi_ell(N, ell, a, d) == _phi_ell_by_gcd_conditions(N, ell, a, d), (N, ell, a, d)
 
 
 def test_cusp_reps_partition():

@@ -221,6 +221,10 @@ def test_total_equals_sum_of_values():
                     expected = expected + chi(x)
                 got = chi.total(xs)
                 assert got.order == chi.order and got == expected, (N, chi.exponents, xs)
+                counts = chi.counts(xs)
+                assert len(counts) == chi.order
+                for k, c in enumerate(counts):
+                    assert c == sum(1 for x in xs if chi.value_exponent(x) == k), (N, chi.exponents, k)
 
 
 def test_cyclo_inverse_by_norm():

@@ -223,3 +223,18 @@ def test_c_atkin_invalid_factorization():
 def test_c_atkin_rejects_non_exact_ell(weight, N, ell):
     with pytest.raises(ValueError, match="ell must be an exact divisor of N"):
         weight(N, ell, (2, 1, 0, 1))
+
+
+def test_class_weights_validate_their_query():
+    chi2 = trivial_character(2)
+    ident = (1, 0, 0, 1)
+    for weight in (c_class_closed, c_class_direct):
+        with pytest.raises(ValueError, match="modulus"):
+            weight(4, chi2, ident)
+        with pytest.raises(ValueError, match="n >= 1"):
+            weight(2, chi2, (0, 1, 1, 0))
+    for weight in (c_atkin_closed, c_atkin_direct):
+        with pytest.raises(ValueError, match="n >= 1"):
+            weight(3, 1, (0, 1, 1, 0))
+        with pytest.raises(ValueError, match="n >= 1"):
+            weight(6, 2, (0, 0, 0, 0))

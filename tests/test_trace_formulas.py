@@ -1,7 +1,12 @@
 import pytest
 
 from trace_kit.arith import QQ, divisors, is_square
-from trace_kit.cusp_terms import eisenstein_trace, eisenstein_trace_atkin
+from trace_kit.cusp_terms import (
+    coboundary_trace,
+    coboundary_trace_atkin,
+    eisenstein_trace,
+    eisenstein_trace_atkin,
+)
 from trace_kit.dirichlet import enumerate_characters, trivial_character
 from trace_kit.trace_formulas import (
     _t_range_full,
@@ -176,3 +181,27 @@ def test_query_validation():
         trace_series(2, T4, 3, 6)
     with pytest.raises(ValueError, match="n >= 1"):
         trace_series(1, T1, 0, 12)
+
+
+def test_composed_route_at_ell_one_is_the_hecke_route():
+    for N in range(1, 41):
+        chiN = trivial_character(N)
+        for k in (2, 4, 6):
+            for n in range(1, 25):
+                composed = trace_atkin_lehner(N, 1, k, n)
+                hecke = trace_hecke_cusp(N, chiN, k, n)
+                for part in ("value", "elliptic", "hyperbolic", "correction"):
+                    assert getattr(composed, part) == getattr(hecke, part), (N, k, n, part)
+                assert trace_atkin_full(N, 1, k, n) == trace_hecke_full(N, chiN, k, n), (N, k, n)
+                assert eisenstein_trace_atkin(N, 1, k, n) == eisenstein_trace(N, chiN, k, n), (N, k, n)
+                assert coboundary_trace_atkin(N, 1, k, n) == coboundary_trace(N, chiN, k, n), (N, k, n)
+
+
+def test_scalar_term_validates_its_query():
+    chi2 = trivial_character(2)
+    with pytest.raises(ValueError, match="modulus"):
+        scalar_term(4, chi2, 2, 4)
+    with pytest.raises(ValueError, match="k >= 2"):
+        scalar_term(1, T1, 1, 4)
+    with pytest.raises(ValueError, match="n >= 1"):
+        scalar_term(1, T1, 12, 0)

@@ -7,10 +7,11 @@ holds one table, built once by walking the powers of the generators of
 None on non-units.  Values, parity, conductor and character sums all read
 it; a sum counts exponents in ints and builds one CycloNum.
 
-The coefficient-tuple kernel (cyclo_mul, cyclo_inverse, zeta_power,
-mult_matrix) is the package's one implementation of that field: CycloNum
-wraps it, and the period oracle calls it on its elimination entries.  The
-inverse is the product of the other Galois conjugates over the norm.
+The coefficient-tuple kernel (cyclo_mul, cyclo_conjugates, cyclo_inverse,
+zeta_power, mult_matrix) is the package's one implementation of that field:
+CycloNum wraps it, and the period oracle calls it on its elimination
+entries.  The inverse is the product of the other Galois conjugates over
+the norm.
 """
 
 import cmath
@@ -22,6 +23,7 @@ from .arith import QQ, crt_solve, divisors, euler_phi, factorize, moebius
 __all__ = [
     "CycloNum",
     "cyclotomic_poly",
+    "cyclo_conjugates",
     "cyclo_inverse",
     "cyclo_mul",
     "mult_matrix",
@@ -121,22 +123,28 @@ def cyclo_mul(m, a, b):
     return _reduce(m, raw)
 
 
+def cyclo_conjugates(m, a):
+    """Product of the Galois conjugates sigma_k(a), k a unit mod m other than
+    1, of a reduced coefficient tuple: a times it is the rational norm of a."""
+    conj = (1,) + (0,) * (len(a) - 1)
+    for k in range(2, m):
+        if math.gcd(k, m) == 1:
+            raw = [0] * m
+            for i, c in enumerate(a):
+                raw[i * k % m] += c
+            conj = cyclo_mul(m, conj, _reduce(m, raw))
+    return conj
+
+
 def cyclo_inverse(m, a):
-    """Inverse of a nonzero reduced coefficient tuple: the product of its
-    other Galois conjugates sigma_k(a), k a unit mod m other than 1, over
-    its norm a * prod sigma_k(a).  Works on a scaled to integers; the
+    """Inverse of a nonzero reduced coefficient tuple: its other Galois
+    conjugates over its norm.  Works on a scaled to integers; the
     coefficients are exact rationals."""
     if not any(a):
         raise ZeroDivisionError("inverse of zero cyclotomic number")
     den = math.lcm(*(QQ(c).denominator for c in a))
     ints = [int(c * den) for c in a]
-    conj = (1,) + (0,) * (len(a) - 1)
-    for k in range(2, m):
-        if math.gcd(k, m) == 1:
-            raw = [0] * m
-            for i, c in enumerate(ints):
-                raw[i * k % m] += c
-            conj = cyclo_mul(m, conj, _reduce(m, raw))
+    conj = cyclo_conjugates(m, ints)
     norm = cyclo_mul(m, ints, conj)
     if any(norm[1:]):
         raise ArithmeticError("the norm of a cyclotomic number is not rational")

@@ -22,15 +22,15 @@ accumulator per exponent, and each accumulator is twisted once.  So the
 Ker(1+S) basis vectors, each supported on one or two points, cost little at
 any level.
 
-Representation: a vector over Q(zeta_m) is stored as phi(m) parallel
-"planes" of rationals, one per power basis coefficient, and this is the only
-layout: the operator actions and the eliminations both work on it, whatever
-phi(m) is.  The weight action has integer entries and acts on each plane
-independently; multiplying by a field element mixes planes through its
-multiplication matrix (an integer one for roots of unity).  This keeps the
-hot loops in plain rational arithmetic.  A row of an elimination is such a
-vector too, and pivots are scaled and cleared by multiplication matrices, so
-kernels are genuinely Q(zeta)-spaces.
+Representation: a vector over Q(zeta_m) is phi(m) parallel "planes" of
+rationals, one per power basis coefficient, or its nonzero entries (plane,
+coordinate, value).  The weight action has integer entries and acts on each
+plane alone; a field element mixes planes through its integer
+multiplication matrix, so the hot loops stay in ints.  Eliminations are
+sparse and fraction-free over Z[zeta_m]: a row maps columns to integer
+coefficient tuples, a pivot row is multiplied by the other Galois conjugates
+of its lead, which makes the lead a rational integer, and other rows are
+cleared by integer cross-multiplication.
 
 Every cached basis comes out reduced: vector k is the field's 1 at its own
 pivot coordinate p_k and 0 at the others' pivots (checked when it is scaled
@@ -40,8 +40,8 @@ elimination, and certifies them first: L v - sum_k v[p_k] (L / d_k) basis_k
 must vanish exactly in Z, L = lcm(d_k), or the operator does not preserve
 the subspace.
 
-Every field operation (product, inverse, powers of zeta, multiplication
-matrices) comes from the coefficient-tuple kernel in dirichlet; this module
+Every field operation (product, Galois conjugates, powers of zeta,
+multiplication matrices) comes from the coefficient-tuple kernel in dirichlet; this module
 only lays the numbers out.  It imports nothing from the closed formulas:
 the two routes share arith, that field arithmetic and matrix_forms, which
 holds the coset membership test, and nothing else.
@@ -52,7 +52,7 @@ from collections import defaultdict
 from functools import cached_property, lru_cache
 
 from .arith import QQ, euler_phi, factorize, sigma1_N, validate_query, xgcd
-from .dirichlet import CycloNum, cyclo_inverse, mult_matrix, zeta_power
+from .dirichlet import CycloNum, cyclo_conjugates, cyclo_mul, mult_matrix, zeta_power
 from .matrix_forms import (
     IDENT,
     S,
@@ -149,7 +149,7 @@ def coset_table(N):
 # -- weight actions ------------------------------------------------------------
 
 
-@lru_cache(maxsize=200000)
+@lru_cache(maxsize=8192)
 def weight_action(m, w):
     """Matrix of P -> (cX+d)^w P((aX+b)/(cX+d)) on the monomial basis.
 
@@ -310,7 +310,12 @@ class PeriodModule:
         return e
 
     def apply_operator(self, sigma, op, vectors):
-        """Apply sum(q_M * |_Sigma M) to a list of plane vectors.
+        """Apply sum(q_M * |_Sigma M) to a list of plane vectors."""
+        return self.apply_entries(sigma, op, [_entries(vec) for vec in vectors])
+
+    def apply_entries(self, sigma, op, nonzero):
+        """Apply sum(q_M * |_Sigma M) to vectors given by their nonzero
+        entries (plane, coordinate, value); returns plane vectors.
 
         Assembles the operator into sparse columns keyed by source
         coordinate, for the coordinates some vector uses, each holding its
@@ -322,7 +327,6 @@ class PeriodModule:
         Fractions.
         """
         w1 = self.w + 1
-        nonzero = [[(c, s, x) for c, plane in enumerate(vec) for s, x in enumerate(plane) if x] for vec in vectors]
         support = {s for nz in nonzero for _, s, _ in nz}
         columns = {}  # source coordinate -> exponent -> {target coordinate: coefficient}
         for m, q in op.items():
@@ -360,13 +364,13 @@ class PeriodModule:
     # -- structured kernels ------------------------------------------------------
 
     def kernel_one_plus_S(self):
-        """(basis of Ker(1 + S), its pivots): free blocks on point pairs,
-        local kernels at fixed points.  Each basis vector is the field's 1
-        at its own pivot coordinate and 0 at every other vector's pivot."""
+        """(basis of Ker(1 + S) as nonzero entries, its pivots): free blocks
+        on point pairs, local kernels at fixed points.  Each basis vector is
+        the field's 1 at its own pivot coordinate and 0 at the others'."""
         w1 = self.w + 1
         pmap = sigma_block_map(self.unimodular, S)
         wm = weight_action(S, self.w)
-        one = zeta_power(self.order, 0)
+        z0 = zeta_power(self.order, 0)
         basis = []
         pivots = []
         seen = set()
@@ -376,51 +380,47 @@ class PeriodModule:
             i, dg = pmap[j]
             z = zeta_power(self.order, self._twist_exponent(dg))
             if i == j:
-                # local condition (I + zeta^e W_S) x = 0 over the field
-                rows = [
-                    [[wm[r][c] * x + (r == c) * o for c in range(w1)] for x, o in zip(z, one)]
-                    for r in range(w1)
-                ]
+                # local condition (I + zeta^e W_S) x = 0; W_S is a signed permutation,
+                # so the pivots are units and each solution is 1 at its free column
+                rows = [{c: t for c in range(w1) if any(t := tuple(wm[r][c] * x + (r == c) * o for x, o in zip(z, z0)))}
+                        for r in range(w1)]
                 sols, free = _nullspace(rows, self.order, w1)
                 for sol in sols:
-                    vec = self.zero_vec()
-                    for c, plane in enumerate(sol):
-                        vec[c][j * w1 : (j + 1) * w1] = plane
-                    basis.append(vec)
+                    basis.append([(c, j * w1 + k, x) for k, t in sol.items() for c, x in enumerate(t) if x])
                 pivots.extend(j * w1 + fc for fc in free)
                 seen.add(j)
             else:
                 # free block at i, determined block at j = -zeta^e W_S block_i
                 for k in range(w1):
-                    vec = self.zero_vec()
-                    vec[0][i * w1 + k] = 1
-                    for c, x in enumerate(z):
-                        for r in range(w1):
-                            vec[c][j * w1 + r] = -x * wm[r][k]
-                    basis.append(vec)
+                    block = [(c, j * w1 + r, -x * wm[r][k]) for c, x in enumerate(z) for r in range(w1) if x * wm[r][k]]
+                    basis.append([(0, i * w1 + k, 1)] + block)
                     pivots.append(i * w1 + k)
                 seen.add(i)
                 seen.add(j)
         return basis, pivots
 
     def period_space(self):
-        """(basis of Ker(1+S) intersect Ker(1+U+U^2) over the value field,
-        its pivots): the free columns of the elimination pick Ker(1+S)
-        vectors, whose pivots carry over."""
+        """(basis of Ker(1+S) intersect Ker(1+U+U^2) over the value field, its pivots)."""
+        vectors, pivots, dens = self._scaled_period_space()
+        return [v if d == 1 else [[QQ(x, d) for x in plane] for plane in v] for v, d in zip(vectors, dens)], pivots
+
+    def _scaled_period_space(self):
+        """(integer vectors, pivots, dens), dens[k] times period_space(): the
+        free columns of the elimination of the images of the Ker(1+S) vectors
+        under 1+U+U^2 pick Ker(1+S) vectors, whose pivots carry over."""
         bs, bpivots = self.kernel_one_plus_S()
-        if not bs:
-            return [], []
-        images = self.apply_operator(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, bs)
-        rows = [[[img[c][r] for img in images] for c in range(self.g)] for r in range(self.dim)]
-        combos, free = _nullspace(rows, self.order, len(bs))
-        out = []
-        for combo in combos:
-            acc = self.zero_vec()
-            for coef, bvec in zip(zip(*combo), bs):
-                if any(coef):
-                    _add_scaled(acc, mult_matrix(self.order, coef), bvec)
-            out.append(acc)
-        return out, [bpivots[fc] for fc in free]
+        images = self.apply_entries(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, bs)
+        rows = defaultdict(dict)
+        for k, img in enumerate(images):
+            for s in {s for plane in img for s, x in enumerate(plane) if x}:
+                rows[s][k] = tuple([plane[s] for plane in img])
+        del images  # dense; the rows are sparse
+        sols, free = _nullspace(rows.values(), self.order, len(bs))
+        vectors = [self.zero_vec() for _ in sols]
+        for vec, sol in zip(vectors, sols):
+            for k, a in sol.items():
+                _add_entries(vec, self.order, a, bs[k])
+        return vectors, [bpivots[fc] for fc in free], [sol[fc][0] for sol, fc in zip(sols, free)]
 
     def translation_fixed_space(self):
         """(basis of Ker(1 - T), its pivots): one vector per admissible
@@ -462,7 +462,7 @@ class PeriodModule:
     @cached_property
     def period_basis(self):
         """(integer-scaled basis of period_space(), pivots, scales)."""
-        return _int_space(*self.period_space())
+        return _int_space(*self._scaled_period_space())
 
     @cached_property
     def translation_basis(self):
@@ -471,7 +471,12 @@ class PeriodModule:
         return _int_space(*self.translation_fixed_space())
 
 
-# -- eliminations on plane vectors --------------------------------------------
+# -- plane vectors and sparse elimination ---------------------------------------
+
+
+def _entries(vec):
+    """Nonzero entries (plane, coordinate, value) of a plane vector."""
+    return [(c, s, x) for c, plane in enumerate(vec) for s, x in enumerate(plane) if x]
 
 
 def _add_scaled(dst, qmat, src):
@@ -487,76 +492,112 @@ def _add_scaled(dst, qmat, src):
         dst[c] = plane
 
 
-def _rref(rows, m):
-    """Reduce plane-vector rows over Q(zeta_m) to reduced echelon form in
-    place; returns the pivot columns."""
-    one = zeta_power(m, 0)
-    pivots = []
-    r = 0
-    for col in range(len(rows[0][0]) if rows else 0):
-        piv = None
-        for rr in range(r, len(rows)):
-            if any([plane[col] for plane in rows[rr]]):
-                piv = rr
-                break
-        if piv is None:
+def _add_entries(dst, m, a, entries):
+    """dst += a * v in place, a a coefficient tuple and v given by its
+    nonzero entries; column c of a's multiplication matrix is a * zeta^c."""
+    if len(a) == 1:
+        plane, y = dst[0], a[0]
+        for _, s, x in entries:
+            plane[s] += y * x
+        return
+    cols = list(zip(*mult_matrix(m, a)))
+    for c, s, x in entries:
+        for plane, y in zip(dst, cols[c]):
+            if y:
+                plane[s] += y * x
+
+
+def _primitive(row, sign=1):
+    """A sparse integer row over the gcd of its coefficients, times sign."""
+    g = math.gcd(*[x for t in row.values() for x in t]) * sign
+    return row if g == 1 else {j: tuple([x // g for x in t]) for j, t in row.items()}
+
+
+def _clear(m, row, col, prow):
+    """(L/h) row - (b/h) prow over its content, L the positive integer
+    prow[col], b = row[col], h = gcd(L, content of b); row is consumed."""
+    L = prow[col][0]
+    b = row.pop(col)
+    h = math.gcd(L, *b)
+    b = tuple([x // h for x in b])
+    if L != h:
+        row = {j: tuple([L // h * x for x in t]) for j, t in row.items()}
+    for j, t in prow.items():
+        if j == col:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        lead = tuple([plane[col] for plane in prow])
-        if lead != one:
-            scaled = [[0] * len(plane) for plane in prow]
-            _add_scaled(scaled, mult_matrix(m, cyclo_inverse(m, lead)), prow)
-            prow = rows[r] = scaled
-        for rr, row in enumerate(rows):
-            f = [plane[col] for plane in row]
-            if rr != r and any(f):
-                _add_scaled(row, mult_matrix(m, [-x for x in f]), prow)
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+        if len(b) == 1:  # a rational character: plain int products
+            v = (row[j][0] - b[0] * t[0],) if j in row else (-b[0] * t[0],)
+        else:
+            p = cyclo_mul(m, b, t)
+            v = tuple([x - y for x, y in zip(row[j], p)]) if j in row else tuple([-y for y in p])
+        if any(v):
+            row[j] = v
+        else:
+            del row[j]
+    return _primitive(row) if row else row
 
 
 def _nullspace(rows, m, ncols):
-    """(plane-vector basis of the vectors x with row . x = 0 for every
-    plane-vector row, the free columns): basis vector k is the field's 1 at
-    free column k and 0 at the others.  The rows are reduced in place."""
-    work = [row for row in rows if any(any(plane) for plane in row)]
-    pivots = _rref(work, m)
-    pivset = set(pivots)
-    free = [fc for fc in range(ncols) if fc not in pivset]
+    """(basis, free columns) of the nullspace of sparse rows over Z[zeta_m],
+    dicts column -> integer tuple.  Each step pivots on the sparsest row at
+    its lowest column (a least-used one gave far larger denominators), times
+    the other Galois conjugates of its lead, now a positive integer, and
+    clears that column from the other rows by integer cross-multiplication;
+    then back-substitution.  Basis vector k is a multiple of the field's 1
+    at free[k], 0 at the others."""
+    import heapq  # imported on use, so importing trace_kit does no extra work
+    active = dict(enumerate(filter(None, rows)))
+    where = defaultdict(set)  # column -> the active rows holding it
+    for i, row in active.items():
+        for j in row:
+            where[j].add(i)
+    heap = sorted((len(row), i) for i, row in active.items())  # a sorted list is a heap
+    done = {}  # pivot column -> pivot row, in elimination order
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = active.get(i)
+        if not row or len(row) != size:
+            continue  # pivoted, cleared to zero, or a stale heap entry
+        del active[i]
+        for j in row:
+            where[j].discard(i)
+        col = min(row)
+        if any(row[col][1:]):
+            conj = cyclo_conjugates(m, row[col])
+            row = {j: cyclo_mul(m, t, conj) for j, t in row.items()}
+        done[col] = row = _primitive(row, -1 if row[col][0] < 0 else 1)
+        for r in where.pop(col):
+            other = active[r] = _clear(m, active[r], col, row)
+            for j in row:
+                (where[j].add if j in other else where[j].discard)(r)
+            heapq.heappush(heap, (len(other), r))
+    for col in reversed(done):
+        for j in [j for j in done[col] if j != col and j in done]:
+            done[col] = _clear(m, done[col], j, done[j])
+    free = [j for j in range(ncols) if j not in done]
     basis = []
     for fc in free:
-        vec = [[0] * ncols for _ in range(euler_phi(m))]
-        vec[0][fc] = 1
-        for row, pc in zip(work, pivots):
-            for dst, src in zip(vec, row):
-                dst[pc] = -src[fc]
-        basis.append(vec)
+        uses = [(col, row[col][0], row[fc]) for col, row in done.items() if fc in row]
+        den = math.lcm(*(L for _, L, _ in uses))
+        basis.append({fc: tuple(den * x for x in zeta_power(m, 0))})
+        basis[-1].update((col, tuple(-x * (den // L) for x in t)) for col, L, t in uses)
     return basis, free
 
 
 # -- cached subspaces and restricted traces -----------------------------------
 
 
-def _common_denominator(values):
-    """Least common multiple of the denominators of exact rationals."""
-    den = 1
-    for x in values:
-        den = math.lcm(den, x.denominator)
-    return den
-
-
-def _int_space(vectors, pivots):
+def _int_space(vectors, pivots, scales=None):
     """(basis rescaled to integer entries, pivots, scales) of plane vectors
-    that are the field's 1 at their own pivot and 0 at the others' pivots.
+    that are the field's 1 at their own pivot and 0 at the others' pivots,
+    scaled by the lcm of their denominators unless given already scaled.
 
     Vector k is scaled by d_k = scales[k]; it must then read d_k at pivot k
     and 0 at every other pivot, in every plane."""
-    scales = [_common_denominator(x for plane in v for x in plane) for v in vectors]
-    basis = [[[int(x * d) for x in plane] for plane in v] for v, d in zip(vectors, scales)]
+    basis = vectors
+    if scales is None:
+        scales = [math.lcm(*(x.denominator for plane in v for x in plane)) for v in vectors]
+        basis = [[[int(x * d) for x in plane] for plane in v] for v, d in zip(vectors, scales)]
     for k, (v, d) in enumerate(zip(basis, scales)):
         for c, plane in enumerate(v):
             if [plane[p] for p in pivots] != [d * (c == 0 and j == k) for j in range(len(pivots))]:
@@ -589,16 +630,17 @@ def _trace_on_space(mod, sigma, op, space):
     basis, pivots, scales = space
     if not basis:
         return CycloNum.zero(1)
-    den = _common_denominator(op.coeffs.values())
-    images = mod.apply_operator(sigma, {m: int(q * den) for m, q in op.coeffs.items()}, basis)
+    den = math.lcm(*(q.denominator for q in op.coeffs.values()))
+    entries = [_entries(b) for b in basis]
+    images = mod.apply_entries(sigma, {m: int(q * den) for m, q in op.coeffs.items()}, entries)
     L = math.lcm(*scales)
     total = [0] * mod.g
     for v, p, d in zip(images, pivots, scales):
         resid = [[L * x for x in plane] for plane in v]
-        for pk, dk, bk in zip(pivots, scales, basis):
-            ck = [-plane[pk] * (L // dk) for plane in v]
+        for pk, dk, ek in zip(pivots, scales, entries):
+            ck = tuple([-plane[pk] * (L // dk) for plane in v])
             if any(ck):
-                _add_scaled(resid, mult_matrix(mod.order, ck), bk)
+                _add_entries(resid, mod.order, ck, ek)
         if any(any(plane) for plane in resid):
             raise RuntimeError("operator does not preserve the subspace")
         total = [t + plane[p] * (L // d) for t, plane in zip(total, v)]

@@ -7,7 +7,6 @@ into this module so there is a single source of truth for the gates.
 """
 
 import math
-from math import comb
 
 from .arith import QQ, divisors, gegenbauer, moebius, sigma1
 from .class_numbers import h0, hurwitz_H, precompute
@@ -37,31 +36,22 @@ from .trace_formulas import (
     trace_hecke_full,
 )
 
-__all__ = ["CRITERIA", "run_suite", "delta_tau_list"]
+__all__ = ["CRITERIA", "run_suite", "eta_product"]
 
 
-def delta_tau_list(limit):
-    """tau(1..limit) from the weight-12 discriminant product q*prod(1-q^m)^24.
+def eta_product(factors, limit):
+    """a_0..a_{limit-1} of q * prod over (d, r) of prod_{m >= 1} (1 - q^(dm))^r:
+    the eta product prod eta(dz)^r when sum d r = 24; Delta is ((1, 24),).
 
     Plain power-series bookkeeping, independent of every trace formula.
     """
-    size = limit
-    P = [0] * size
-    P[0] = 1
-    for m in range(1, size):
-        F = {}
-        j = 0
-        while m * j < size and j <= 24:
-            F[m * j] = (-1) ** j * comb(24, j)
-            j += 1
-        newP = [0] * size
-        for i, pi in enumerate(P):
-            if pi:
-                for off, f in F.items():
-                    if i + off < size:
-                        newP[i + off] += pi * f
-        P = newP
-    return [0] + P[: limit - 1] if limit > 1 else [0]
+    series = [0, 1] + [0] * (limit - 2)
+    for d, r in factors:
+        for _ in range(r):
+            for k in range(d, limit, d):
+                for i in range(limit - 1, k - 1, -1):
+                    series[i] -= series[i - k]
+    return series
 
 
 def _parity_chars(N, k):
@@ -139,7 +129,7 @@ def criterion_kronecker_hurwitz(quick=False):
 def criterion_level_one_eigenvalues(quick=False):
     """3: weight-12 level-1 traces equal the discriminant-form coefficients."""
     top = 10 if quick else 50
-    tau = delta_tau_list(top + 1)
+    tau = eta_product(((1, 24),), top + 1)
     chi = trivial_character(1)
     for n in range(1, top + 1):
         got = trace_hecke_cusp(1, chi, 12, n).value

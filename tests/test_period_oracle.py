@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import math
 import random
 from fractions import Fraction
@@ -7,12 +8,14 @@ from pathlib import Path
 import pytest
 
 import trace_kit
-from trace_kit.arith import QQ, divisors, gegenbauer, index_phi1, sigma1_N
+import trace_kit.period_oracle as po
+from trace_kit.arith import QQ, divisors, euler_phi, gegenbauer, index_phi1, sigma1_N
 from trace_kit.cusp_terms import admissible_cusp_reps
-from trace_kit.dirichlet import enumerate_characters, mult_matrix, trivial_character, zeta_power
+from trace_kit.dirichlet import cyclo_inverse, enumerate_characters, mult_matrix, trivial_character, zeta_power
 from trace_kit.hecke_operator import GroupRingElem, build_Tn, build_Tn_infty
 from trace_kit.local_counts import c_class_closed
 from trace_kit.matrix_forms import (
+    IDENT,
     S,
     T,
     U,
@@ -36,7 +39,8 @@ from trace_kit.period_oracle import (
     trace_on_W,
     weight_action,
 )
-from trace_kit.verification import _DIM_LEVELS, _parity_chars
+from trace_kit.trace_formulas import trace_hecke_cusp
+from trace_kit.verification import _DIM_LEVELS, _parity_chars, eta_product
 
 
 def _act(mod, sigma, m, vec):
@@ -82,7 +86,7 @@ def test_projective_line_matches_the_unit_orbit_reference():
 
 
 def test_memo_tables_are_bounded():
-    for table in (coset_table, sigma_block_map, period_module):
+    for table in (coset_table, sigma_block_map, weight_action, period_module):
         assert table.cache_info().maxsize is not None
 
 
@@ -166,6 +170,125 @@ def test_period_space_dims():
     assert dim_period_space(11, trivial_character(11), 0) == 3
 
 
+def _reference_rref(rows, m):
+    """Reference dense elimination: reduce plane-vector rows over Q(zeta_m)
+    to reduced echelon form in place, scaling and clearing by
+    multiplication matrices; returns the pivot columns."""
+    one = zeta_power(m, 0)
+    pivots = []
+    r = 0
+    for col in range(len(rows[0][0]) if rows else 0):
+        piv = next((rr for rr in range(r, len(rows)) if any(plane[col] for plane in rows[rr])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        lead = tuple(plane[col] for plane in prow)
+        if lead != one:
+            scaled = [[0] * len(plane) for plane in prow]
+            po._add_scaled(scaled, mult_matrix(m, cyclo_inverse(m, lead)), prow)
+            prow = rows[r] = scaled
+        for rr, row in enumerate(rows):
+            f = [plane[col] for plane in row]
+            if rr != r and any(f):
+                po._add_scaled(row, mult_matrix(m, [-x for x in f]), prow)
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _reference_nullspace(rows, m, ncols):
+    """(plane-vector basis of the common kernel of plane-vector rows, free
+    columns) by the reference dense elimination: vector k is the field's 1
+    at free column k and 0 at the others."""
+    work = [row for row in rows if any(any(plane) for plane in row)]
+    pivots = _reference_rref(work, m)
+    free = [fc for fc in range(ncols) if fc not in pivots]
+    basis = []
+    for fc in free:
+        vec = [[0] * ncols for _ in range(euler_phi(m))]
+        vec[0][fc] = 1
+        for row, pc in zip(work, pivots):
+            for dst, src in zip(vec, row):
+                dst[pc] = -src[fc]
+        basis.append(vec)
+    return basis, free
+
+
+def _reference_period_space(mod):
+    """(basis, pivots) of the period space by the reference dense
+    elimination of the images of the Ker(1+S) vectors, each W vector
+    rebuilt densely from them."""
+    bs, bpivots = mod.kernel_one_plus_S()
+    dense = []
+    for entries in bs:
+        vec = mod.zero_vec()
+        for c, s, x in entries:
+            vec[c][s] = x
+        dense.append(vec)
+    images = mod.apply_operator(mod.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, dense)
+    rows = [[[img[c][r] for img in images] for c in range(mod.g)] for r in range(mod.dim)]
+    combos, free = _reference_nullspace(rows, mod.order, len(bs))
+    out = []
+    for combo in combos:
+        acc = mod.zero_vec()
+        for coef, bvec in zip(zip(*combo), dense):
+            if any(coef):
+                po._add_scaled(acc, mult_matrix(mod.order, coef), bvec)
+        out.append(acc)
+    return out, [bpivots[fc] for fc in free]
+
+
+def _in_span(m, vec, space):
+    """Whether the plane vector vec lies in the span of an integer-scaled
+    space (basis, pivots, scales), basis k reading scales[k] at its own
+    pivot and 0 at the others': L vec - sum_k vec[p_k] (L / d_k) basis_k is
+    zero, L = lcm(d_k)."""
+    basis, pivots, scales = space
+    L = math.lcm(*scales)
+    resid = [[L * x for x in plane] for plane in vec]
+    for b, p, d in zip(basis, pivots, scales):
+        coef = [-plane[p] * (L // d) for plane in vec]
+        if any(coef):
+            po._add_scaled(resid, mult_matrix(m, coef), b)
+    return not any(any(plane) for plane in resid)
+
+
+def _oracle_spaces():
+    """The (N, character index, k) spaces of the benchmark's oracle-verify
+    workload."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.ORACLE_SPACES
+
+
+def test_period_space_matches_the_dense_reference():
+    # the sparse integer elimination against the dense Q(zeta) one, on the
+    # benchmark's oracle spaces and every parity character for N <= 16,
+    # w <= 6: same dimension, same span, reduced at its own pivots
+    spaces = [(N, enumerate_characters(N)[ci], k - 2) for N, ci, k in _oracle_spaces()]
+    spaces += [(N, chi, w) for N in range(1, 17) for w in range(7) for chi in _parity_chars(N, w + 2)]
+    orders = set()
+    for N, chi, w in spaces:
+        mod = period_module(N, chi, w)
+        vectors, pivots = mod.period_space()
+        ref, ref_pivots = _reference_period_space(mod)
+        assert len(vectors) == len(pivots) == len(ref), (N, chi.label(), w)
+        for k, vec in enumerate(vectors):
+            for c, plane in enumerate(vec):
+                assert [plane[p] for p in pivots] == [int((c, j) == (0, k)) for j in range(len(pivots))]
+        # membership is tested on integer multiples of the vectors
+        ours, theirs = po._int_space(vectors, pivots), po._int_space(ref, ref_pivots)
+        assert all(_in_span(mod.order, v, theirs) for v in ours[0]), (N, chi.label(), w)
+        assert all(_in_span(mod.order, v, ours) for v in theirs[0]), (N, chi.label(), w)
+        orders.add(chi.order)
+    assert {3, 4, 10} <= orders
+
+
 def test_kernel_sum_spans_module():
     # Ker(1+S) + Ker(1+U+U^2) is everything except in the degenerate case,
     # where it has codimension one
@@ -186,10 +309,8 @@ def test_kernel_sum_spans_module():
             cols.append(img)
         # rank over Q
         rows = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-        import trace_kit.period_oracle as po
-
         work = [list(r) for r in rows if any(r)]
-        pivots = po._rref([[r] for r in work], mod.order)
+        pivots = _reference_rref([[r] for r in work], mod.order)
         rank_uuu = len(pivots)
         dim_ker_uuu = dim - rank_uuu
         dim_w = dim_period_space(N, chi, w)
@@ -260,8 +381,6 @@ def test_block_map_equals_reference_scan():
 def _blockwise_apply(mod, sigma, op, vectors):
     """Reference for apply_operator: every term on its own, its weight action
     applied to the source block of each point and twisted by chi there."""
-    import trace_kit.period_oracle as po
-
     w1 = mod.w + 1
     outs = []
     for vec in vectors:
@@ -378,8 +497,6 @@ def test_kernel_certification():
     # elimination mixes planes.  Each cached basis is d_k times the field's 1
     # at its own pivot and 0 at the others' pivots, in every plane, and the
     # integer scaling checks that
-    import trace_kit.period_oracle as po
-
     for N, w in ((1, 10), (4, 2), (6, 1), (9, 4), (11, 3)):
         chars = [c for c in enumerate_characters(N) if c.parity() == (1 if w % 2 == 0 else -1)]
         for chi in chars[:2]:
@@ -432,6 +549,23 @@ def test_proof_chain_correction():
                 lhs = trace_on_W(N, chiN, w, sigma, op) - trace_on_V(N, chiN, w, sigma, op)
                 want = sigma1_N(N, n) if w == 0 else 0
                 assert lhs == want, (N, n, w)
+
+
+def test_eta_product_anchor_at_level_eleven():
+    # eta(z)^2 eta(11z)^2 spans S_2(Gamma_0(11)), so tr T_n = a_n for every
+    # n >= 1, including the n that share the factor 11 with the level.  The
+    # period route gives 2 tr T_n + (Eisenstein part) on W, the Eisenstein
+    # part read off Ker(1 - T), so it shares nothing with the closed route
+    chi = trivial_character(11)
+    a = eta_product(((1, 2), (11, 2)), 150)
+    assert a[:12] == [0, 1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1]
+    for n in range(1, 150):
+        assert trace_hecke_cusp(11, chi, 2, n).value == a[n], n
+    for n in range(1, 25):
+        sigma = hecke_coset_desc(11, n)
+        full = trace_on_W(11, chi, 0, sigma, build_Tn(n))
+        eis = trace_coboundary(11, chi, 0, sigma, build_Tn_infty(n))
+        assert full - eis == 2 * a[n], n
 
 
 def test_translation_space_dimension():

@@ -18,7 +18,7 @@ from trace_kit.trace_formulas import (
     trace_hecke_full,
     trace_series,
 )
-from trace_kit.verification import delta_tau_list
+from trace_kit.verification import eta_product
 
 T1 = trivial_character(1)
 T4 = trivial_character(4)
@@ -54,7 +54,7 @@ def test_parity_vanishing():
 
 
 def test_tau_small():
-    tau = delta_tau_list(16)
+    tau = eta_product(((1, 24),), 16)
     for n in range(1, 16):
         assert trace_hecke_cusp(1, T1, 12, n).value == tau[n]
 

@@ -11,16 +11,14 @@ coset, so there is one action routine for both.  The points fixed by a
 matrix give the direct conjugacy-class weights (c_class_direct,
 c_atkin_direct) and the trace on the whole module.
 
-An operator sum(q_M M) is applied in two passes.  It is first assembled
-into sparse integer columns, one per source coordinate that some input
-vector uses, each holding lists of (target coordinate, coefficient) grouped
-by chi twist exponent: every term's q_M times its weight action lands there
-block by block, terms that meet in the same (source, target, twist) block
-are summed, and entries that cancel are dropped.  Each vector's nonzero
-entries are then scattered through the columns, in one walk, into one
-accumulator per exponent, and each accumulator is twisted once.  So the
-Ker(1+S) basis vectors, each supported on one or two points, cost little at
-any level.
+An operator sum(q_M M) is first assembled into sparse integer columns
+(PeriodModule.columns), one per source coordinate in use, each holding
+lists of (target coordinate, coefficient) grouped by chi twist exponent:
+the terms' q_M times their weight action are summed block by block, and
+entries that cancel are dropped.  The elimination applies them with
+apply_entries, which scatters each Ker(1+S) vector, supported on one or two
+points, into sparse images; each meets at most six blocks, so it costs
+little at any level.
 
 Representation: a vector over Q(zeta_m) is phi(m) parallel "planes" of
 rationals, one per power basis coefficient, or its nonzero entries (plane,
@@ -32,13 +30,19 @@ coefficient tuples, a pivot row is multiplied by the other Galois conjugates
 of its lead, which makes the lead a rational integer, and other rows are
 cleared by integer cross-multiplication.
 
-Every cached basis comes out reduced: vector k is the field's 1 at its own
-pivot coordinate p_k and 0 at the others' pivots (checked when it is scaled
-to integers d_k * basis_k).  A restricted trace therefore reads each image's
-coordinates v[p_k] / d_k straight off the pivots, with no further
-elimination, and certifies them first: L v - sum_k v[p_k] (L / d_k) basis_k
-must vanish exactly in Z, L = lcm(d_k), or the operator does not preserve
-the subspace.
+Every cached basis (a Subspace, kept as its nonzero entries) comes out
+reduced: vector k is the field's 1 at its own pivot coordinate p_k and 0 at
+the others' pivots (checked when it is scaled to integers d_k * basis_k).
+A restricted trace therefore reads each image's coordinates v[p_k] / d_k
+straight off the pivots, with no further elimination, and certifies them
+first: L v - sum_k v[p_k] (L / d_k) basis_k must vanish exactly in Z,
+L = lcm(d_k), or the operator does not preserve the subspace.  It works on
+slabs of SLAB basis vectors packed into one int per coordinate and plane,
+each vector a signed slot (Kronecker substitution), so one big-int
+multiply-add per operator entry and plane serves the whole slab.  The slot
+width comes from an a-priori bound on every image coordinate and every
+residual term, so each packed int is 0 exactly when all its slots are and
+each slot reads back exactly (_trace_on_space).
 
 Every field operation (product, Galois conjugates, powers of zeta,
 multiplication matrices) comes from the coefficient-tuple kernel in dirichlet; this module
@@ -50,6 +54,8 @@ holds the coset membership test, and nothing else.
 import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
+from itertools import compress
+from operator import add
 
 from .arith import QQ, euler_phi, factorize, sigma1_N, validate_query, xgcd
 from .dirichlet import CycloNum, cyclo_conjugates, cyclo_mul, mult_matrix, zeta_power
@@ -294,6 +300,9 @@ class PeriodModule:
         self.g = euler_phi(self.order)
         # integer plane-mixing matrix of zeta^e, per exponent e
         self._zeta = [mult_matrix(self.order, zeta_power(self.order, e)) for e in range(self.order)]
+        # the largest coefficient of a power of zeta, so of any entry of _zeta
+        self.zeta_bound = max(abs(x) for mat in self._zeta for row in mat for x in row)
+        self._coords = list(range(self.dim))
 
     # -- plane vectors -------------------------------------------------------
 
@@ -311,54 +320,81 @@ class PeriodModule:
 
     def apply_operator(self, sigma, op, vectors):
         """Apply sum(q_M * |_Sigma M) to a list of plane vectors."""
-        return self.apply_entries(sigma, op, [_entries(vec) for vec in vectors])
+        outs = []
+        for image in self.apply_entries(sigma, op, [_entries(vec) for vec in vectors]):
+            out = self.zero_vec()
+            for t, value in image.items():
+                for plane, x in zip(out, value):
+                    plane[t] = x
+            outs.append(out)
+        return outs
 
-    def apply_entries(self, sigma, op, nonzero):
-        """Apply sum(q_M * |_Sigma M) to vectors given by their nonzero
-        entries (plane, coordinate, value); returns plane vectors.
+    def columns(self, sigma, op, support):
+        """sum(q_M * |_Sigma M) as sparse columns, one per source coordinate
+        in support: source -> [(chi twist exponent, [(target, coefficient)])].
 
-        Assembles the operator into sparse columns keyed by source
-        coordinate, for the coordinates some vector uses, each holding its
-        entries grouped by chi twist exponent, then scatters each vector's
-        nonzero entries through them once, into one untwisted accumulator
-        per exponent, mixed through the integer zeta matrix once.  With
-        integer-scaled operators and basis vectors (what the cached spaces
-        provide) both passes are int arithmetic; inputs may also hold
-        Fractions.
-        """
+        The terms are summed block by block first: q_M W(M), W(M) the weight
+        action, lands on the block (source point, target point, exponent)
+        of each point it maps, as one flat (w+1)^2 addition; then each
+        block's nonzero entries are spread over its columns, so entries
+        that cancel are dropped."""
         w1 = self.w + 1
-        support = {s for nz in nonzero for _, s, _ in nz}
-        columns = {}  # source coordinate -> exponent -> {target coordinate: coefficient}
+        points = {s // w1 for s in support}
+        blocks = {}  # (source point, target point, exponent) -> summed q W(M), row-major
         for m, q in op.items():
-            wcols = [[(r, q * x) for r, x in enumerate(col) if x] for col in zip(*weight_action(m, self.w))]
+            flat = None
             for j, ent in enumerate(sigma_block_map(sigma, m)):
                 if ent is None:
                     continue
                 i, arg = ent
-                exp = self._twist_exponent(arg)  # checked whether or not a column is kept
-                for c, wcol in enumerate(wcols):
-                    if i * w1 + c not in support:
-                        continue
-                    col = columns.setdefault(i * w1 + c, {}).setdefault(exp, {})
-                    for r, x in wcol:
-                        t = j * w1 + r
-                        col[t] = col.get(t, 0) + x
-        columns = {
-            s: [(exp, [(t, x) for t, x in col.items() if x]) for exp, col in by_exp.items()]
-            for s, by_exp in columns.items()
-        }
+                exp = self._twist_exponent(arg)  # checked whether or not the block is kept
+                if i not in points:
+                    continue
+                if flat is None:
+                    flat = [q * x for row in weight_action(m, self.w) for x in row]
+                blk = blocks.get((i, j, exp))
+                blocks[i, j, exp] = flat if blk is None else list(map(add, blk, flat))
+        columns = {}  # source coordinate -> exponent -> [(target, coefficient)]
+        for (i, j, exp), blk in blocks.items():
+            for c in range(w1):
+                s = i * w1 + c
+                col = [(j * w1 + r, x) for r, x in enumerate(blk[c::w1]) if x]
+                if col and s in support:
+                    columns.setdefault(s, {}).setdefault(exp, []).extend(col)
+        return {s: list(by_exp.items()) for s, by_exp in columns.items()}
+
+    def apply_entries(self, sigma, op, nonzero):
+        """Apply sum(q_M * |_Sigma M) to vectors given by their nonzero
+        entries (plane, coordinate, value); each image comes back sparse, as
+        a dict target coordinate -> coefficient tuple, nonzero ones only.
+
+        Each vector's entries are scattered through the operator's columns
+        into one untwisted accumulator per (exponent, plane), and each
+        accumulator is mixed through its column of the integer zeta matrix
+        once.  An image of a Ker(1+S) vector meets at most six blocks, so
+        the cost is independent of the level.  This is the elimination's
+        path; restricted traces pack the basis instead (_trace_on_space).
+        """
+        columns = self.columns(sigma, op, {s for nz in nonzero for _, s, _ in nz})
         outs = []
         for nz in nonzero:
-            accs = defaultdict(self.zero_vec)
+            accs = {}  # (exponent, plane) -> {target: untwisted value}
             for c, s, x in nz:
                 for exp, col in columns.get(s, ()):
-                    dst = accs[exp][c]
+                    acc = accs.get((exp, c))
+                    if acc is None:
+                        acc = accs[exp, c] = {}
                     for t, coef in col:
-                        dst[t] += coef * x
-            out = self.zero_vec()
-            for exp, acc in accs.items():
-                _add_scaled(out, self._zeta[exp], acc)
-            outs.append(out)
+                        acc[t] = acc.get(t, 0) + coef * x
+            out = {}
+            for (exp, c), acc in accs.items():
+                zcol = [(c2, row[c]) for c2, row in enumerate(self._zeta[exp]) if row[c]]  # zeta^exp * zeta^c
+                for t, v in acc.items():
+                    if v:
+                        dst = out.get(t) or out.setdefault(t, [0] * self.g)
+                        for c2, z in zcol:
+                            dst[c2] += z * v
+            outs.append({t: tuple(v) for t, v in out.items() if any(v)})
         return outs
 
     # -- structured kernels ------------------------------------------------------
@@ -401,25 +437,26 @@ class PeriodModule:
 
     def period_space(self):
         """(basis of Ker(1+S) intersect Ker(1+U+U^2) over the value field, its pivots)."""
-        vectors, pivots, dens = self._scaled_period_space()
-        return [v if d == 1 else [[QQ(x, d) for x in plane] for plane in v] for v, d in zip(vectors, dens)], pivots
+        planes, pivots, dens = self._scaled_period_space()
+        return [self.dense(vp, d) for vp, d in zip(planes, dens)], pivots
 
     def _scaled_period_space(self):
-        """(integer vectors, pivots, dens), dens[k] times period_space(): the
-        free columns of the elimination of the images of the Ker(1+S) vectors
-        under 1+U+U^2 pick Ker(1+S) vectors, whose pivots carry over."""
+        """(sparse integer vectors, pivots, dens), dens[k] times
+        period_space(): the free columns of the elimination of the images of
+        the Ker(1+S) vectors under 1+U+U^2 pick Ker(1+S) vectors, whose
+        pivots carry over.  Each vector is built densely and kept sparse."""
         bs, bpivots = self.kernel_one_plus_S()
-        images = self.apply_entries(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, bs)
         rows = defaultdict(dict)
-        for k, img in enumerate(images):
-            for s in {s for plane in img for s, x in enumerate(plane) if x}:
-                rows[s][k] = tuple([plane[s] for plane in img])
-        del images  # dense; the rows are sparse
+        for k, image in enumerate(self.apply_entries(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, bs)):
+            for s, value in image.items():
+                rows[s][k] = value
         sols, free = _nullspace(rows.values(), self.order, len(bs))
-        vectors = [self.zero_vec() for _ in sols]
-        for vec, sol in zip(vectors, sols):
+        vectors = []
+        for sol in sols:
+            vec = self.zero_vec()
             for k, a in sol.items():
                 _add_entries(vec, self.order, a, bs[k])
+            vectors.append(self.sparse(vec))
         return vectors, [bpivots[fc] for fc in free], [sol[fc][0] for sol, fc in zip(sols, free)]
 
     def translation_fixed_space(self):
@@ -461,14 +498,27 @@ class PeriodModule:
 
     @cached_property
     def period_basis(self):
-        """(integer-scaled basis of period_space(), pivots, scales)."""
-        return _int_space(*self._scaled_period_space())
+        """The Subspace of period_space(), scaled to integers."""
+        return Subspace(self, *self._scaled_period_space())
 
     @cached_property
     def translation_basis(self):
-        """(integer-scaled basis of translation_fixed_space(), pivots,
-        scales)."""
-        return _int_space(*self.translation_fixed_space())
+        """The Subspace of translation_fixed_space(), scaled to integers."""
+        return _int_space(self, *self.translation_fixed_space())
+
+    def sparse(self, vec):
+        """A plane vector's nonzero entries, per plane (coordinates, values);
+        the coordinates are shared int objects."""
+        return [(list(compress(self._coords, plane)), list(filter(None, plane))) for plane in vec]
+
+    def dense(self, planes, d=1):
+        """The plane vector with nonzero entries planes (as sparse() gives
+        them), divided by d."""
+        vec = self.zero_vec()
+        for dst, (coords, values) in zip(vec, planes):
+            for s, x in zip(coords, values):
+                dst[s] = x if d == 1 else QQ(x, d)
+        return vec
 
 
 # -- plane vectors and sparse elimination ---------------------------------------
@@ -587,22 +637,44 @@ def _nullspace(rows, m, ncols):
 # -- cached subspaces and restricted traces -----------------------------------
 
 
-def _int_space(vectors, pivots, scales=None):
-    """(basis rescaled to integer entries, pivots, scales) of plane vectors
-    that are the field's 1 at their own pivot and 0 at the others' pivots,
-    scaled by the lcm of their denominators unless given already scaled.
+class Subspace:
+    """An integer-scaled basis of a cached subspace, laid out for traces.
 
-    Vector k is scaled by d_k = scales[k]; it must then read d_k at pivot k
-    and 0 at every other pivot, in every plane."""
-    basis = vectors
-    if scales is None:
-        scales = [math.lcm(*(x.denominator for plane in v for x in plane)) for v in vectors]
-        basis = [[[int(x * d) for x in plane] for plane in v] for v, d in zip(vectors, scales)]
-    for k, (v, d) in enumerate(zip(basis, scales)):
-        for c, plane in enumerate(v):
-            if [plane[p] for p in pivots] != [d * (c == 0 and j == k) for j in range(len(pivots))]:
-                raise RuntimeError("basis is not reduced at its pivots")
-    return basis, pivots, scales
+    Vector k is d_k = scales[k] times the field's 1 at its own pivot p_k and
+    0 at the other pivots, in every plane (checked here); planes[k] holds
+    its nonzero entries as sparse() gives them.  Kept with it for
+    _trace_on_space: L = lcm(d_k) and factors[k] = L / d_k; support, the
+    coordinates any vector uses; norm, the largest l1 norm of a vector;
+    spread, the largest l1 norm at one coordinate of sum_k factors[k]
+    |vector k|.
+    """
+
+    def __init__(self, mod, planes, pivots, scales):
+        where = {p: j for j, p in enumerate(pivots)}
+        for k, (vp, d) in enumerate(zip(planes, scales)):
+            for c, (coords, values) in enumerate(vp):
+                if {where[s]: x for s, x in zip(coords, values) if s in where} != ({k: d} if c == 0 else {}):
+                    raise RuntimeError("basis is not reduced at its pivots")
+        self.planes, self.pivots, self.scales = planes, pivots, scales
+        self.L = math.lcm(*scales)
+        self.factors = [self.L // d for d in scales]
+        self.support = {s for vp in planes for coords, _ in vp for s in coords}
+        self.norm = max((sum(sum(map(abs, values)) for _, values in vp) for vp in planes), default=0)
+        weight = [0] * mod.dim
+        for vp, f in zip(planes, self.factors):
+            for coords, values in vp:
+                for s, x in zip(coords, values):
+                    weight[s] += f * abs(x)
+        self.spread = max(weight)
+
+
+def _int_space(mod, vectors, pivots):
+    """The Subspace of plane vectors that are the field's 1 at their own
+    pivot and 0 at the others' pivots, each scaled by the lcm of its
+    denominators."""
+    scales = [math.lcm(*(x.denominator for plane in v for x in plane)) for v in vectors]
+    planes = [mod.sparse([[int(x * d) for x in plane] for plane in v]) for v, d in zip(vectors, scales)]
+    return Subspace(mod, planes, pivots, scales)
 
 
 # criteria 4, 5 and 6 open 210 modules in one process and reuse them
@@ -613,38 +685,104 @@ def period_module(N, chi, w):
 
 
 def dim_period_space(N, chi, w):
-    return len(period_module(N, chi, w).period_basis[0])
+    return len(period_module(N, chi, w).period_basis.pivots)
 
 
 def dim_translation_fixed(N, chi, w):
-    return len(period_module(N, chi, w).translation_basis[0])
+    return len(period_module(N, chi, w).translation_basis.pivots)
+
+
+# basis vectors packed into one int per coordinate and plane
+SLAB = 32
+
+
+def _slot_bits(bound):
+    """Width of a signed slot that holds every integer of size at most
+    bound: 2^(bits-1) > bound."""
+    return bound.bit_length() + 1
 
 
 def _trace_on_space(mod, sigma, op, space):
-    """Exact trace of op acting through sigma on a cached subspace, read off
-    the images of its integer basis at the pivots.
+    """Exact trace of op acting through sigma on a cached Subspace, read off
+    the images of its integer basis at the pivots, SLAB vectors at a time.
 
-    Image v has coordinate v[p_k] / d_k on basis vector k.  Before any of it
-    is used, L v - sum_k v[p_k] (L / d_k) basis_k is checked to be zero in Z,
-    with L = lcm(d_k): the image lies exactly in the span."""
-    basis, pivots, scales = space
-    if not basis:
+    A slab is packed into one int per coordinate and plane, vector k of the
+    slab a signed slot of `bits` bits at offset bits * k (Kronecker
+    substitution), so each operator entry costs one big-int multiply-add per
+    plane for the whole slab, and each image plane is twisted once.  Slot k
+    of the image Y_t at coordinate t is coordinate t of the image of vector
+    k, whose coordinate on basis vector j is Y_{p_j} / d_j.  Before any of
+    it is used, R_t = L Y_t - sum_j basis_j[t] (L / d_j) Y_{p_j} must be 0
+    in Z at every t (terms with Y_{p_j} = 0 skipped): every image lies
+    exactly in the span.  The trace adds the diagonal slots of Y_{p_k} / d_k.
+
+    bits comes from an a-priori bound.  With op scaled to integers q_M,
+    alpha = sum |q_M| max|W(M)| * norm * Z bounds every coordinate of every
+    image in every plane, Z = mod.zeta_bound bounding the entries of a
+    twist; max|W(M)| <= max(|a|+|b|, |c|+|d|)^w, since column i of W(M)
+    holds the coefficients of (aX+b)^i (cX+d)^(w-i).  A term b (L / d_j) y
+    of R_t is at most Z |b (L / d_j)|_1 |y|_1 in each plane, with |y|_1 <=
+    g alpha, so every slot of every R_t is at most alpha (L + Z g spread).
+    Packing is linear, so only those final values count: all lie strictly
+    inside (-2^(bits-1), 2^(bits-1)), a packed int is 0 exactly when all
+    its slots are, and a slot reads back exactly from the int biased by
+    2^(bits-1) in every slot.
+    """
+    if not space.pivots:
         return CycloNum.zero(1)
     den = math.lcm(*(q.denominator for q in op.coeffs.values()))
-    entries = [_entries(b) for b in basis]
-    images = mod.apply_entries(sigma, {m: int(q * den) for m, q in op.coeffs.items()}, entries)
-    L = math.lcm(*scales)
-    total = [0] * mod.g
-    for v, p, d in zip(images, pivots, scales):
-        resid = [[L * x for x in plane] for plane in v]
-        for pk, dk, ek in zip(pivots, scales, entries):
-            ck = tuple([-plane[pk] * (L // dk) for plane in v])
-            if any(ck):
-                _add_entries(resid, mod.order, ck, ek)
+    op = {m: int(q * den) for m, q in op.coeffs.items()}
+    columns = mod.columns(sigma, op, space.support)
+    g, dim, L = mod.g, mod.dim, space.L
+    alpha = sum(abs(q) * max(abs(a) + abs(b), abs(c) + abs(d)) ** mod.w for (a, b, c, d), q in op.items())
+    alpha *= space.norm * mod.zeta_bound
+    bits = _slot_bits(alpha * (L + mod.zeta_bound * g * space.spread))
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    total = [0] * g
+    for base in range(0, len(space.pivots), SLAB):
+        slab = range(base, min(base + SLAB, len(space.pivots)))
+        packed = [[0] * dim for _ in range(g)]
+        for k in slab:
+            shift = bits * (k - base)
+            for dst, (coords, values) in zip(packed, space.planes[k]):
+                for s, x in zip(coords, values):
+                    dst[s] += x << shift
+        accs = {}  # exponent -> untwisted image planes
+        for s, cols in columns.items():
+            xs = [(c, plane[s]) for c, plane in enumerate(packed) if plane[s]]
+            if not xs:
+                continue
+            for exp, col in cols:
+                acc = accs.get(exp)
+                if acc is None:
+                    acc = accs[exp] = [[0] * dim for _ in range(g)]
+                for c, y in xs:
+                    dst = acc[c]
+                    for t, x in col:
+                        dst[t] += x * y
+        images = accs.pop(0, None) or [[0] * dim for _ in range(g)]  # zeta^0 is the identity
+        for exp, acc in accs.items():
+            _add_scaled(images, mod._zeta[exp], acc)
+        resid = [[L * y for y in plane] for plane in images]
+        for j, (p, f) in enumerate(zip(space.pivots, space.factors)):
+            ys = [plane[p] * f for plane in images]
+            if not any(ys):
+                continue
+            # basis_j[t] y = sum_c (plane c of basis_j at t) zeta^c y
+            for c, (coords, values) in enumerate(space.planes[j]):
+                zy = ys if c == 0 else [sum([z * y for z, y in zip(row, ys) if z]) for row in mod._zeta[c]]
+                for dst, y in zip(resid, zy):
+                    if y:
+                        for t, x in zip(coords, values):
+                            dst[t] -= x * y
         if any(any(plane) for plane in resid):
             raise RuntimeError("operator does not preserve the subspace")
-        total = [t + plane[p] * (L // d) for t, plane in zip(total, v)]
-    return CycloNum(mod.order if mod.g > 1 else 1, (QQ(t, L * den) for t in total))
+        bias = half * ((1 << (bits * len(slab))) - 1) // mask  # 2^(bits-1) in every slot
+        for k in slab:
+            p, f, shift = space.pivots[k], space.factors[k], bits * (k - base)
+            for c, plane in enumerate(images):
+                total[c] += ((((plane[p] + bias) >> shift) & mask) - half) * f
+    return CycloNum(mod.order if g > 1 else 1, (QQ(t, L * den) for t in total))
 
 
 def _period_job(N, chi, w, sigma, op):

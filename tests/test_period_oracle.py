@@ -11,7 +11,14 @@ import trace_kit
 import trace_kit.period_oracle as po
 from trace_kit.arith import QQ, divisors, euler_phi, gegenbauer, index_phi1, sigma1_N
 from trace_kit.cusp_terms import admissible_cusp_reps
-from trace_kit.dirichlet import cyclo_inverse, enumerate_characters, mult_matrix, trivial_character, zeta_power
+from trace_kit.dirichlet import (
+    CycloNum,
+    cyclo_inverse,
+    enumerate_characters,
+    mult_matrix,
+    trivial_character,
+    zeta_power,
+)
 from trace_kit.hecke_operator import GroupRingElem, build_Tn, build_Tn_infty
 from trace_kit.local_counts import c_class_closed
 from trace_kit.matrix_forms import (
@@ -241,29 +248,46 @@ def _reference_period_space(mod):
     return out, [bpivots[fc] for fc in free]
 
 
-def _in_span(m, vec, space):
-    """Whether the plane vector vec lies in the span of an integer-scaled
-    space (basis, pivots, scales), basis k reading scales[k] at its own
-    pivot and 0 at the others': L vec - sum_k vec[p_k] (L / d_k) basis_k is
-    zero, L = lcm(d_k)."""
-    basis, pivots, scales = space
-    L = math.lcm(*scales)
-    resid = [[L * x for x in plane] for plane in vec]
-    for b, p, d in zip(basis, pivots, scales):
-        coef = [-plane[p] * (L // d) for plane in vec]
+def _in_span(mod, vec, space):
+    """Whether the plane vector vec lies in the span of a Subspace, basis k
+    reading d_k at its own pivot and 0 at the others': L vec - sum_k
+    vec[p_k] (L / d_k) basis_k is zero, L = lcm(d_k), by dense planes."""
+    resid = [[space.L * x for x in plane] for plane in vec]
+    for vp, p, f in zip(space.planes, space.pivots, space.factors):
+        coef = [-plane[p] * f for plane in vec]
         if any(coef):
-            po._add_scaled(resid, mult_matrix(m, coef), b)
+            po._add_scaled(resid, mult_matrix(mod.order, coef), mod.dense(vp))
     return not any(any(plane) for plane in resid)
+
+
+def _reference_trace(mod, sigma, op, space):
+    """The pivot read before packing: the full image of each basis vector
+    by apply_operator, certified by the dense residual of _in_span, then
+    its coordinate on itself read off its pivot."""
+    den = math.lcm(*(q.denominator for q in op.coeffs.values()))
+    ints = {m: int(q * den) for m, q in op.coeffs.items()}
+    images = mod.apply_operator(sigma, ints, [mod.dense(vp) for vp in space.planes])
+    total = [0] * mod.g
+    for v, p, f in zip(images, space.pivots, space.factors):
+        if not _in_span(mod, v, space):
+            raise RuntimeError("operator does not preserve the subspace")
+        total = [t + plane[p] * f for t, plane in zip(total, v)]
+    return CycloNum(mod.order if mod.g > 1 else 1, [QQ(t, space.L * den) for t in total])
+
+
+def _workloads():
+    """The benchmark's workloads module: the spaces oracle-verify visits."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def _oracle_spaces():
     """The (N, character index, k) spaces of the benchmark's oracle-verify
     workload."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.ORACLE_SPACES
+    return _workloads().ORACLE_SPACES
 
 
 def test_period_space_matches_the_dense_reference():
@@ -282,9 +306,9 @@ def test_period_space_matches_the_dense_reference():
             for c, plane in enumerate(vec):
                 assert [plane[p] for p in pivots] == [int((c, j) == (0, k)) for j in range(len(pivots))]
         # membership is tested on integer multiples of the vectors
-        ours, theirs = po._int_space(vectors, pivots), po._int_space(ref, ref_pivots)
-        assert all(_in_span(mod.order, v, theirs) for v in ours[0]), (N, chi.label(), w)
-        assert all(_in_span(mod.order, v, ours) for v in theirs[0]), (N, chi.label(), w)
+        ours, theirs = po._int_space(mod, vectors, pivots), po._int_space(mod, ref, ref_pivots)
+        assert all(_in_span(mod, mod.dense(vp), theirs) for vp in ours.planes), (N, chi.label(), w)
+        assert all(_in_span(mod, mod.dense(vp), ours) for vp in theirs.planes), (N, chi.label(), w)
         orders.add(chi.order)
     assert {3, 4, 10} <= orders
 
@@ -443,6 +467,10 @@ def test_apply_operator_equals_the_blockwise_reference():
         # alone, a sparse vector has the operator assembled on its support only
         for vec, image in zip(vectors, images):
             assert mod.apply_operator(sigma, op, [vec]) == [image], (N, chi.label(), w, sigma)
+        # apply_entries itself keeps each image sparse: nonzero coordinates only
+        for image, sparse in zip(images, mod.apply_entries(sigma, op, [po._entries(v) for v in vectors])):
+            values = {t: tuple(plane[t] for plane in image) for t in range(mod.dim)}
+            assert sparse == {t: value for t, value in values.items() if any(value)}
         zero = op is cancelling or sigma_det(sigma) != mat_det(next(iter(op)))
         assert zero == (not any(any(plane) for image in images for plane in image)), (sigma, op)
 
@@ -501,19 +529,19 @@ def test_kernel_certification():
         chars = [c for c in enumerate_characters(N) if c.parity() == (1 if w % 2 == 0 else -1)]
         for chi in chars[:2]:
             mod = period_module(N, chi, w)
-            for basis, pivots, scales in (mod.period_basis, mod.translation_basis):
-                assert len(basis) == len(pivots) == len(scales)
-                for k, (vec, d) in enumerate(zip(basis, scales)):
+            for space in (mod.period_basis, mod.translation_basis):
+                assert len(space.planes) == len(space.pivots) == len(space.scales)
+                for k, (vp, d) in enumerate(zip(space.planes, space.scales)):
                     assert d >= 1
-                    for c, plane in enumerate(vec):
-                        assert [plane[p] for p in pivots] == [
-                            d if (c, j) == (0, k) else 0 for j in range(len(pivots))
+                    for c, plane in enumerate(mod.dense(vp)):
+                        assert [plane[p] for p in space.pivots] == [
+                            d if (c, j) == (0, k) else 0 for j in range(len(space.pivots))
                         ], (N, chi.label(), w, k, c)
             vectors, pivots = mod.period_space()
             if len(pivots) > 1:
                 # read at the wrong coordinates, the basis is not reduced
                 with pytest.raises(RuntimeError, match="pivots"):
-                    po._int_space(vectors, pivots[1:] + pivots[:1])
+                    po._int_space(mod, vectors, pivots[1:] + pivots[:1])
             for v in vectors:
                 vs = _act(mod, mod.unimodular, S, v)
                 assert all(not any(QQ(x) + QQ(y) for x, y in zip(p, q)) for p, q in zip(v, vs))
@@ -535,6 +563,65 @@ def test_trace_rejects_an_operator_leaving_the_space():
         trace_coboundary(
             4, trivial_character(4), 2, hecke_coset_desc(4, 2), GroupRingElem(2, {(1, 1, 0, 2): 1})
         )
+    # the packed residual on Q(zeta) planes: characters of order 4 and 10
+    for N, label, w in ((5, "5.1", 1), (11, "11.1", 3)):
+        chi = next(c for c in enumerate_characters(N) if c.label() == label)
+        assert chi.order == {5: 4, 11: 10}[N]
+        with pytest.raises(RuntimeError, match="does not preserve"):
+            trace_on_W(N, chi, w, hecke_coset_desc(N, 2), GroupRingElem(2, {(2, 0, 0, 1): 1}))
+
+
+def test_packed_trace_matches_the_pivot_reference():
+    # the packed slabs against the pivot read of full images, on every space
+    # oracle-verify visits, at every degree it asks for there: trace_on_W on
+    # the Hecke and composed cosets, trace_coboundary on Ker(1 - T)
+    workloads = _workloads()
+    for N, ci, k in workloads.ORACLE_SPACES:
+        chi = enumerate_characters(N)[ci]
+        mod = period_module(N, chi, k - 2)
+        for n in range(1, workloads.ORACLE_MAX_N + 1):
+            sigma, op, cob = hecke_coset_desc(N, n), build_Tn(n), build_Tn_infty(n)
+            want = _reference_trace(mod, sigma, op, mod.period_basis)
+            assert trace_on_W(N, chi, k - 2, sigma, op) == want, (N, ci, k, n)
+            want = _reference_trace(mod, sigma, cob, mod.translation_basis)
+            assert trace_coboundary(N, chi, k - 2, sigma, cob) == want, (N, ci, k, n)
+    for N, ell, k in workloads.ATKIN_SPACES:
+        chi = trivial_character(N)
+        mod = period_module(N, chi, k - 2)
+        for n in range(1, workloads.ORACLE_MAX_N // ell + 1):
+            sigma, op = atkin_coset_desc(N, ell, n), build_Tn(n * ell)
+            want = _reference_trace(mod, sigma, op, mod.period_basis)
+            assert trace_on_W(N, chi, k - 2, sigma, op) == want, (N, ell, k, n)
+
+
+def test_packed_trace_across_slabs_and_at_wide_slots():
+    # level 210 at weight 2 fills several slabs; weight 12 at n = 97 packs
+    # the widest slots of the two
+    chi = trivial_character(210)
+    mod = period_module(210, chi, 0)
+    assert len(mod.period_basis.pivots) > 2 * po.SLAB
+    for n in (2, 4):
+        sigma, op = hecke_coset_desc(210, n), build_Tn(n)
+        assert trace_on_W(210, chi, 0, sigma, op) == _reference_trace(mod, sigma, op, mod.period_basis), n
+    mod = period_module(1, T1, 10)
+    sigma = hecke_coset_desc(1, 97)
+    assert trace_on_W(1, T1, 10, sigma, build_Tn(97)) == _reference_trace(mod, sigma, build_Tn(97), mod.period_basis)
+    assert trace_coboundary(1, T1, 10, sigma, build_Tn_infty(97)) == 1 + 97**11
+
+
+def test_packed_slots_hold_their_bound():
+    # a slot _slot_bits(B) wide holds every value of size at most B: values
+    # packed at offsets bits * k read back through the bias of 2^(bits-1) in
+    # every slot, and their packed int is 0 only when they all are
+    rng = random.Random(3)
+    for bound in (1, 2, 3, 7, 8, 255, 256, 2**64 - 1, 2**64, 3**40, 0):
+        bits = po._slot_bits(bound)
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        for values in ([bound, -bound, 0], [-bound] * 4, [bound] * 4, [rng.randint(-bound, bound) for _ in range(9)]):
+            packed = sum(x << (bits * k) for k, x in enumerate(values))
+            bias = half * ((1 << (bits * len(values))) - 1) // mask
+            assert [(((packed + bias) >> (bits * k)) & mask) - half for k in range(len(values))] == values, bound
+            assert (packed == 0) == (not any(values)), bound
 
 
 def test_proof_chain_correction():

@@ -20,19 +20,20 @@ apply_entries, which scatters each Ker(1+S) vector, supported on one or two
 points, into sparse images; each meets at most six blocks, so it costs
 little at any level.
 
-Representation: a vector over Q(zeta_m) is phi(m) parallel "planes" of
-rationals, one per power basis coefficient, or its nonzero entries (plane,
-coordinate, value).  The weight action has integer entries and acts on each
-plane alone; a field element mixes planes through its integer
-multiplication matrix, so the hot loops stay in ints.  Eliminations are
-sparse and fraction-free over Z[zeta_m]: a row maps columns to integer
-coefficient tuples, a pivot row is multiplied by the other Galois conjugates
-of its lead, which makes the lead a rational integer, and other rows are
-cleared by integer cross-multiplication.
+Representation: a vector over Q(zeta_m) is sparse, a dict coordinate ->
+integer coefficient tuple of length phi(m) on the power basis, nonzero
+tuples only.  The Ker(1+S) vectors, their images, the elimination's rows
+and the period space's vectors all take this one form.  The weight action
+has integer entries and acts on each coefficient alone; a field element
+mixes them through its integer multiplication matrix, so the hot loops
+stay in ints.  Eliminations are sparse and fraction-free over Z[zeta_m]: a
+pivot row is multiplied by the other Galois conjugates of its lead, which
+makes the lead a rational integer, and other rows are cleared by integer
+cross-multiplication.
 
-Every cached basis (a Subspace, kept as its nonzero entries) comes out
-reduced: vector k is the field's 1 at its own pivot coordinate p_k and 0 at
-the others' pivots (checked when it is scaled to integers d_k * basis_k).
+Every cached basis (a Subspace) comes out reduced: vector k is d_k times
+the field's 1 at its own pivot coordinate p_k and 0 at the others' pivots,
+checked on whole tuples as it is laid out per plane for the trace.
 A restricted trace therefore reads each image's coordinates v[p_k] / d_k
 straight off the pivots, with no further elimination, and certifies them
 first: L v - sum_k v[p_k] (L / d_k) basis_k must vanish exactly in Z,
@@ -54,7 +55,6 @@ holds the coset membership test, and nothing else.
 import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from itertools import compress
 from operator import add
 
 from .arith import QQ, euler_phi, factorize, sigma1_N, validate_query, xgcd
@@ -280,9 +280,9 @@ def c_atkin_direct(N, ell, m):
 class PeriodModule:
     """Induced polynomial module for (N, chi, w); requires chi(-1) = (-1)^w.
 
-    Vectors are (plane-count x dim) nested lists of exact rationals; the
-    plane count is phi(order(chi)) and collapses to 1 for rational (trivial
-    or quadratic) characters.
+    Vectors are sparse: dicts coordinate -> integer coefficient tuple of
+    length g = phi(order(chi)), nonzero tuples only; g collapses to 1 for
+    rational (trivial or quadratic) characters.
     """
 
     def __init__(self, N, chi, w):
@@ -302,14 +302,6 @@ class PeriodModule:
         self._zeta = [mult_matrix(self.order, zeta_power(self.order, e)) for e in range(self.order)]
         # the largest coefficient of a power of zeta, so of any entry of _zeta
         self.zeta_bound = max(abs(x) for mat in self._zeta for row in mat for x in row)
-        self._coords = list(range(self.dim))
-
-    # -- plane vectors -------------------------------------------------------
-
-    def zero_vec(self):
-        # integer zeros: vectors stay in plain ints whenever the inputs are
-        # integral, which is what the hot paths arrange
-        return [[0] * self.dim for _ in range(self.g)]
 
     def _twist_exponent(self, arg):
         e = self.chi.table()[arg % self.N]
@@ -317,17 +309,6 @@ class PeriodModule:
             raise RuntimeError("character argument is not a unit")
         # exponent is in units of zeta_order
         return e
-
-    def apply_operator(self, sigma, op, vectors):
-        """Apply sum(q_M * |_Sigma M) to a list of plane vectors."""
-        outs = []
-        for image in self.apply_entries(sigma, op, [_entries(vec) for vec in vectors]):
-            out = self.zero_vec()
-            for t, value in image.items():
-                for plane, x in zip(out, value):
-                    plane[t] = x
-            outs.append(out)
-        return outs
 
     def columns(self, sigma, op, support):
         """sum(q_M * |_Sigma M) as sparse columns, one per source coordinate
@@ -363,29 +344,32 @@ class PeriodModule:
                     columns.setdefault(s, {}).setdefault(exp, []).extend(col)
         return {s: list(by_exp.items()) for s, by_exp in columns.items()}
 
-    def apply_entries(self, sigma, op, nonzero):
-        """Apply sum(q_M * |_Sigma M) to vectors given by their nonzero
-        entries (plane, coordinate, value); each image comes back sparse, as
-        a dict target coordinate -> coefficient tuple, nonzero ones only.
+    def apply_entries(self, sigma, op, vectors):
+        """Apply sum(q_M * |_Sigma M) to sparse vectors; each image comes
+        back sparse too, nonzero coefficient tuples only.
 
-        Each vector's entries are scattered through the operator's columns
-        into one untwisted accumulator per (exponent, plane), and each
-        accumulator is mixed through its column of the integer zeta matrix
-        once.  An image of a Ker(1+S) vector meets at most six blocks, so
-        the cost is independent of the level.  This is the elimination's
-        path; restricted traces pack the basis instead (_trace_on_space).
+        Each vector's coefficients are scattered through the operator's
+        columns into one untwisted accumulator per (exponent, plane), and
+        each accumulator is mixed through its column of the integer zeta
+        matrix once.  An image of a Ker(1+S) vector meets at most six
+        blocks, so the cost is independent of the level.  This is the
+        elimination's path; restricted traces pack the basis instead
+        (_trace_on_space).
         """
-        columns = self.columns(sigma, op, {s for nz in nonzero for _, s, _ in nz})
+        columns = self.columns(sigma, op, {s for vec in vectors for s in vec})
         outs = []
-        for nz in nonzero:
+        for vec in vectors:
             accs = {}  # (exponent, plane) -> {target: untwisted value}
-            for c, s, x in nz:
+            for s, value in vec.items():
                 for exp, col in columns.get(s, ()):
-                    acc = accs.get((exp, c))
-                    if acc is None:
-                        acc = accs[exp, c] = {}
-                    for t, coef in col:
-                        acc[t] = acc.get(t, 0) + coef * x
+                    for c, x in enumerate(value):
+                        if not x:
+                            continue
+                        acc = accs.get((exp, c))
+                        if acc is None:
+                            acc = accs[exp, c] = {}
+                        for t, coef in col:
+                            acc[t] = acc.get(t, 0) + coef * x
             out = {}
             for (exp, c), acc in accs.items():
                 zcol = [(c2, row[c]) for c2, row in enumerate(self._zeta[exp]) if row[c]]  # zeta^exp * zeta^c
@@ -400,7 +384,7 @@ class PeriodModule:
     # -- structured kernels ------------------------------------------------------
 
     def kernel_one_plus_S(self):
-        """(basis of Ker(1 + S) as nonzero entries, its pivots): free blocks
+        """(basis of Ker(1 + S) as sparse vectors, its pivots): free blocks
         on point pairs, local kernels at fixed points.  Each basis vector is
         the field's 1 at its own pivot coordinate and 0 at the others'."""
         w1 = self.w + 1
@@ -421,50 +405,59 @@ class PeriodModule:
                 rows = [{c: t for c in range(w1) if any(t := tuple(wm[r][c] * x + (r == c) * o for x, o in zip(z, z0)))}
                         for r in range(w1)]
                 sols, free = _nullspace(rows, self.order, w1)
-                for sol in sols:
-                    basis.append([(c, j * w1 + k, x) for k, t in sol.items() for c, x in enumerate(t) if x])
+                basis.extend({j * w1 + k: t for k, t in sol.items()} for sol in sols)
                 pivots.extend(j * w1 + fc for fc in free)
                 seen.add(j)
             else:
                 # free block at i, determined block at j = -zeta^e W_S block_i
                 for k in range(w1):
-                    block = [(c, j * w1 + r, -x * wm[r][k]) for c, x in enumerate(z) for r in range(w1) if x * wm[r][k]]
-                    basis.append([(0, i * w1 + k, 1)] + block)
+                    vec = {i * w1 + k: z0}
+                    vec.update((j * w1 + r, tuple([-x * wm[r][k] for x in z])) for r in range(w1) if wm[r][k])
+                    basis.append(vec)
                     pivots.append(i * w1 + k)
                 seen.add(i)
                 seen.add(j)
         return basis, pivots
 
-    def period_space(self):
-        """(basis of Ker(1+S) intersect Ker(1+U+U^2) over the value field, its pivots)."""
-        planes, pivots, dens = self._scaled_period_space()
-        return [self.dense(vp, d) for vp, d in zip(planes, dens)], pivots
-
     def _scaled_period_space(self):
-        """(sparse integer vectors, pivots, dens), dens[k] times
-        period_space(): the free columns of the elimination of the images of
-        the Ker(1+S) vectors under 1+U+U^2 pick Ker(1+S) vectors, whose
-        pivots carry over.  Each vector is built densely and kept sparse."""
+        """(sparse integer vectors, pivots, dens) of the period space
+        Ker(1+S) intersect Ker(1+U+U^2): vector k is dens[k] times the
+        field's 1 at pivot k and 0 at the others'.  The free columns of the
+        elimination of the images of the Ker(1+S) vectors under 1+U+U^2 pick
+        Ker(1+S) vectors, whose pivots carry over.  The vectors, sums of
+        Ker(1+S) vectors, come lazily: each is built as it is consumed."""
         bs, bpivots = self.kernel_one_plus_S()
         rows = defaultdict(dict)
         for k, image in enumerate(self.apply_entries(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, bs)):
             for s, value in image.items():
                 rows[s][k] = value
         sols, free = _nullspace(rows.values(), self.order, len(bs))
-        vectors = []
-        for sol in sols:
-            vec = self.zero_vec()
-            for k, a in sol.items():
-                _add_entries(vec, self.order, a, bs[k])
-            vectors.append(self.sparse(vec))
-        return vectors, [bpivots[fc] for fc in free], [sol[fc][0] for sol, fc in zip(sols, free)]
+        m = self.order
 
-    def translation_fixed_space(self):
-        """(basis of Ker(1 - T), its pivots): one vector per admissible
-        translation orbit, pivoted at the orbit's start point."""
+        def combine(sol):
+            vec = {}
+            for k, a in sol.items():
+                for s, t in bs[k].items():
+                    p = cyclo_mul(m, a, t)
+                    old = vec.get(s)
+                    vec[s] = p if old is None else tuple(map(add, old, p))
+            return {s: t for s, t in vec.items() if any(t)}
+
+        return map(combine, sols), [bpivots[fc] for fc in free], [sol[fc][0] for sol, fc in zip(sols, free)]
+
+    @cached_property
+    def period_basis(self):
+        """The Subspace of the period space, scaled to integers."""
+        return Subspace(self, *self._scaled_period_space())
+
+    @cached_property
+    def translation_basis(self):
+        """The Subspace of Ker(1 - T): one vector per admissible translation
+        orbit, powers of zeta at the orbit's points, pivoted at the orbit's
+        start point with scale 1."""
         w1 = self.w + 1
         pmap = sigma_block_map(self.unimodular, T)
-        basis = []
+        vectors = []
         pivots = []
         done = set()
         for j0 in range(self.npoints):
@@ -483,78 +476,31 @@ class PeriodModule:
             done.update(cycle)
             if sum(exps) % self.order:
                 continue  # inadmissible orbit: only the zero invariant vector
-            slots = [(j0, 0)]
+            vec = {j0 * w1: zeta_power(self.order, 0)}
             run = 0
             for k in range(len(cycle) - 1, 0, -1):
                 run = (run + exps[k]) % self.order
-                slots.append((cycle[k], run))
-            vec = self.zero_vec()
-            for point, e in slots:
-                for c, x in enumerate(zeta_power(self.order, e)):
-                    vec[c][point * w1] = x
-            basis.append(vec)
+                vec[cycle[k] * w1] = zeta_power(self.order, run)
+            vectors.append(vec)
             pivots.append(j0 * w1)
-        return basis, pivots
-
-    @cached_property
-    def period_basis(self):
-        """The Subspace of period_space(), scaled to integers."""
-        return Subspace(self, *self._scaled_period_space())
-
-    @cached_property
-    def translation_basis(self):
-        """The Subspace of translation_fixed_space(), scaled to integers."""
-        return _int_space(self, *self.translation_fixed_space())
-
-    def sparse(self, vec):
-        """A plane vector's nonzero entries, per plane (coordinates, values);
-        the coordinates are shared int objects."""
-        return [(list(compress(self._coords, plane)), list(filter(None, plane))) for plane in vec]
-
-    def dense(self, planes, d=1):
-        """The plane vector with nonzero entries planes (as sparse() gives
-        them), divided by d."""
-        vec = self.zero_vec()
-        for dst, (coords, values) in zip(vec, planes):
-            for s, x in zip(coords, values):
-                dst[s] = x if d == 1 else QQ(x, d)
-        return vec
+        return Subspace(self, vectors, pivots, [1] * len(pivots))
 
 
-# -- plane vectors and sparse elimination ---------------------------------------
-
-
-def _entries(vec):
-    """Nonzero entries (plane, coordinate, value) of a plane vector."""
-    return [(c, s, x) for c, plane in enumerate(vec) for s, x in enumerate(plane) if x]
+# -- plane sums and sparse elimination ------------------------------------------
 
 
 def _add_scaled(dst, qmat, src):
-    """dst += q * src on plane vectors, q given by its multiplication matrix.
+    """dst += q * src on lists of per-plane values, q given by its
+    multiplication matrix.
 
     Replaces the planes of dst by new lists; src is left alone."""
     for c, qrow in enumerate(qmat):
         plane = dst[c]
         for q, splane in zip(qrow, src):
             if q:
-                # an exact zero on either side skips a rational addition
+                # an exact zero on either side skips a big-int addition
                 plane = [(d + q * s if d else q * s) if s else d for d, s in zip(plane, splane)]
         dst[c] = plane
-
-
-def _add_entries(dst, m, a, entries):
-    """dst += a * v in place, a a coefficient tuple and v given by its
-    nonzero entries; column c of a's multiplication matrix is a * zeta^c."""
-    if len(a) == 1:
-        plane, y = dst[0], a[0]
-        for _, s, x in entries:
-            plane[s] += y * x
-        return
-    cols = list(zip(*mult_matrix(m, a)))
-    for c, s, x in entries:
-        for plane, y in zip(dst, cols[c]):
-            if y:
-                plane[s] += y * x
 
 
 def _primitive(row, sign=1):
@@ -640,41 +586,38 @@ def _nullspace(rows, m, ncols):
 class Subspace:
     """An integer-scaled basis of a cached subspace, laid out for traces.
 
-    Vector k is d_k = scales[k] times the field's 1 at its own pivot p_k and
-    0 at the other pivots, in every plane (checked here); planes[k] holds
-    its nonzero entries as sparse() gives them.  Kept with it for
-    _trace_on_space: L = lcm(d_k) and factors[k] = L / d_k; support, the
-    coordinates any vector uses; norm, the largest l1 norm of a vector;
-    spread, the largest l1 norm at one coordinate of sum_k factors[k]
-    |vector k|.
+    Built from sparse vectors, taken one at a time: vector k must be d_k =
+    scales[k] times the field's 1 at its own pivot p_k and 0 at the other
+    pivots, compared on whole coefficient tuples.  Only its packing layout
+    is kept: planes[k][c] = (coordinates, values) of the nonzero
+    coefficients of zeta^c.  Kept with it for _trace_on_space: L = lcm(d_k)
+    and factors[k] = L / d_k; support, the coordinates any vector uses;
+    norm, the largest l1 norm of a vector; spread, the largest l1 norm at
+    one coordinate of sum_k factors[k] |vector k|.
     """
 
-    def __init__(self, mod, planes, pivots, scales):
+    def __init__(self, mod, vectors, pivots, scales):
         where = {p: j for j, p in enumerate(pivots)}
-        for k, (vp, d) in enumerate(zip(planes, scales)):
-            for c, (coords, values) in enumerate(vp):
-                if {where[s]: x for s, x in zip(coords, values) if s in where} != ({k: d} if c == 0 else {}):
-                    raise RuntimeError("basis is not reduced at its pivots")
-        self.planes, self.pivots, self.scales = planes, pivots, scales
+        zeros = (0,) * (mod.g - 1)
+        self.pivots, self.scales = pivots, scales
         self.L = math.lcm(*scales)
         self.factors = [self.L // d for d in scales]
-        self.support = {s for vp in planes for coords, _ in vp for s in coords}
-        self.norm = max((sum(sum(map(abs, values)) for _, values in vp) for vp in planes), default=0)
+        self.planes = []
         weight = [0] * mod.dim
-        for vp, f in zip(planes, self.factors):
-            for coords, values in vp:
-                for s, x in zip(coords, values):
-                    weight[s] += f * abs(x)
+        for k, (vec, d, f) in enumerate(zip(vectors, scales, self.factors)):
+            if {where[s]: t for s, t in vec.items() if s in where} != {k: (d, *zeros)}:
+                raise RuntimeError("basis is not reduced at its pivots")
+            vp = [([], []) for _ in range(mod.g)]
+            for s, t in vec.items():
+                for (coords, values), x in zip(vp, t):
+                    if x:
+                        coords.append(s)
+                        values.append(x)
+                        weight[s] += f * abs(x)
+            self.planes.append(vp)
+        self.support = {s for s, x in enumerate(weight) if x}
+        self.norm = max((sum(sum(map(abs, values)) for _, values in vp) for vp in self.planes), default=0)
         self.spread = max(weight)
-
-
-def _int_space(mod, vectors, pivots):
-    """The Subspace of plane vectors that are the field's 1 at their own
-    pivot and 0 at the others' pivots, each scaled by the lcm of its
-    denominators."""
-    scales = [math.lcm(*(x.denominator for plane in v for x in plane)) for v in vectors]
-    planes = [mod.sparse([[int(x * d) for x in plane] for plane in v]) for v, d in zip(vectors, scales)]
-    return Subspace(mod, planes, pivots, scales)
 
 
 # criteria 4, 5 and 6 open 210 modules in one process and reuse them

@@ -50,9 +50,62 @@ from trace_kit.trace_formulas import trace_hecke_cusp
 from trace_kit.verification import _DIM_LEVELS, _parity_chars, eta_product
 
 
+def _zero(mod):
+    """The zero plane vector: one list of values per power of zeta."""
+    return [[0] * mod.dim for _ in range(mod.g)]
+
+
+def _dense(mod, planes):
+    """The plane vector of a Subspace's per-plane (coordinates, values)
+    layout."""
+    vec = _zero(mod)
+    for dst, (coords, values) in zip(vec, planes):
+        for s, x in zip(coords, values):
+            dst[s] = x
+    return vec
+
+
+def _entries(vec):
+    """The sparse vector of a plane vector: coordinate -> coefficient tuple,
+    nonzero tuples only."""
+    return {s: t for s, t in enumerate(zip(*vec)) if any(t)}
+
+
+def _plane_vector(mod, vec, d=1):
+    """The plane vector of a sparse vector, divided by d."""
+    out = _zero(mod)
+    for s, t in vec.items():
+        for plane, x in zip(out, t):
+            plane[s] = x if d == 1 else QQ(x, d)
+    return out
+
+
+def _apply(mod, sigma, op, vectors):
+    """Apply sum(q_M * |_Sigma M) to a list of plane vectors, through
+    apply_entries."""
+    return [_plane_vector(mod, image) for image in mod.apply_entries(sigma, op, [_entries(v) for v in vectors])]
+
+
+def _int_space(mod, vectors, pivots):
+    """The Subspace of plane vectors that are the field's 1 at their own
+    pivot and 0 at the others' pivots, each scaled by the lcm of its
+    denominators."""
+    scales = [math.lcm(*(x.denominator for plane in v for x in plane)) for v in vectors]
+    ints = [_entries([[int(x * d) for x in plane] for plane in v]) for v, d in zip(vectors, scales)]
+    return po.Subspace(mod, ints, pivots, scales)
+
+
+def _period_space(mod):
+    """(basis of Ker(1+S) intersect Ker(1+U+U^2) over the value field as
+    plane vectors, its pivots): the cached basis before its integer
+    scaling."""
+    vectors, pivots, dens = mod._scaled_period_space()
+    return [_plane_vector(mod, vec, d) for vec, d in zip(vectors, dens)], pivots
+
+
 def _act(mod, sigma, m, vec):
     """vec acted on by the single matrix m through the coset descriptor sigma."""
-    return mod.apply_operator(sigma, {m: 1}, [vec])[0]
+    return _apply(mod, sigma, {m: 1}, [vec])[0]
 
 
 T1 = trivial_character(1)
@@ -151,7 +204,7 @@ def test_generator_relations_on_module():
             chi = [c for c in chars if c.parity() == (1 if w % 2 == 0 else -1)][0]
         mod = period_module(N, chi, w)
         rng = random.Random(5)
-        vec = mod.zero_vec()
+        vec = _zero(mod)
         for c in range(mod.g):
             for i in range(mod.dim):
                 vec[c][i] = QQ(rng.randint(-4, 4))
@@ -164,7 +217,7 @@ def test_generator_relations_on_module():
 def test_translation_permutation_at_weight_zero():
     # at weight zero the translation acts by a twisted point permutation
     mod = period_module(6, trivial_character(6), 0)
-    vec = mod.zero_vec()
+    vec = _zero(mod)
     vec[0][3] = QQ(1)
     out = _act(mod, mod.unimodular, T, vec)
     assert sorted(out[0]) == sorted(vec[0])
@@ -229,18 +282,13 @@ def _reference_period_space(mod):
     elimination of the images of the Ker(1+S) vectors, each W vector
     rebuilt densely from them."""
     bs, bpivots = mod.kernel_one_plus_S()
-    dense = []
-    for entries in bs:
-        vec = mod.zero_vec()
-        for c, s, x in entries:
-            vec[c][s] = x
-        dense.append(vec)
-    images = mod.apply_operator(mod.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, dense)
+    dense = [_plane_vector(mod, vec) for vec in bs]
+    images = _apply(mod, mod.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, dense)
     rows = [[[img[c][r] for img in images] for c in range(mod.g)] for r in range(mod.dim)]
     combos, free = _reference_nullspace(rows, mod.order, len(bs))
     out = []
     for combo in combos:
-        acc = mod.zero_vec()
+        acc = _zero(mod)
         for coef, bvec in zip(zip(*combo), dense):
             if any(coef):
                 po._add_scaled(acc, mult_matrix(mod.order, coef), bvec)
@@ -256,17 +304,17 @@ def _in_span(mod, vec, space):
     for vp, p, f in zip(space.planes, space.pivots, space.factors):
         coef = [-plane[p] * f for plane in vec]
         if any(coef):
-            po._add_scaled(resid, mult_matrix(mod.order, coef), mod.dense(vp))
+            po._add_scaled(resid, mult_matrix(mod.order, coef), _dense(mod, vp))
     return not any(any(plane) for plane in resid)
 
 
 def _reference_trace(mod, sigma, op, space):
     """The pivot read before packing: the full image of each basis vector
-    by apply_operator, certified by the dense residual of _in_span, then
+    through apply_entries, certified by the dense residual of _in_span, then
     its coordinate on itself read off its pivot."""
     den = math.lcm(*(q.denominator for q in op.coeffs.values()))
     ints = {m: int(q * den) for m, q in op.coeffs.items()}
-    images = mod.apply_operator(sigma, ints, [mod.dense(vp) for vp in space.planes])
+    images = _apply(mod, sigma, ints, [_dense(mod, vp) for vp in space.planes])
     total = [0] * mod.g
     for v, p, f in zip(images, space.pivots, space.factors):
         if not _in_span(mod, v, space):
@@ -299,16 +347,16 @@ def test_period_space_matches_the_dense_reference():
     orders = set()
     for N, chi, w in spaces:
         mod = period_module(N, chi, w)
-        vectors, pivots = mod.period_space()
+        vectors, pivots = _period_space(mod)
         ref, ref_pivots = _reference_period_space(mod)
         assert len(vectors) == len(pivots) == len(ref), (N, chi.label(), w)
         for k, vec in enumerate(vectors):
             for c, plane in enumerate(vec):
                 assert [plane[p] for p in pivots] == [int((c, j) == (0, k)) for j in range(len(pivots))]
         # membership is tested on integer multiples of the vectors
-        ours, theirs = po._int_space(mod, vectors, pivots), po._int_space(mod, ref, ref_pivots)
-        assert all(_in_span(mod, mod.dense(vp), theirs) for vp in ours.planes), (N, chi.label(), w)
-        assert all(_in_span(mod, mod.dense(vp), ours) for vp in theirs.planes), (N, chi.label(), w)
+        ours, theirs = _int_space(mod, vectors, pivots), _int_space(mod, ref, ref_pivots)
+        assert all(_in_span(mod, _dense(mod, vp), theirs) for vp in ours.planes), (N, chi.label(), w)
+        assert all(_in_span(mod, _dense(mod, vp), ours) for vp in theirs.planes), (N, chi.label(), w)
         orders.add(chi.order)
     assert {3, 4, 10} <= orders
 
@@ -325,7 +373,7 @@ def test_kernel_sum_spans_module():
         dim = mod.dim
         cols = []
         for i in range(dim):
-            e = mod.zero_vec()
+            e = _zero(mod)
             e[0][i] = QQ(1)
             vu = _act(mod, mod.unimodular, U, e)
             vuu = _act(mod, mod.unimodular, U, vu)
@@ -403,19 +451,19 @@ def test_block_map_equals_reference_scan():
 
 
 def _blockwise_apply(mod, sigma, op, vectors):
-    """Reference for apply_operator: every term on its own, its weight action
+    """Reference for apply_entries: every term on its own, its weight action
     applied to the source block of each point and twisted by chi there."""
     w1 = mod.w + 1
     outs = []
     for vec in vectors:
-        out = mod.zero_vec()
+        out = _zero(mod)
         for m, q in op.items():
             wm = weight_action(m, mod.w)
             for j, ent in enumerate(sigma_block_map(sigma, m)):
                 if ent is None:
                     continue
                 i, arg = ent
-                term = mod.zero_vec()
+                term = _zero(mod)
                 for dst, src in zip(term, vec):
                     for r in range(w1):
                         dst[j * w1 + r] = q * sum(wm[r][c] * src[i * w1 + c] for c in range(w1))
@@ -431,7 +479,7 @@ def _random_vectors(mod, rng):
     vectors = []
     for exact in (int, Fraction):
         for points in (rng.sample(range(mod.npoints), 2), range(mod.npoints)):
-            vec = mod.zero_vec()
+            vec = _zero(mod)
             for plane in vec:
                 for p in points:
                     for r in range(w1):
@@ -462,13 +510,13 @@ def test_apply_operator_equals_the_blockwise_reference():
     for N, chi, w, sigma, op in jobs:
         mod = period_module(N, chi, w)
         vectors = _random_vectors(mod, rng)
-        images = mod.apply_operator(sigma, op, vectors)
+        images = _apply(mod, sigma, op, vectors)
         assert images == _blockwise_apply(mod, sigma, op, vectors), (N, chi.label(), w, sigma)
         # alone, a sparse vector has the operator assembled on its support only
         for vec, image in zip(vectors, images):
-            assert mod.apply_operator(sigma, op, [vec]) == [image], (N, chi.label(), w, sigma)
+            assert _apply(mod, sigma, op, [vec]) == [image], (N, chi.label(), w, sigma)
         # apply_entries itself keeps each image sparse: nonzero coordinates only
-        for image, sparse in zip(images, mod.apply_entries(sigma, op, [po._entries(v) for v in vectors])):
+        for image, sparse in zip(images, mod.apply_entries(sigma, op, [_entries(v) for v in vectors])):
             values = {t: tuple(plane[t] for plane in image) for t in range(mod.dim)}
             assert sparse == {t: value for t, value in values.items() if any(value)}
         zero = op is cancelling or sigma_det(sigma) != mat_det(next(iter(op)))
@@ -483,7 +531,7 @@ def test_sigma_block_map_unreachable():
     # every block must map somewhere or nowhere consistently; just check shape
     assert len(bm) == len(coset_table(4))
     mod = period_module(4, trivial_character(4), 0)
-    vec = mod.zero_vec()
+    vec = _zero(mod)
     for i in range(mod.dim):
         vec[0][i] = QQ(1)
     out = _act(mod, sigma, (2, 4, 4, 10), vec)  # det 4 != 2: never members
@@ -503,7 +551,7 @@ def test_action_compatibility():
     for m in mats:
         for g in (S, T, U):
             gm = mat_mul(g, m)
-            vec = mod.zero_vec()
+            vec = _zero(mod)
             for c in range(mod.g):
                 for i in range(mod.dim):
                     vec[c][i] = QQ(rng.randint(-3, 3))
@@ -533,15 +581,15 @@ def test_kernel_certification():
                 assert len(space.planes) == len(space.pivots) == len(space.scales)
                 for k, (vp, d) in enumerate(zip(space.planes, space.scales)):
                     assert d >= 1
-                    for c, plane in enumerate(mod.dense(vp)):
+                    for c, plane in enumerate(_dense(mod, vp)):
                         assert [plane[p] for p in space.pivots] == [
                             d if (c, j) == (0, k) else 0 for j in range(len(space.pivots))
                         ], (N, chi.label(), w, k, c)
-            vectors, pivots = mod.period_space()
+            vectors, pivots = _period_space(mod)
             if len(pivots) > 1:
                 # read at the wrong coordinates, the basis is not reduced
                 with pytest.raises(RuntimeError, match="pivots"):
-                    po._int_space(mod, vectors, pivots[1:] + pivots[:1])
+                    _int_space(mod, vectors, pivots[1:] + pivots[:1])
             for v in vectors:
                 vs = _act(mod, mod.unimodular, S, v)
                 assert all(not any(QQ(x) + QQ(y) for x, y in zip(p, q)) for p, q in zip(v, vs))
@@ -552,6 +600,22 @@ def test_kernel_certification():
                     for p, q, r in zip(v, vu, vuu)
                 ]
                 assert not any(any(p) for p in total)
+
+
+def test_subspace_checks_reducedness_on_whole_tuples():
+    # at a character of order 4 a coefficient tuple has two planes; a nonzero
+    # zeta coefficient at a vector's own pivot, or at another's, is not the
+    # reduced layout, even where plane 0 alone looks right
+    chi = next(c for c in enumerate_characters(5) if c.label() == "5.1")
+    mod = period_module(5, chi, 1)
+    assert mod.g == 2
+    bs, pivots = mod.kernel_one_plus_S()
+    assert len(po.Subspace(mod, bs, pivots, [1] * len(bs)).planes) == len(bs) > 1
+    for k, p, t in ((0, pivots[0], (1, 1)), (1, pivots[1], (1, -1)), (0, pivots[1], (0, 1))):
+        bad = [dict(v) for v in bs]
+        bad[k][p] = t
+        with pytest.raises(RuntimeError, match="not reduced"):
+            po.Subspace(mod, bad, pivots, [1] * len(bs))
 
 
 def test_trace_rejects_an_operator_leaving_the_space():

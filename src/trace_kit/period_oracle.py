@@ -11,14 +11,13 @@ coset, so there is one action routine for both.  The points fixed by a
 matrix give the direct conjugacy-class weights (c_class_direct,
 c_atkin_direct) and the trace on the whole module.
 
-An operator sum(q_M M) is first assembled into sparse integer columns
-(PeriodModule.columns), one per source coordinate in use, each holding
-lists of (target coordinate, coefficient) grouped by chi twist exponent:
-the terms' q_M times their weight action are summed block by block, and
-entries that cancel are dropped.  The elimination applies them with
-apply_entries, which scatters each Ker(1+S) vector, supported on one or two
-points, into sparse images; each meets at most six blocks, so it costs
-little at any level.
+An operator sum(q_M M) is assembled only as summed integer blocks
+(PeriodModule.blocks), q_M times the weight action added block by block
+per (source point, target point, chi twist exponent).  The elimination
+(apply_entries) sends each nonzero coordinate of a Ker(1+S) vector through
+its column of each block from its point; an image meets at most six
+blocks, so it costs little at any level.  A restricted trace gathers each
+target coordinate's row over the blocks reaching it, one dot product each.
 
 Representation: a vector over Q(zeta_m) is sparse, a dict coordinate ->
 integer coefficient tuple of length phi(m) on the power basis, nonzero
@@ -55,7 +54,8 @@ holds the coset membership test, and nothing else.
 import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from operator import add
+from itertools import compress, repeat
+from operator import add, mul
 
 from .arith import QQ, euler_phi, factorize, sigma1_N, validate_query, xgcd
 from .dirichlet import CycloNum, cyclo_conjugates, cyclo_mul, mult_matrix, zeta_power
@@ -310,17 +310,13 @@ class PeriodModule:
         # exponent is in units of zeta_order
         return e
 
-    def columns(self, sigma, op, support):
-        """sum(q_M * |_Sigma M) as sparse columns, one per source coordinate
-        in support: source -> [(chi twist exponent, [(target, coefficient)])].
-
-        The terms are summed block by block first: q_M W(M), W(M) the weight
-        action, lands on the block (source point, target point, exponent)
-        of each point it maps, as one flat (w+1)^2 addition; then each
-        block's nonzero entries are spread over its columns, so entries
-        that cancel are dropped."""
-        w1 = self.w + 1
-        points = {s // w1 for s in support}
+    def blocks(self, sigma, op, points):
+        """sum(q_M * |_Sigma M) as integer blocks from the source points in
+        points: (source point i, target point j, chi twist exponent e) ->
+        the sum of q_M W(M), W(M) the weight action, over the terms sending
+        the block at i to j, a flat row-major list.  Entry (r, c) carries
+        coordinate c at point i to coordinate r at point j, before the
+        twist by zeta^e; entries that cancel read 0."""
         blocks = {}  # (source point, target point, exponent) -> summed q W(M), row-major
         for m, q in op.items():
             flat = None
@@ -335,41 +331,39 @@ class PeriodModule:
                     flat = [q * x for row in weight_action(m, self.w) for x in row]
                 blk = blocks.get((i, j, exp))
                 blocks[i, j, exp] = flat if blk is None else list(map(add, blk, flat))
-        columns = {}  # source coordinate -> exponent -> [(target, coefficient)]
-        for (i, j, exp), blk in blocks.items():
-            for c in range(w1):
-                s = i * w1 + c
-                col = [(j * w1 + r, x) for r, x in enumerate(blk[c::w1]) if x]
-                if col and s in support:
-                    columns.setdefault(s, {}).setdefault(exp, []).extend(col)
-        return {s: list(by_exp.items()) for s, by_exp in columns.items()}
+        return blocks
 
     def apply_entries(self, sigma, op, vectors):
         """Apply sum(q_M * |_Sigma M) to sparse vectors; each image comes
         back sparse too, nonzero coefficient tuples only.
 
-        Each vector's coefficients are scattered through the operator's
-        columns into one untwisted accumulator per (exponent, plane), and
-        each accumulator is mixed through its column of the integer zeta
-        matrix once.  An image of a Ker(1+S) vector meets at most six
-        blocks, so the cost is independent of the level.  This is the
-        elimination's path; restricted traces pack the basis instead
-        (_trace_on_space).
+        Each nonzero coordinate of a vector goes through its column of every
+        block from its point into one untwisted accumulator per (exponent,
+        plane), each mixed through its column of the integer zeta matrix
+        once.  A Ker(1+S) vector has at most two nonzero coordinates, on one
+        or two points, so its image meets at most six blocks, at a cost
+        independent of the level.  Restricted traces pack the basis instead.
         """
-        columns = self.columns(sigma, op, {s for vec in vectors for s in vec})
+        w1 = self.w + 1
+        by_source = defaultdict(list)  # source point -> [(exponent, first target coordinate, block)]
+        for (i, j, exp), blk in self.blocks(sigma, op, {s // w1 for vec in vectors for s in vec}).items():
+            by_source[i].append((exp, j * w1, blk))
         outs = []
         for vec in vectors:
             accs = {}  # (exponent, plane) -> {target: untwisted value}
             for s, value in vec.items():
-                for exp, col in columns.get(s, ()):
+                i, k = divmod(s, w1)
+                for exp, t0, blk in by_source.get(i, ()):
+                    col = blk[k::w1]  # the block's image of the unit vector at s
                     for c, x in enumerate(value):
                         if not x:
                             continue
                         acc = accs.get((exp, c))
                         if acc is None:
                             acc = accs[exp, c] = {}
-                        for t, coef in col:
-                            acc[t] = acc.get(t, 0) + coef * x
+                        for t, coef in enumerate(col, t0):
+                            if coef:
+                                acc[t] = acc.get(t, 0) + coef * x
             out = {}
             for (exp, c), acc in accs.items():
                 zcol = [(c2, row[c]) for c2, row in enumerate(self._zeta[exp]) if row[c]]  # zeta^exp * zeta^c
@@ -570,14 +564,20 @@ def _nullspace(rows, m, ncols):
     for col in reversed(done):
         for j in [j for j in done[col] if j != col and j in done]:
             done[col] = _clear(m, done[col], j, done[j])
+    # a pivot row now holds its pivot and free columns only; once the free
+    # columns have their denominators, each row is spent on their vectors
     free = [j for j in range(ncols) if j not in done]
-    basis = []
-    for fc in free:
-        uses = [(col, row[col][0], row[fc]) for col, row in done.items() if fc in row]
-        den = math.lcm(*(L for _, L, _ in uses))
-        basis.append({fc: tuple(den * x for x in zeta_power(m, 0))})
-        basis[-1].update((col, tuple(-x * (den // L) for x in t)) for col, L, t in uses)
-    return basis, free
+    dens = dict.fromkeys(free, 1)
+    for col, row in done.items():
+        for j in row.keys() - {col}:
+            dens[j] = math.lcm(dens[j], row[col][0])
+    basis = {fc: {fc: tuple(den * x for x in zeta_power(m, 0))} for fc, den in dens.items()}
+    for col in list(done):
+        row = done.pop(col)
+        L = row.pop(col)[0]
+        for j, t in row.items():
+            basis[j][col] = tuple(-x * (dens[j] // L) for x in t)
+    return list(basis.values()), free
 
 
 # -- cached subspaces and restricted traces -----------------------------------
@@ -649,11 +649,13 @@ def _trace_on_space(mod, sigma, op, space):
     """Exact trace of op acting through sigma on a cached Subspace, read off
     the images of its integer basis at the pivots, SLAB vectors at a time.
 
-    A slab is packed into one int per coordinate and plane, vector k of the
-    slab a signed slot of `bits` bits at offset bits * k (Kronecker
-    substitution), so each operator entry costs one big-int multiply-add per
-    plane for the whole slab, and each image plane is twisted once.  Slot k
-    of the image Y_t at coordinate t is coordinate t of the image of vector
+    Row t of the operator, one per exponent, gathers the nonzero entries
+    of every block in its row landing on coordinate t.  A slab is packed
+    into one int per coordinate and plane, vector k a signed slot of `bits`
+    bits at offset bits * k (Kronecker substitution), so image coordinate t
+    of a plane is one C-level dot product of row t with the packed sources
+    for the whole slab, and each image plane is twisted once.  Slot k of
+    the image Y_t at coordinate t is coordinate t of the image of vector
     k, whose coordinate on basis vector j is Y_{p_j} / d_j.  Before any of
     it is used, R_t = L Y_t - sum_j basis_j[t] (L / d_j) Y_{p_j} must be 0
     in Z at every t (terms with Y_{p_j} = 0 skipped): every image lies
@@ -675,8 +677,15 @@ def _trace_on_space(mod, sigma, op, space):
         return CycloNum.zero(1)
     den = math.lcm(*(q.denominator for q in op.coeffs.values()))
     op = {m: int(q * den) for m, q in op.coeffs.items()}
-    columns = mod.columns(sigma, op, space.support)
-    g, dim, L = mod.g, mod.dim, space.L
+    g, dim, L, w1 = mod.g, mod.dim, space.L, mod.w + 1
+    # exponent -> (source coordinates, coefficients): one list of each per target coordinate
+    rows = defaultdict(lambda: ([[] for _ in range(dim)], [[] for _ in range(dim)]))
+    for (i, j, exp), blk in mod.blocks(sigma, op, {s // w1 for s in space.support}).items():
+        sources, coefficients = rows[exp]
+        for r in range(w1):
+            row = blk[r * w1 : (r + 1) * w1]
+            sources[j * w1 + r].extend(compress(range(i * w1, (i + 1) * w1), row))
+            coefficients[j * w1 + r].extend(filter(None, row))
     alpha = sum(abs(q) * max(abs(a) + abs(b), abs(c) + abs(d)) ** mod.w for (a, b, c, d), q in op.items())
     alpha *= space.norm * mod.zeta_bound
     bits = _slot_bits(alpha * (L + mod.zeta_bound * g * space.spread))
@@ -690,19 +699,10 @@ def _trace_on_space(mod, sigma, op, space):
             for dst, (coords, values) in zip(packed, space.planes[k]):
                 for s, x in zip(coords, values):
                     dst[s] += x << shift
-        accs = {}  # exponent -> untwisted image planes
-        for s, cols in columns.items():
-            xs = [(c, plane[s]) for c, plane in enumerate(packed) if plane[s]]
-            if not xs:
-                continue
-            for exp, col in cols:
-                acc = accs.get(exp)
-                if acc is None:
-                    acc = accs[exp] = [[0] * dim for _ in range(g)]
-                for c, y in xs:
-                    dst = acc[c]
-                    for t, x in col:
-                        dst[t] += x * y
+        accs = {  # exponent -> untwisted image planes, one dot product per target coordinate
+            exp: [list(map(sum, map(map, repeat(mul), coefficients, map(map, repeat(plane.__getitem__), sources)))) for plane in packed]
+            for exp, (sources, coefficients) in rows.items()
+        }
         images = accs.pop(0, None) or [[0] * dim for _ in range(g)]  # zeta^0 is the identity
         for exp, acc in accs.items():
             _add_scaled(images, mod._zeta[exp], acc)

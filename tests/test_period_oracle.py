@@ -673,6 +673,18 @@ def test_packed_trace_across_slabs_and_at_wide_slots():
     assert trace_coboundary(1, T1, 10, sigma, build_Tn_infty(97)) == 1 + 97**11
 
 
+def test_scalar_blocks_under_a_zeta_twist_across_slabs():
+    # weight 2 makes every block 1x1; a character of order 3 twists the
+    # images by powers of zeta, over three slabs of the period basis
+    chi = next(c for c in enumerate_characters(210) if c.label() == "210.2")
+    assert (chi.order, euler_phi(chi.order)) == (3, 2)
+    mod = period_module(210, chi, 0)
+    assert len(mod.period_basis.pivots) == 96 == 3 * po.SLAB
+    for n in (2, 3, 4, 6):
+        sigma, op = hecke_coset_desc(210, n), build_Tn(n)
+        assert trace_on_W(210, chi, 0, sigma, op) == _reference_trace(mod, sigma, op, mod.period_basis), n
+
+
 def test_packed_slots_hold_their_bound():
     # a slot _slot_bits(B) wide holds every value of size at most B: values
     # packed at offsets bits * k read back through the bias of 2^(bits-1) in

@@ -7,6 +7,7 @@ this package targets (N, n up to about 10**6).
 
 import math
 from fractions import Fraction as QQ
+from functools import lru_cache
 
 __all__ = [
     "QQ",
@@ -34,9 +35,10 @@ isqrt = math.isqrt
 
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
-_factor_cache: dict[int, tuple[tuple[int, int], ...]] = {}
 
-
+# Memo bound, from the distinct keys seen: a Tier-1 run factors 10,500
+# integers, a CI command at most 398, and `trace --level 1 --n 1:4000` 4,000.
+@lru_cache(maxsize=1 << 14)
 def factorize(n):
     """Prime factorization of n >= 1 as a tuple of (p, e) with p increasing.
 
@@ -45,33 +47,27 @@ def factorize(n):
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    cached = _factor_cache.get(n)
-    if cached is not None:
-        return cached
-    m = n
     out = []
     for p in (2, 3, 5):
-        if m % p == 0:
+        if n % p == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while n % p == 0:
+                n //= p
                 e += 1
             out.append((p, e))
     p, i = 7, 0
-    while p * p <= m:
-        if m % p == 0:
+    while p * p <= n:
+        if n % p == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while n % p == 0:
+                n //= p
                 e += 1
             out.append((p, e))
         p += _WHEEL[i]
         i = (i + 1) % 8
-    if m > 1:
-        out.append((m, 1))
-    result = tuple(out)
-    _factor_cache[n] = result
-    return result
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 def divisors(n):

@@ -124,32 +124,15 @@ def _emit(records, fmt, stream):
 def _trace_one(args_tuple):
     level, weight, char_label, ell, n, space = args_tuple
     chi = _resolve_char(level, char_label)
-    warning = None
-    if ell is not None:
-        if space == "full":
-            val = CycloNum.from_rational(trace_atkin_full(level, ell, weight, n))
-            breakdown = {}
-        else:
-            res = trace_atkin_lehner(level, ell, weight, n)
-            val = res.value
-            breakdown = {
-                "elliptic": _value_json(res.elliptic),
-                "hyperbolic": _value_json(res.hyperbolic),
-                "correction": _value_json(res.correction),
-            }
-    else:
-        if space == "full":
+    res = None
+    if space == "full":
+        if ell is None:
             val = trace_hecke_full(level, chi, weight, n)
-            breakdown = {}
         else:
-            res = trace_hecke_cusp(level, chi, weight, n)
-            val = res.value
-            warning = res.warning
-            breakdown = {
-                "elliptic": _value_json(res.elliptic),
-                "hyperbolic": _value_json(res.hyperbolic),
-                "correction": _value_json(res.correction),
-            }
+            val = CycloNum.from_rational(trace_atkin_full(level, ell, weight, n))
+    else:
+        res = trace_hecke_cusp(level, chi, weight, n) if ell is None else trace_atkin_lehner(level, ell, weight, n)
+        val = res.value
     record = {
         "level": level,
         "weight": weight,
@@ -159,10 +142,10 @@ def _trace_one(args_tuple):
         "space": space,
         "exact": _value_json(val),
         "approx": _approx_str(val),
-        "breakdown": breakdown,
+        "breakdown": {part: _value_json(getattr(res, part)) for part in ("elliptic", "hyperbolic", "correction")} if res else {},
     }
-    if warning:
-        record["warning"] = warning
+    if res and res.warning:
+        record["warning"] = res.warning
     return record
 
 

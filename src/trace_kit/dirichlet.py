@@ -184,10 +184,6 @@ class CycloNum:
         return CycloNum.from_rational(0, order)
 
     @staticmethod
-    def one(order=1):
-        return CycloNum.from_rational(1, order)
-
-    @staticmethod
     def root_of_unity(order, k=1):
         """zeta_order^k."""
         return CycloNum(order, (QQ(c) for c in zeta_power(order, k)))

@@ -324,30 +324,14 @@ def matrix_with_form(t, q):
 
 
 def epsilon(m):
-    """Conjugacy-class weight: area term on scalars, sign/stabilizer off them.
-
-    Scalar -> 1/6; disc 0 nonscalar -> 0; positive square disc -> 1;
-    positive nonsquare -> 0; negative disc -> -1/stab with stab read off
-    disc/content^2 (-3 -> 3, -4 -> 2, else 1).
-    """
-    n = mat_det(m)
-    if n <= 0:
-        raise ValueError("epsilon needs det > 0")
-    q = quad_form_of(m)
-    if q == (0, 0, 0):
+    """Conjugacy-class weight: 1/6 on scalars, 0 where the stabilizer is
+    infinite, else +-1/stab_order(m) with sign + for positive discriminant."""
+    stab = stab_order(m)
+    if quad_form_of(m) == (0, 0, 0):
         return QQ(1, 6)
-    D = mat_trace(m) ** 2 - 4 * n
-    if D == 0:
+    if stab is None:
         return QQ(0)
-    if D > 0:
-        return QQ(1) if is_square(D) else QQ(0)
-    g = form_content(q)
-    d0 = D // (g * g)
-    if d0 == -3:
-        return QQ(-1, 3)
-    if d0 == -4:
-        return QQ(-1, 2)
-    return QQ(-1)
+    return QQ(1 if mat_trace(m) ** 2 > 4 * mat_det(m) else -1, stab)
 
 
 def stab_order(m):

@@ -209,7 +209,6 @@ def atkin_coset_desc(N, ell, n):
     return (N, ell, n)
 
 
-@lru_cache(maxsize=65536)
 def sigma_block_map(sigma, m):
     """Per point j: None, or (source point i, chi argument mod N).
 
@@ -221,6 +220,9 @@ def sigma_block_map(sigma, m):
     d = y_b mod ell, joined by CRT.  There is no source when y_a or y_c is
     nonzero mod ell, (y_a, y_c) is not primitive mod N' or (y_b, y_d) is not
     primitive mod ell.  Each source found is certified by in_atkin_coset.
+
+    Not memoized: a map holds one slot per point of P^1(Z/N), and a range of
+    degrees almost never asks for the same (sigma, m) twice.
     """
     N, ell, _ = sigma
     table = coset_table(N)

@@ -1,7 +1,9 @@
 import ast
 import importlib.util
 import math
+import pkgutil
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,9 +147,36 @@ def test_projective_line_matches_the_unit_orbit_reference():
             assert tb.index_of(*point) == i and tb.index_of(lift[2], lift[3]) == i, (N, i)
 
 
-def test_memo_tables_are_bounded():
-    for table in (coset_table, sigma_block_map, weight_action, period_module):
-        assert table.cache_info().maxsize is not None
+def test_every_memo_table_is_bounded():
+    # every lru_cache of the package, found by walking its modules and their
+    # classes, so a new memo table is covered without being listed here
+    tables = {}
+    for info in pkgutil.iter_modules(trace_kit.__path__):
+        module = importlib.import_module(f"trace_kit.{info.name}")
+        for obj in vars(module).values():
+            for fn in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
+                fn = getattr(fn, "__func__", fn)  # staticmethod and classmethod
+                if hasattr(fn, "cache_info"):
+                    tables[f"{fn.__module__}.{fn.__qualname__}"] = fn.cache_info().maxsize
+    assert "trace_kit.arith.factorize" in tables and "trace_kit.period_oracle.period_module" in tables
+    assert [name for name, maxsize in tables.items() if maxsize is None] == []
+
+
+def test_a_range_of_degrees_does_not_grow_memory():
+    # the coset action is level-sized and recomputed per degree: once the
+    # basis and the first trace are built, further degrees retain only
+    # their small weight actions
+    chi = trivial_character(210)
+    ops = {n: build_Tn(n) for n in range(2, 9)}
+    trace_on_W(210, chi, 0, hecke_coset_desc(210, 2), ops[2])
+    tracemalloc.start()
+    try:
+        for n in range(3, 9):
+            trace_on_W(210, chi, 0, hecke_coset_desc(210, n), ops[n])
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 20, grown
 
 
 def test_period_module_bound_holds_the_criteria_grid():

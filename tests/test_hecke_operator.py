@@ -194,6 +194,10 @@ def test_variants_agree():
         assert build_Tn(n, "geometric") == build_Tn(n, "condensed"), n
 
 
+def test_build_Tn_memo_is_bounded():
+    assert build_Tn.cache_info().maxsize is not None
+
+
 def test_group_ring_relations():
     assert ONE_PLUS_S * ONE_PLUS_S == ONE_PLUS_S.scale(2)
     assert ONE_PLUS_UUU * ONE_PLUS_UUU == ONE_PLUS_UUU.scale(3)

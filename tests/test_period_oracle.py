@@ -147,6 +147,12 @@ def test_projective_line_matches_the_unit_orbit_reference():
             assert tb.index_of(*point) == i and tb.index_of(lift[2], lift[3]) == i, (N, i)
 
 
+def test_memo_tables_are_bounded():
+    for table in (coset_table, weight_action, period_module):
+        assert table.cache_info().maxsize is not None
+    assert not hasattr(sigma_block_map, "cache_info")
+
+
 def test_every_memo_table_is_bounded():
     # every lru_cache of the package, found by walking its modules and their
     # classes, so a new memo table is covered without being listed here

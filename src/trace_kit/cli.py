@@ -51,7 +51,10 @@ def _usage_error(message):
 def _worker_count():
     env = os.environ.get("TRACE_KIT_THREADS")
     if env:
-        count = int(env)
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
         if count < 1:
             _usage_error("TRACE_KIT_THREADS must be a positive integer")
         return count

@@ -19,7 +19,7 @@ __all__ = [
     "admissible_cusp_reps",
     "cusp_count",
     "phi_chi",
-    "phi_ell",
+    "cusp_sum",
     "phi_generic",
     "eisenstein_trace",
     "coboundary_trace",
@@ -107,14 +107,17 @@ def phi_chi(N, chi, a, d):
     return chi.total(lifts)
 
 
-def phi_ell(N, ell, a, d):
-    """Cusp sum for the composed Hecke/Atkin-Lehner coset (exact rational):
-    phi(ell)/ell times the trivial-character sum at level N/ell when
-    ell | a + d, else 0."""
+def cusp_sum(N, ell, chi, n, weight):
+    """The cusp rule of the Hecke (ell = 1) and composed traces: phi(ell)/ell
+    times the sum over a*d = ell*n with ell | a + d of phi_chi(N/ell, chi,
+    a, d) weight(a, d), chi a character mod N/ell."""
     require_exact_divisor(N, ell)
-    if (a + d) % ell:
-        return QQ(0)
-    return phi_chi(N // ell, trivial_character(N // ell), a, d).as_rational() * QQ(euler_phi(ell), ell)
+    total = CycloNum.zero(chi.order)
+    for a in divisors(n * ell):
+        d = n * ell // a
+        if (a + d) % ell == 0:
+            total = total + phi_chi(N // ell, chi, a, d) * weight(a, d)
+    return total * QQ(euler_phi(ell), ell)
 
 
 # -- direct enumeration oracle ----------------------------------------------------
@@ -151,17 +154,11 @@ def phi_generic(sigma, chi, w, a, d):
 
 
 def _eisenstein(N, ell, chi, k, n, side):
-    """phi(ell)/ell times the sum over n*ell = a*d with ell | a + d of
-    phi_chi(N/ell, chi, a, d) (a, d)[side]^(k-1); chi is a character mod
-    N/ell, and ell = 1 is the Hecke operator."""
+    """The cusp sum of (a, d)[side]^(k-1), chi a character mod N/ell; ell = 1
+    is the Hecke operator."""
     if chi.parity() != (1 if k % 2 == 0 else -1):
         return CycloNum.zero(chi.order)
-    total = CycloNum.zero(chi.order)
-    for a in divisors(n * ell):
-        pair = (a, n * ell // a)
-        if sum(pair) % ell == 0:
-            total = total + phi_chi(N // ell, chi, *pair) * pair[side] ** (k - 1)
-    total = total * QQ(euler_phi(ell), ell)
+    total = cusp_sum(N, ell, chi, n, lambda a, d: (a, d)[side] ** (k - 1))
     if k == 2 and chi.is_trivial():
         total = total - sigma1_N(N, n)
     return total

@@ -11,23 +11,22 @@ coset, so there is one action routine for both.  The points fixed by a
 matrix give the direct conjugacy-class weights (c_class_direct,
 c_atkin_direct) and the trace on the whole module.
 
-An operator sum(q_M M) is assembled only as summed integer blocks
-(PeriodModule.blocks), q_M times the weight action added block by block
-per (source point, target point, chi twist exponent).  The elimination
-(apply_entries) sends each nonzero coordinate of a Ker(1+S) vector through
-its column of each block from its point; an image meets at most six
-blocks, so it costs little at any level.  A restricted trace gathers each
-target coordinate's row over the blocks reaching it, one dot product each.
+An operator sum(q_M M) is applied one way only, as gathered rows
+(PeriodModule.rows): q_M times the weight action summed block by block per
+(source point, target point, chi twist exponent), then each target
+coordinate's nonzero entries gathered per exponent.  A restricted trace
+takes one dot product per row; the period space's elimination takes each
+row through the (at most two) Ker(1+S) vectors holding each source.
 
 Representation: a vector over Q(zeta_m) is sparse, a dict coordinate ->
 integer coefficient tuple of length phi(m) on the power basis, nonzero
-tuples only.  The Ker(1+S) vectors, their images, the elimination's rows
-and the period space's vectors all take this one form.  The weight action
-has integer entries and acts on each coefficient alone; a field element
-mixes them through its integer multiplication matrix, so the hot loops
-stay in ints.  Eliminations are sparse and fraction-free over Z[zeta_m]: a
-pivot row is multiplied by the other Galois conjugates of its lead, which
-makes the lead a rational integer, and other rows are cleared by integer
+tuples only.  The Ker(1+S) vectors, the elimination's rows and the period
+space's vectors all take this one form.  The weight action has integer
+entries and acts on each coefficient alone; a field element mixes them
+through its integer multiplication matrix, so the hot loops stay in ints.
+Eliminations are sparse and fraction-free over Z[zeta_m]: a pivot row is
+multiplied by the other Galois conjugates of its lead, which makes the lead
+a rational integer, and other rows are cleared by integer
 cross-multiplication.
 
 Every cached basis (a Subspace) comes out reduced: vector k is d_k times
@@ -312,13 +311,15 @@ class PeriodModule:
         # exponent is in units of zeta_order
         return e
 
-    def blocks(self, sigma, op, points):
-        """sum(q_M * |_Sigma M) as integer blocks from the source points in
-        points: (source point i, target point j, chi twist exponent e) ->
-        the sum of q_M W(M), W(M) the weight action, over the terms sending
-        the block at i to j, a flat row-major list.  Entry (r, c) carries
-        coordinate c at point i to coordinate r at point j, before the
-        twist by zeta^e; entries that cancel read 0."""
+    def rows(self, sigma, op, points):
+        """sum(q_M * |_Sigma M) from the source points in points, gathered
+        by target coordinate: chi twist exponent e -> (sources,
+        coefficients), one list of each per target coordinate t, holding
+        the nonzero entries (source coordinate, integer coefficient) of row
+        t before the twist by zeta^e.  The terms are first summed as blocks,
+        q_M W(M) (W the weight action) added per (source point, target
+        point, exponent), so entries that cancel are left out."""
+        w1, dim = self.w + 1, self.dim
         blocks = {}  # (source point, target point, exponent) -> summed q W(M), row-major
         for m, q in op.items():
             flat = None
@@ -333,49 +334,14 @@ class PeriodModule:
                     flat = [q * x for row in weight_action(m, self.w) for x in row]
                 blk = blocks.get((i, j, exp))
                 blocks[i, j, exp] = flat if blk is None else list(map(add, blk, flat))
-        return blocks
-
-    def apply_entries(self, sigma, op, vectors):
-        """Apply sum(q_M * |_Sigma M) to sparse vectors; each image comes
-        back sparse too, nonzero coefficient tuples only.
-
-        Each nonzero coordinate of a vector goes through its column of every
-        block from its point into one untwisted accumulator per (exponent,
-        plane), each mixed through its column of the integer zeta matrix
-        once.  A Ker(1+S) vector has at most two nonzero coordinates, on one
-        or two points, so its image meets at most six blocks, at a cost
-        independent of the level.  Restricted traces pack the basis instead.
-        """
-        w1 = self.w + 1
-        by_source = defaultdict(list)  # source point -> [(exponent, first target coordinate, block)]
-        for (i, j, exp), blk in self.blocks(sigma, op, {s // w1 for vec in vectors for s in vec}).items():
-            by_source[i].append((exp, j * w1, blk))
-        outs = []
-        for vec in vectors:
-            accs = {}  # (exponent, plane) -> {target: untwisted value}
-            for s, value in vec.items():
-                i, k = divmod(s, w1)
-                for exp, t0, blk in by_source.get(i, ()):
-                    col = blk[k::w1]  # the block's image of the unit vector at s
-                    for c, x in enumerate(value):
-                        if not x:
-                            continue
-                        acc = accs.get((exp, c))
-                        if acc is None:
-                            acc = accs[exp, c] = {}
-                        for t, coef in enumerate(col, t0):
-                            if coef:
-                                acc[t] = acc.get(t, 0) + coef * x
-            out = {}
-            for (exp, c), acc in accs.items():
-                zcol = [(c2, row[c]) for c2, row in enumerate(self._zeta[exp]) if row[c]]  # zeta^exp * zeta^c
-                for t, v in acc.items():
-                    if v:
-                        dst = out.get(t) or out.setdefault(t, [0] * self.g)
-                        for c2, z in zcol:
-                            dst[c2] += z * v
-            outs.append({t: tuple(v) for t, v in out.items() if any(v)})
-        return outs
+        rows = defaultdict(lambda: ([[] for _ in range(dim)], [[] for _ in range(dim)]))
+        for (i, j, exp), blk in blocks.items():
+            sources, coefficients = rows[exp]
+            for r in range(w1):
+                row = blk[r * w1 : (r + 1) * w1]
+                sources[j * w1 + r].extend(compress(range(i * w1, (i + 1) * w1), row))
+                coefficients[j * w1 + r].extend(filter(None, row))
+        return rows
 
     # -- structured kernels ------------------------------------------------------
 
@@ -415,20 +381,48 @@ class PeriodModule:
                 seen.add(j)
         return basis, pivots
 
+    def _period_system(self, bs):
+        """The sparse rows whose common kernel, in the coordinates of the
+        Ker(1+S) vectors bs, is the period space: row t of 1+U+U^2 (rows)
+        taken through the (at most two) vectors holding each of its
+        sources, twisted once per (vector, exponent)."""
+        m = self.order
+        holders = defaultdict(list)  # coordinate -> [(k, value of bs[k] there)]
+        for k, vec in enumerate(bs):
+            for s, t in vec.items():
+                holders[s].append((k, t))
+        gathered = self.rows(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, range(self.npoints))
+        rows = []
+        for t in range(self.dim):
+            row = {}
+            for exp, (sources, coefficients) in gathered.items():
+                part = {}  # k -> value before the twist by zeta^exp
+                for s, q in zip(sources[t], coefficients[t]):
+                    for k, value in holders.get(s, ()):
+                        old = part.get(k)
+                        part[k] = [q * x for x in value] if old is None else [y + q * x for y, x in zip(old, value)]
+                for k, value in part.items():
+                    value = cyclo_mul(m, value, zeta_power(m, exp)) if exp else value
+                    old = row.get(k)
+                    row[k] = value if old is None else list(map(add, old, value))
+            row = {k: tuple(value) for k, value in row.items() if any(value)}
+            if row:
+                rows.append(row)
+        # by the first vector a row holds, then its last, descending: fewer
+        # clearing steps than coordinate order
+        rows.sort(key=lambda row: (min(row), -max(row)))
+        return rows
+
     def _scaled_period_space(self):
         """(sparse integer vectors, pivots, dens) of the period space
         Ker(1+S) intersect Ker(1+U+U^2): vector k is dens[k] times the
         field's 1 at pivot k and 0 at the others'.  The free columns of the
-        elimination of the images of the Ker(1+S) vectors under 1+U+U^2 pick
-        Ker(1+S) vectors, whose pivots carry over.  The vectors, sums of
-        Ker(1+S) vectors, come lazily: each is built as it is consumed."""
+        elimination of _period_system pick Ker(1+S) vectors, whose pivots
+        carry over.  The vectors, sums of Ker(1+S) vectors, come lazily:
+        each is built as it is consumed."""
         bs, bpivots = self.kernel_one_plus_S()
-        rows = defaultdict(dict)
-        for k, image in enumerate(self.apply_entries(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, bs)):
-            for s, value in image.items():
-                rows[s][k] = value
-        sols, free = _nullspace(rows.values(), self.order, len(bs))
         m = self.order
+        sols, free = _nullspace(self._period_system(bs), m, len(bs))
 
         def combine(sol):
             vec = {}
@@ -651,8 +645,8 @@ def _trace_on_space(mod, sigma, op, space):
     """Exact trace of op acting through sigma on a cached Subspace, read off
     the images of its integer basis at the pivots, SLAB vectors at a time.
 
-    Row t of the operator, one per exponent, gathers the nonzero entries
-    of every block in its row landing on coordinate t.  A slab is packed
+    Row t of the operator, one per exponent (PeriodModule.rows), holds the
+    nonzero entries landing on coordinate t.  A slab is packed
     into one int per coordinate and plane, vector k a signed slot of `bits`
     bits at offset bits * k (Kronecker substitution), so image coordinate t
     of a plane is one C-level dot product of row t with the packed sources
@@ -680,14 +674,7 @@ def _trace_on_space(mod, sigma, op, space):
     den = math.lcm(*(q.denominator for q in op.coeffs.values()))
     op = {m: int(q * den) for m, q in op.coeffs.items()}
     g, dim, L, w1 = mod.g, mod.dim, space.L, mod.w + 1
-    # exponent -> (source coordinates, coefficients): one list of each per target coordinate
-    rows = defaultdict(lambda: ([[] for _ in range(dim)], [[] for _ in range(dim)]))
-    for (i, j, exp), blk in mod.blocks(sigma, op, {s // w1 for s in space.support}).items():
-        sources, coefficients = rows[exp]
-        for r in range(w1):
-            row = blk[r * w1 : (r + 1) * w1]
-            sources[j * w1 + r].extend(compress(range(i * w1, (i + 1) * w1), row))
-            coefficients[j * w1 + r].extend(filter(None, row))
+    rows = mod.rows(sigma, op, {s // w1 for s in space.support})
     alpha = sum(abs(q) * max(abs(a) + abs(b), abs(c) + abs(d)) ** mod.w for (a, b, c, d), q in op.items())
     alpha *= space.norm * mod.zeta_bound
     bits = _slot_bits(alpha * (L + mod.zeta_bound * g * space.spread))

@@ -15,7 +15,6 @@ from functools import partial
 from .arith import (
     QQ,
     divisors,
-    euler_phi,
     gegenbauer,
     index_phi1,
     is_square,
@@ -26,7 +25,7 @@ from .arith import (
     validate_query,
 )
 from .class_numbers import h0, hurwitz_H
-from .cusp_terms import phi_chi
+from .cusp_terms import cusp_sum
 from .dirichlet import CycloNum, trivial_character
 from .local_counts import B_coeff, C_coeff
 
@@ -104,19 +103,14 @@ def _class_sum(N, ell, chi, w, n, t):
 def _cusp_trace(N, ell, chi, k, n):
     """Trace of T_n composed with W_ell on cusp forms, chi a character mod
     N/ell: t runs over the multiples of ell, the elliptic and hyperbolic
-    terms carry ell^(-w/2), and the hyperbolic term phi(ell)/ell with
-    ell | a + d."""
+    terms carry ell^(-w/2), and the hyperbolic term is the cusp sum of
+    min(a, d)^(k-1)."""
     w, m = k - 2, ell * n
     scale = QQ(-1, 2 * ell ** (w // 2))
     ts = range(0, isqrt(4 * m) + 1, ell)
     elliptic = _fold_t(ts, partial(_class_sum, N, ell, chi, w, n)) * scale
 
-    hyper = CycloNum.zero(chi.order)
-    for a in divisors(m):
-        d = m // a
-        if (a + d) % ell == 0:
-            hyper = hyper + phi_chi(N // ell, chi, a, d) * min(a, d) ** (k - 1)
-    hyper = hyper * (scale * QQ(euler_phi(ell), ell))
+    hyper = cusp_sum(N, ell, chi, n, lambda a, d: min(a, d) ** (k - 1)) * scale
 
     corr = CycloNum.from_rational(sigma1_N(N, n) if k == 2 and chi.is_trivial() else 0, chi.order)
     return TraceResult(elliptic + hyper + corr, elliptic, hyper, corr)

@@ -97,31 +97,22 @@ def criterion_kronecker_hurwitz(quick=False):
             return False, f"Kronecker-Hurwitz fails at n={n}: {total}"
     precompute(dtop)
     for D in range(-dtop, dtop + 1):
-        lhs = hurwitz_H(-D)
-        rhs = QQ(0)
+        # H(-D) = sum of h0(D/d^2) and h0(-D) = sum of mu(d) H(D/d^2), d^2 | D
         if D == 0:
-            rhs = h0(0)
+            H_sum, h0_sum = h0(0), hurwitz_H(0)
         else:
+            H_sum = h0_sum = QQ(0)
             d = 1
             while d * d <= abs(D):
                 if D % (d * d) == 0:
-                    rhs += h0(D // (d * d))
-                d += 1
-        if lhs != rhs:
-            return False, f"inversion H(-D) fails at D={D}"
-        lhs2 = h0(-D)
-        rhs2 = QQ(0)
-        if D == 0:
-            rhs2 = hurwitz_H(0)
-        else:
-            d = 1
-            while d * d <= abs(D):
-                if D % (d * d) == 0:
+                    H_sum += h0(D // (d * d))
                     mu = moebius(d)
                     if mu:
-                        rhs2 += hurwitz_H(D // (d * d)) * mu
+                        h0_sum += hurwitz_H(D // (d * d)) * mu
                 d += 1
-        if lhs2 != rhs2:
+        if hurwitz_H(-D) != H_sum:
+            return False, f"inversion H(-D) fails at D={D}"
+        if h0(-D) != h0_sum:
             return False, f"inversion h0(-D) fails at D={D}"
     return True, f"relation n<=ntop={ntop}, inversion |D|<={dtop}"
 

@@ -163,3 +163,13 @@ def test_worker_env(capsys, monkeypatch):
     monkeypatch.setenv("TRACE_KIT_THREADS", "1")
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_worker_env_rejects_bad_values(capsys, monkeypatch, value):
+    monkeypatch.setenv("TRACE_KIT_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--level", "1", "--weight", "12", "--n", "1:2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and not out.out
+    assert out.err == "error: TRACE_KIT_THREADS must be a positive integer\n"

@@ -9,10 +9,10 @@ from trace_kit.cusp_terms import (
     coboundary_trace_atkin,
     cusp_count,
     cusp_reps,
+    cusp_sum,
     eisenstein_trace,
     eisenstein_trace_atkin,
     phi_chi,
-    phi_ell,
     phi_generic,
 )
 from trace_kit.dirichlet import enumerate_characters, trivial_character
@@ -25,27 +25,32 @@ def test_phi_chi_examples():
     assert phi_chi(6, trivial_character(6), 2, 3) == 1
 
 
-def test_phi_ell_examples():
-    assert phi_ell(6, 1, 2, 3) == 1  # matches the trivial-character cusp sum
-    assert phi_ell(6, 2, 1, 2) == 0  # 2 does not divide 1+2
-    assert phi_ell(6, 3, 1, 1) == 0  # 3 does not divide 1+1
-    assert phi_ell(2, 2, 1, 1) == QQ(1, 2)
+def _pick(a, d):
+    """A cusp_sum weight that keeps the pair (a, d) alone."""
+    return lambda x, y: int((x, y) == (a, d))
+
+
+def test_cusp_sum_examples():
+    assert cusp_sum(6, 1, trivial_character(6), 6, _pick(2, 3)) == 1  # the trivial-character phi_chi
+    assert cusp_sum(6, 2, trivial_character(3), 1, _pick(1, 2)) == 0  # 2 does not divide 1+2
+    assert cusp_sum(6, 3, trivial_character(2), 1, _pick(1, 3)) == 0  # 3 does not divide 1+3
+    assert cusp_sum(2, 2, trivial_character(1), 2, _pick(2, 2)) == QQ(1, 2)
     with pytest.raises(ValueError):
-        phi_ell(4, 2, 1, 1)
+        cusp_sum(4, 2, trivial_character(2), 1, _pick(1, 2))
 
 
-def test_phi_ell_matches_phi_chi_at_one():
+def test_cusp_sum_matches_phi_chi_at_one():
     for N in range(1, 13):
-        chiN = trivial_character(N)
-        for ad in range(1, 16):
-            for a in divisors(ad):
-                assert phi_ell(N, 1, a, ad // a) == phi_chi(N, chiN, a, ad // a)
+        for chi in enumerate_characters(N):
+            for ad in range(1, 16):
+                for a in divisors(ad):
+                    assert cusp_sum(N, 1, chi, ad, _pick(a, ad // a)) == phi_chi(N, chi, a, ad // a)
 
 
-def _phi_ell_by_gcd_conditions(N, ell, a, d):
-    """The composed cusp sum by its gcd conditions: when ell | a + d,
-    phi(ell)/ell times the sum of phi((r,s)) over N/ell = r*s with
-    (r,s) | a - d, (r, a) = 1 and (s, d) = 1."""
+def _cusp_sum_by_gcd_conditions(N, ell, a, d):
+    """The composed cusp sum's (a, d) term by its gcd conditions: when
+    ell | a + d, phi(ell)/ell times the sum of phi((r,s)) over N/ell = r*s
+    with (r,s) | a - d, (r, a) = 1 and (s, d) = 1."""
     if (a + d) % ell:
         return QQ(0)
     count = 0
@@ -57,15 +62,18 @@ def _phi_ell_by_gcd_conditions(N, ell, a, d):
     return QQ(euler_phi(ell) * count, ell)
 
 
-def test_phi_ell_matches_the_gcd_condition_count():
+def test_cusp_sum_matches_the_gcd_condition_count():
+    # every pair a*d = ell*n < 40 that the composed traces reach
     for N in range(1, 61):
         for ell in divisors(N):
             if math.gcd(ell, N // ell) != 1:
                 continue
-            for ad in range(1, 40):
+            chi = trivial_character(N // ell)
+            for ad in range(ell, 40, ell):
                 for a in divisors(ad):
                     d = ad // a
-                    assert phi_ell(N, ell, a, d) == _phi_ell_by_gcd_conditions(N, ell, a, d), (N, ell, a, d)
+                    got = cusp_sum(N, ell, chi, ad // ell, _pick(a, d))
+                    assert got == _cusp_sum_by_gcd_conditions(N, ell, a, d), (N, ell, a, d)
 
 
 def test_cusp_reps_partition():
@@ -145,8 +153,9 @@ def test_phi_generic_atkin():
             for a in divisors(n * ell):
                 d = n * ell // a
                 got = phi_generic(atkin_coset_desc(N, ell, n), chi, 0, a, d)
-                assert got == phi_ell(N, ell, a, d), (N, ell, a, d)
-                assert phi_ell(N, ell, a, d) == phi_ell(N, ell, d, a)
+                closed = cusp_sum(N, ell, trivial_character(N // ell), n, _pick(a, d))
+                assert got == closed, (N, ell, a, d)
+                assert closed == cusp_sum(N, ell, trivial_character(N // ell), n, _pick(d, a))
 
 
 def _cusp_orbit_data(N):

@@ -5,6 +5,7 @@ import pkgutil
 import random
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -83,9 +84,26 @@ def _plane_vector(mod, vec, d=1):
 
 
 def _apply(mod, sigma, op, vectors):
-    """Apply sum(q_M * |_Sigma M) to a list of plane vectors, through
-    apply_entries."""
-    return [_plane_vector(mod, image) for image in mod.apply_entries(sigma, op, [_entries(v) for v in vectors])]
+    """Apply sum(q_M * |_Sigma M) to a list of plane vectors: each row of
+    mod.rows, gathered from the points the vectors use, dotted with every
+    plane of a vector (0 where the row misses the vector's coordinates),
+    and the image planes of exponent e twisted by zeta^e."""
+    w1 = mod.w + 1
+    rows = mod.rows(sigma, op, {s // w1 for vec in vectors for plane in vec for s, x in enumerate(plane) if x})
+    twists = {exp: mult_matrix(mod.order, zeta_power(mod.order, exp)) for exp in rows}
+    outs = []
+    for vec in vectors:
+        out = _zero(mod)
+        used = {s for plane in vec for s, x in enumerate(plane) if x}
+        for exp, (sources, coefficients) in rows.items():
+            acc = [
+                [sum(map(mul, coefs, map(plane.__getitem__, srcs))) if not used.isdisjoint(srcs) else 0 for srcs, coefs in zip(sources, coefficients)]
+                for plane in vec
+            ]
+            if any(map(any, acc)):
+                po._add_scaled(out, twists[exp], acc)
+        outs.append(out)
+    return outs
 
 
 def _int_space(mod, vectors, pivots):
@@ -345,7 +363,7 @@ def _in_span(mod, vec, space):
 
 def _reference_trace(mod, sigma, op, space):
     """The pivot read before packing: the full image of each basis vector
-    through apply_entries, certified by the dense residual of _in_span, then
+    through _apply, certified by the dense residual of _in_span, then
     its coordinate on itself read off its pivot."""
     den = math.lcm(*(q.denominator for q in op.coeffs.values()))
     ints = {m: int(q * den) for m, q in op.coeffs.items()}
@@ -486,7 +504,7 @@ def test_block_map_equals_reference_scan():
 
 
 def _blockwise_apply(mod, sigma, op, vectors):
-    """Reference for apply_entries: every term on its own, its weight action
+    """Reference for PeriodModule.rows: every term on its own, its weight action
     applied to the source block of each point and twisted by chi there."""
     w1 = mod.w + 1
     outs = []
@@ -547,13 +565,9 @@ def test_apply_operator_equals_the_blockwise_reference():
         vectors = _random_vectors(mod, rng)
         images = _apply(mod, sigma, op, vectors)
         assert images == _blockwise_apply(mod, sigma, op, vectors), (N, chi.label(), w, sigma)
-        # alone, a sparse vector has the operator assembled on its support only
+        # alone, a sparse vector has the rows gathered from its own points only
         for vec, image in zip(vectors, images):
             assert _apply(mod, sigma, op, [vec]) == [image], (N, chi.label(), w, sigma)
-        # apply_entries itself keeps each image sparse: nonzero coordinates only
-        for image, sparse in zip(images, mod.apply_entries(sigma, op, [_entries(v) for v in vectors])):
-            values = {t: tuple(plane[t] for plane in image) for t in range(mod.dim)}
-            assert sparse == {t: value for t, value in values.items() if any(value)}
         zero = op is cancelling or sigma_det(sigma) != mat_det(next(iter(op)))
         assert zero == (not any(any(plane) for image in images for plane in image)), (sigma, op)
 

@@ -92,6 +92,8 @@ def phi_chi(N, chi, a, d):
     alpha = a (r), d (s), evaluated through the induced modulus N/(r,s):
     the unit lifts are collected, each phi((r,s)) times, and summed once.
     """
+    if chi.modulus != N:
+        raise ValueError("character modulus must equal the level")
     c = chi.conductor()
     lifts = []
     for r in divisors(N):
@@ -112,6 +114,8 @@ def cusp_sum(N, ell, chi, n, weight):
     times the sum over a*d = ell*n with ell | a + d of phi_chi(N/ell, chi,
     a, d) weight(a, d), chi a character mod N/ell."""
     require_exact_divisor(N, ell)
+    if chi.modulus != N // ell:
+        raise ValueError("character modulus must equal the level")
     total = CycloNum.zero(chi.order)
     for a in divisors(n * ell):
         d = n * ell // a
@@ -131,6 +135,8 @@ def phi_generic(sigma, chi, w, a, d):
     C M C^{-1} in the double coset and accumulate the twist value; divide
     by (a,d).  Must reproduce the closed forms exactly.
     """
+    if chi.modulus != sigma[0]:
+        raise ValueError("character modulus must equal the level")
     if a * d != sigma_det(sigma):
         return CycloNum.zero(chi.order)
     if chi.parity() != (1 if w % 2 == 0 else -1):

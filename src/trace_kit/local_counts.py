@@ -73,12 +73,16 @@ def _B_counts(N, chi, u, t, n):
 
 def B_coeff(N, chi, u, t, n):
     """(phi1(N)/phi1(N/u)) * sum of chi over the local solution set."""
+    if chi.modulus != N:
+        raise ValueError("character modulus must equal the level")
     return chi.value(_B_counts(N, chi, u, t, n))
 
 
 def C_coeff(N, chi, u, t, n):
     """Moebius inverse of B over divisors of u, summed in ints and built
     into one CycloNum."""
+    if chi.modulus != N:
+        raise ValueError("character modulus must equal the level")
     if N % u:
         raise ValueError("u must divide N")
     acc = [0] * chi.order

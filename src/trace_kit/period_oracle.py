@@ -16,7 +16,8 @@ An operator sum(q_M M) is applied one way only, as gathered rows
 (source point, target point, chi twist exponent), then each target
 coordinate's nonzero entries gathered per exponent.  A restricted trace
 takes one dot product per row; the period space's elimination takes each
-row through the (at most two) Ker(1+S) vectors holding each source.
+row through the one Ker(1+S) vector holding each source.  S acts as a
+signed permutation, so Ker(1+S) is written down (kernel_one_plus_S).
 
 Representation: a vector over Q(zeta_m) is sparse, a dict coordinate ->
 integer coefficient tuple of length phi(m) on the power basis, nonzero
@@ -24,10 +25,10 @@ tuples only.  The Ker(1+S) vectors, the elimination's rows and the period
 space's vectors all take this one form.  The weight action has integer
 entries and acts on each coefficient alone; a field element mixes them
 through its integer multiplication matrix, so the hot loops stay in ints.
-Eliminations are sparse and fraction-free over Z[zeta_m]: a pivot row is
-multiplied by the other Galois conjugates of its lead, which makes the lead
-a rational integer, and other rows are cleared by integer
-cross-multiplication.
+The one elimination, of Ker(1+U+U^2) on Ker(1+S), is sparse and
+fraction-free over Z[zeta_m]: a pivot row is multiplied by the other Galois
+conjugates of its lead, which makes the lead a rational integer, and other
+rows are cleared by integer cross-multiplication.
 
 Every cached basis (a Subspace) comes out reduced: vector k is d_k times
 the field's 1 at its own pivot coordinate p_k and 0 at the others' pivots,
@@ -158,34 +159,23 @@ def coset_table(N):
 def weight_action(m, w):
     """Matrix of P -> (cX+d)^w P((aX+b)/(cX+d)) on the monomial basis.
 
-    Column i holds the coefficients of (aX+b)^i (cX+d)^(w-i); all integer.
+    Column i holds the coefficients of (aX+b)^i (cX+d)^(w-i), all integer:
+    the product of the binomial rows C(i,s) a^s b^(i-s) and C(w-i,r) c^r
+    d^(w-i-r).
     """
     a, b, c, d = m
-    top = [(1,)]
-    bot = [(1,)]
-    for _ in range(w):
-        top.append(_poly_shift(top[-1], b, a))
-        bot.append(_poly_shift(bot[-1], d, c))
-    cols = [_int_poly_product(top[i], bot[w - i], w + 1) for i in range(w + 1)]
-    return tuple(tuple(cols[j][r] for j in range(w + 1)) for r in range(w + 1))
-
-
-def _poly_shift(p, c0, c1):
-    out = [0] * (len(p) + 1)
-    for i, v in enumerate(p):
-        out[i] += v * c0
-        out[i + 1] += v * c1
-    return tuple(out)
-
-
-def _int_poly_product(p, q, size):
-    out = [0] * size
-    for i, v in enumerate(p):
-        if v:
-            for j, u in enumerate(q):
-                if u and i + j < size:
-                    out[i + j] += v * u
-    return out
+    binom = [[math.comb(i, s) for s in range(i + 1)] for i in range(w + 1)]
+    top = [[k * a**s * b ** (i - s) for s, k in enumerate(row)] for i, row in enumerate(binom)]
+    bot = [[k * c**s * d ** (i - s) for s, k in enumerate(row)] for i, row in enumerate(binom)]
+    cols = []
+    for t, u in zip(top, reversed(bot)):
+        col = [0] * (w + 1)
+        for s, x in enumerate(t):
+            if x:
+                for r, y in enumerate(u, s):
+                    col[r] += x * y
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 # -- double coset descriptors ---------------------------------------------------
@@ -346,51 +336,43 @@ class PeriodModule:
     # -- structured kernels ------------------------------------------------------
 
     def kernel_one_plus_S(self):
-        """(basis of Ker(1 + S) as sparse vectors, its pivots): free blocks
-        on point pairs, local kernels at fixed points.  Each basis vector is
-        the field's 1 at its own pivot coordinate and 0 at the others'."""
-        w1 = self.w + 1
-        pmap = sigma_block_map(self.unimodular, S)
-        wm = weight_action(S, self.w)
-        z0 = zeta_power(self.order, 0)
+        """(basis of Ker(1 + S) as sparse vectors, its pivots), written down.
+        Column k of W_S is (-1)^k at row w-k, so with block j = zeta^e W_S
+        block i, the vector pivoted at (i, k) is the field's 1 there and
+        -zeta^e W_S[w-k][k] at (j, w-k).  A pair of points gives w+1 vectors,
+        laid out at its first point; a point S fixes keeps the k with 2k > w,
+        and k = w/2 when 1 + zeta^e W_S[k][k] = 0, both valid as zeta^2e =
+        (-1)^w there, which is checked.  Each vector is the field's 1 at its
+        own pivot and 0 at the others'."""
+        w, m, w1 = self.w, self.order, self.w + 1
+        wm = weight_action(S, w)
+        one = zeta_power(m, 0)
         basis = []
         pivots = []
-        seen = set()
-        for j in range(self.npoints):
-            if j in seen:
+        for j, (i, arg) in enumerate(sigma_block_map(self.unimodular, S)):
+            if i < j:
                 continue
-            i, dg = pmap[j]
-            z = zeta_power(self.order, self._twist_exponent(dg))
-            if i == j:
-                # local condition (I + zeta^e W_S) x = 0; W_S is a signed permutation,
-                # so the pivots are units and each solution is 1 at its free column
-                rows = [{c: t for c in range(w1) if any(t := tuple(wm[r][c] * x + (r == c) * o for x, o in zip(z, z0)))}
-                        for r in range(w1)]
-                sols, free = _nullspace(rows, self.order, w1)
-                basis.extend({j * w1 + k: t for k, t in sol.items()} for sol in sols)
-                pivots.extend(j * w1 + fc for fc in free)
-                seen.add(j)
-            else:
-                # free block at i, determined block at j = -zeta^e W_S block_i
-                for k in range(w1):
-                    vec = {i * w1 + k: z0}
-                    vec.update((j * w1 + r, tuple([-x * wm[r][k] for x in z])) for r in range(w1) if wm[r][k])
-                    basis.append(vec)
-                    pivots.append(i * w1 + k)
-                seen.add(i)
-                seen.add(j)
+            e = self._twist_exponent(arg)
+            if i == j and zeta_power(m, 2 * e) != tuple((-1) ** w * x for x in one):
+                raise RuntimeError("S does not square to (-1)^w at a fixed point")
+            z = zeta_power(m, e)
+            for k in range(w1):
+                p, q = i * w1 + k, j * w1 + w - k
+                t = tuple([-x * wm[w - k][k] for x in z])
+                if i == j and (2 * k < w or (p == q and t != one)):
+                    continue
+                basis.append({p: one, q: t})  # {p: one} when p == q
+                pivots.append(p)
         return basis, pivots
 
     def _period_system(self, bs):
         """The sparse rows whose common kernel, in the coordinates of the
         Ker(1+S) vectors bs, is the period space: row t of 1+U+U^2 (rows)
-        taken through the (at most two) vectors holding each of its
-        sources, twisted once per (vector, exponent)."""
+        taken through the one vector holding each of its sources, twisted
+        once per (vector, exponent)."""
         m = self.order
-        holders = defaultdict(list)  # coordinate -> [(k, value of bs[k] there)]
-        for k, vec in enumerate(bs):
-            for s, t in vec.items():
-                holders[s].append((k, t))
+        # coordinate -> (k, value of bs[k] there): no coordinate lies in two
+        holders = {s: (k, t) for k, vec in enumerate(bs) for s, t in vec.items()}
         gathered = self.rows(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, range(self.npoints))
         rows = []
         for t in range(self.dim):
@@ -398,7 +380,8 @@ class PeriodModule:
             for exp, (sources, coefficients) in gathered.items():
                 part = {}  # k -> value before the twist by zeta^exp
                 for s, q in zip(sources[t], coefficients[t]):
-                    for k, value in holders.get(s, ()):
+                    if s in holders:
+                        k, value = holders[s]
                         old = part.get(k)
                         part[k] = [q * x for x in value] if old is None else [y + q * x for y, x in zip(old, value)]
                 for k, value in part.items():

@@ -217,7 +217,8 @@ def criterion_eisenstein_triangle(quick=False):
                 )
                 if not (per == eis and eis == cob):
                     return False, f"composed triangle fails N={N} ell={ell} k={k} n={n}"
-    return True, "Eisenstein = coboundary = period coboundary on the full grid"
+    grid = f"N<={max(levels)} k<={kmax} n<={nmax}; composed {cases} n<={nmax_a}"
+    return True, f"Eisenstein = coboundary = period coboundary on {grid}"
 
 
 def criterion_cohen(quick=False):

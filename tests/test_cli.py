@@ -147,6 +147,14 @@ def test_verify_oracle(capsys):
     assert out.count("pass") == 3
 
 
+def test_verify_suite_quick(capsys):
+    code, out, _ = run_cli(capsys, "verify", "suite", "--quick")
+    assert code == 0
+    assert out.count(" PASS ") == 10
+    # each criterion reports the grid it ran, the reduced one here
+    assert "period coboundary on N<=4 k<=6 n<=4;" in out
+
+
 def test_verify_oracle_atkin(capsys):
     code, out, _ = run_cli(
         capsys,

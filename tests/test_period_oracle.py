@@ -763,20 +763,42 @@ def test_proof_chain_correction():
                 assert lhs == want, (N, n, w)
 
 
-def test_eta_product_anchor_at_level_eleven():
-    # eta(z)^2 eta(11z)^2 spans S_2(Gamma_0(11)), so tr T_n = a_n for every
-    # n >= 1, including the n that share the factor 11 with the level.  The
-    # period route gives 2 tr T_n + (Eisenstein part) on W, the Eisenstein
-    # part read off Ker(1 - T), so it shares nothing with the closed route
-    chi = trivial_character(11)
-    a = eta_product(((1, 2), (11, 2)), 150)
-    assert a[:12] == [0, 1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1]
+# (level, character index, weight, eta factors (d, r)): the 14 eta products
+# that span a one-dimensional S_k(Gamma_0(N), chi)
+ETA_ANCHORS = (
+    (11, 0, 2, ((1, 2), (11, 2))),
+    (14, 0, 2, ((1, 1), (2, 1), (7, 1), (14, 1))),
+    (15, 0, 2, ((1, 1), (3, 1), (5, 1), (15, 1))),
+    (27, 0, 2, ((3, 2), (9, 2))),
+    (32, 0, 2, ((4, 2), (8, 2))),
+    (36, 0, 2, ((6, 4),)),
+    (5, 0, 4, ((1, 4), (5, 4))),
+    (6, 0, 4, ((1, 2), (2, 2), (3, 2), (6, 2))),
+    (8, 0, 4, ((2, 4), (4, 4))),
+    (3, 0, 6, ((1, 6), (3, 6))),
+    (4, 0, 6, ((2, 12),)),
+    (2, 0, 8, ((1, 8), (2, 8))),
+    (7, 3, 3, ((1, 3), (7, 3))),
+    (16, 4, 3, ((4, 6),)),
+)
+
+
+@pytest.mark.parametrize("N, ci, k, factors", ETA_ANCHORS, ids=[f"{N}.{ci}-k{k}" for N, ci, k, _ in ETA_ANCHORS])
+def test_eta_product_anchors(N, ci, k, factors):
+    # the eta product spans S_k(Gamma_0(N), chi), so tr T_n = a_n for every
+    # n >= 1, including the n that share a prime with the level.  The period
+    # route gives 2 tr T_n + (Eisenstein part) on W, the Eisenstein part read
+    # off Ker(1 - T), so it shares nothing with the closed route
+    chi = enumerate_characters(N)[ci]
+    a = eta_product(factors, 150)
+    if N == 11:
+        assert a[:12] == [0, 1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1]
     for n in range(1, 150):
-        assert trace_hecke_cusp(11, chi, 2, n).value == a[n], n
+        assert trace_hecke_cusp(N, chi, k, n).value == a[n], n
     for n in range(1, 25):
-        sigma = hecke_coset_desc(11, n)
-        full = trace_on_W(11, chi, 0, sigma, build_Tn(n))
-        eis = trace_coboundary(11, chi, 0, sigma, build_Tn_infty(n))
+        sigma = hecke_coset_desc(N, n)
+        full = trace_on_W(N, chi, k - 2, sigma, build_Tn(n))
+        eis = trace_coboundary(N, chi, k - 2, sigma, build_Tn_infty(n))
         assert full - eis == 2 * a[n], n
 
 

@@ -16,8 +16,13 @@ An operator sum(q_M M) is applied one way only, as gathered rows
 (source point, target point, chi twist exponent), then each target
 coordinate's nonzero entries gathered per exponent.  A restricted trace
 takes one dot product per row; the period space's elimination takes each
-row through the one Ker(1+S) vector holding each source.  S acts as a
-signed permutation, so Ker(1+S) is written down (kernel_one_plus_S).
+row of 1+U+U^2 through the one Ker(1+S) vector holding each source, and
+keeps the rows of one point per U-orbit only, as every image of 1+U+U^2
+is U-invariant (_period_system).  S acts as a signed permutation, so
+Ker(1+S) is written down (kernel_one_plus_S).  The weight action is built
+column by column, each the last times (aX+b) over (cX+d), an exact
+division checked term by term (weight_action), so a matrix of weight w
+costs O(w^2) integer operations.
 
 Representation: a vector over Q(zeta_m) is sparse, a dict coordinate ->
 integer coefficient tuple of length phi(m) on the power basis, nonzero
@@ -66,7 +71,6 @@ from .matrix_forms import (
     U,
     in_atkin_coset,
     mat_det,
-    mat_inv_unimodular,
     mat_mul,
     sigma_det,
     sigma_twist,
@@ -155,27 +159,47 @@ def coset_table(N):
 # -- weight actions ------------------------------------------------------------
 
 
-@lru_cache(maxsize=8192)
 def weight_action(m, w):
     """Matrix of P -> (cX+d)^w P((aX+b)/(cX+d)) on the monomial basis.
 
-    Column i holds the coefficients of (aX+b)^i (cX+d)^(w-i), all integer:
-    the product of the binomial rows C(i,s) a^s b^(i-s) and C(w-i,r) c^r
-    d^(w-i-r).
+    Column i holds the coefficients of (aX+b)^i (cX+d)^(w-i), all integer.
+    Column 0 is the binomial row of (cX+d)^w, and (cX+d) col_{i+1} = (aX+b)
+    col_i gives each next column in O(w) steps, coefficient by coefficient:
+    col_{i+1}[r] = (a col_i[r-1] + b col_i[r] - c col_{i+1}[r-1]) / d.  When
+    d = 0 the walk runs the other way, from (aX+b)^w, dividing by b; when b
+    = d = 0 too, every column is a^i c^(w-i) X^w.  Each division is exact,
+    which is checked.
+
+    Not memoized: one entry at high weight is a (w+1)^2 matrix of big ints,
+    and an operator's matrices rarely repeat across its calls.
     """
     a, b, c, d = m
-    binom = [[math.comb(i, s) for s in range(i + 1)] for i in range(w + 1)]
-    top = [[k * a**s * b ** (i - s) for s, k in enumerate(row)] for i, row in enumerate(binom)]
-    bot = [[k * c**s * d ** (i - s) for s, k in enumerate(row)] for i, row in enumerate(binom)]
-    cols = []
-    for t, u in zip(top, reversed(bot)):
-        col = [0] * (w + 1)
-        for s, x in enumerate(t):
-            if x:
-                for r, y in enumerate(u, s):
-                    col[r] += x * y
-        cols.append(col)
-    return tuple(zip(*cols))
+    if not (b or d):
+        return (*repeat((0,) * (w + 1), w), tuple(a**i * c ** (w - i) for i in range(w + 1)))
+    # multiply by (pX+q) and divide by (uX+v), v != 0, from (uX+v)^w
+    p, q, u, v = (a, b, c, d) if d else (c, d, a, b)
+    col = [1] * (w + 1)
+    for r in range(w):  # col[r] = C(w, r) u^r v^(w-r), built from both ends
+        col[r + 1] = col[r] * (w - r) // (r + 1)
+    upow = vpow = 1
+    for r in range(w + 1):
+        col[r] *= upow
+        col[w - r] *= vpow
+        upow *= u
+        vpow *= v
+    cols = [col]
+    for _ in range(w):
+        nxt = []
+        old = new = 0  # col[r-1] and nxt[r-1]
+        for x in col:
+            new, rem = divmod(p * old + q * x - u * new, v)
+            if rem:
+                raise ArithmeticError("inexact division in the weight action")
+            nxt.append(new)
+            old = x
+        cols.append(nxt)
+        col = nxt
+    return tuple(zip(*(cols if d else reversed(cols))))
 
 
 # -- double coset descriptors ---------------------------------------------------
@@ -221,15 +245,18 @@ def sigma_block_map(sigma, m):
     # CRT idempotents: e = 1 mod ell, 0 mod N'; f = 1 - e
     e = Np * pow(Np, -1, ell)
     f = 1 - e
+    a, b, c, d = m
+    lifts, index_of = table.lifts, table.index_of
     out = []
-    for Aj in table.lifts:
-        y = mat_mul(m, mat_inv_unimodular(Aj))
-        ya, yb, yc, yd = y
+    for p, q, r, s in lifts:
+        # y = m A_j^-1, A_j^-1 = (s, -q; -r, p)
+        ya, yb, yc, yd = a * s - b * r, b * p - a * q, c * s - d * r, d * p - c * q
         if ya % ell or yc % ell or math.gcd(ya, yc, Np) != 1 or math.gcd(yb, yd, ell) != 1:
             out.append(None)
             continue
-        i = table.index_of(-yc * f - yd * e, ya * f + yb * e)
-        member = mat_mul(table.lifts[i], y)
+        i = index_of(-yc * f - yd * e, ya * f + yb * e)
+        p, q, r, s = lifts[i]  # A_i
+        member = (p * ya + q * yc, p * yb + q * yd, r * ya + s * yc, r * yb + s * yd)
         if not in_atkin_coset(member, *sigma):
             raise RuntimeError("coset lookup produced a non-member")
         out.append((i, sigma_twist(sigma, member) % N))
@@ -310,6 +337,7 @@ class PeriodModule:
         q_M W(M) (W the weight action) added per (source point, target
         point, exponent), so entries that cancel are left out."""
         w1, dim = self.w + 1, self.dim
+        table = self.chi.table()
         blocks = {}  # (source point, target point, exponent) -> summed q W(M), row-major
         for m, q in op.items():
             flat = None
@@ -317,7 +345,9 @@ class PeriodModule:
                 if ent is None:
                     continue
                 i, arg = ent
-                exp = self._twist_exponent(arg)  # checked whether or not the block is kept
+                exp = table[arg]
+                if exp is None:  # checked whether or not the block is kept
+                    raise RuntimeError("character argument is not a unit")
                 if i not in points:
                     continue
                 if flat is None:
@@ -369,13 +399,29 @@ class PeriodModule:
         """The sparse rows whose common kernel, in the coordinates of the
         Ker(1+S) vectors bs, is the period space: row t of 1+U+U^2 (rows)
         taken through the one vector holding each of its sources, twisted
-        once per (vector, exponent)."""
-        m = self.order
+        once per (vector, exponent), for the targets t at one point of each
+        U-orbit only.
+
+        That keeps the row space.  U^3 = -I acts as chi(-1)(-1)^w = 1, so
+        (1+U+U^2) U = 1+U+U^2 and every image v of 1+U+U^2 is U-invariant:
+        each block of v is zeta^e W(U), an invertible map, applied to v's
+        block at the next point of the same U-orbit.  So v vanishes exactly
+        when its blocks at the orbit representatives do, and the kept rows
+        cut out the same kernel as all of them.  A point U fixes is its own
+        orbit and keeps its w+1 rows."""
+        m, w1 = self.order, self.w + 1
         # coordinate -> (k, value of bs[k] there): no coordinate lies in two
         holders = {s: (k, t) for k, vec in enumerate(bs) for s, t in vec.items()}
         gathered = self.rows(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, range(self.npoints))
+        source = [i for i, _ in sigma_block_map(self.unimodular, U)]
+        targets = []
+        done = set()
+        for j in range(self.npoints):
+            if j not in done:
+                done.update((j, source[j], source[source[j]]))  # U^3 fixes every point
+                targets.extend(range(j * w1, (j + 1) * w1))
         rows = []
-        for t in range(self.dim):
+        for t in targets:
             row = {}
             for exp, (sources, coefficients) in gathered.items():
                 part = {}  # k -> value before the twist by zeta^exp

@@ -166,9 +166,12 @@ def test_projective_line_matches_the_unit_orbit_reference():
 
 
 def test_memo_tables_are_bounded():
-    for table in (coset_table, weight_action, period_module):
+    for table in (coset_table, period_module):
         assert table.cache_info().maxsize is not None
+    # recomputed at each use: a level-sized map, and a weight action that at
+    # high weight is a large matrix of big ints rarely asked for twice
     assert not hasattr(sigma_block_map, "cache_info")
+    assert not hasattr(weight_action, "cache_info")
 
 
 def test_every_memo_table_is_bounded():
@@ -247,6 +250,41 @@ def test_weight_action_trace_is_gegenbauer():
             assert sum(wm[r][r] for r in range(w + 1)) == gegenbauer(
                 w, m[0] + m[3], mat_det(m)
             )
+
+
+def _binomial_weight_action(m, w):
+    """Reference weight action: column i of (aX+b)^i (cX+d)^(w-i) as the
+    product of the binomial rows C(i,s) a^s b^(i-s) and C(w-i,r) c^r
+    d^(w-i-r)."""
+    a, b, c, d = m
+    top = [[math.comb(i, s) * a**s * b ** (i - s) for s in range(i + 1)] for i in range(w + 1)]
+    bot = [[math.comb(i, r) * c**r * d ** (i - r) for r in range(i + 1)] for i in range(w + 1)]
+    cols = []
+    for t, u in zip(top, reversed(bot)):
+        col = [0] * (w + 1)
+        for s, x in enumerate(t):
+            for r, y in enumerate(u, s):
+                col[r] += x * y
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+def test_weight_action_matches_the_binomial_reference():
+    # the column recurrence divides by d, or by b walking the other way when
+    # d = 0; zero entries in every position, singular matrices among them
+    rng = random.Random(21)
+    shapes = [(), (0,), (1,), (2,), (3,), (1, 3), (0, 2), (2, 3)]
+    for w in (0, 1, 2, 5, 10, 30):
+        for zeros in shapes:
+            for _ in range(12):
+                m = [rng.randint(-12, 12) or 1 for _ in range(4)]
+                for z in zeros:
+                    m[z] = 0
+                m = tuple(m)
+                assert weight_action(m, w) == _binomial_weight_action(m, w), (m, w)
+    for m in (S, T, U, IDENT, (0, 0, 3, 0), (0, 0, 0, 0)):
+        for w in (0, 1, 2, 5, 10, 30):
+            assert weight_action(m, w) == _binomial_weight_action(m, w), (m, w)
 
 
 def test_generator_relations_on_module():
@@ -393,10 +431,16 @@ def _oracle_spaces():
 
 def test_period_space_matches_the_dense_reference():
     # the sparse integer elimination against the dense Q(zeta) one, on the
-    # benchmark's oracle spaces and every parity character for N <= 16,
-    # w <= 6: same dimension, same span, reduced at its own pivots
+    # benchmark's oracle spaces, every parity character for N <= 16, w <= 6
+    # and for N in {21, 39}, w <= 2: same dimension, same span, reduced at
+    # its own pivots
     spaces = [(N, enumerate_characters(N)[ci], k - 2) for N, ci, k in _oracle_spaces()]
     spaces += [(N, chi, w) for N in range(1, 17) for w in range(7) for chi in _parity_chars(N, w + 2)]
+    # the elimination keeps the rows of one point per U-orbit; U fixes
+    # points of P^1(Z/21) and P^1(Z/39), and the reference keeps every row
+    spaces += [(N, chi, w) for N in (21, 39) for w in range(3) for chi in _parity_chars(N, w + 2)]
+    for N in (21, 39):
+        assert any(i == j for j, (i, _) in enumerate(sigma_block_map(hecke_coset_desc(N, 1), U))), N
     orders = set()
     for N, chi, w in spaces:
         mod = period_module(N, chi, w)

@@ -13,12 +13,14 @@ c_atkin_direct) and the trace on the whole module.
 
 An operator sum(q_M M) is applied one way only, as gathered rows
 (PeriodModule.rows): q_M times the weight action summed block by block per
-(source point, target point, chi twist exponent), then each target
-coordinate's nonzero entries gathered per exponent.  A restricted trace
-takes one dot product per row; the period space's elimination takes each
-row of 1+U+U^2 through the one Ker(1+S) vector holding each source, and
-keeps the rows of one point per U-orbit only, as every image of 1+U+U^2
-is U-invariant (_period_system).  S acts as a signed permutation, so
+(source point, target point, chi twist exponent), then gathered per
+exponent and target point: the source coordinates of the blocks landing on
+the point, and each of its w+1 rows the matching rows of those blocks as
+they stand, zeros included.  A restricted trace reads each source once per
+target point and plane and takes one dot product per row; the period
+space's elimination looks up, once per target point, the one Ker(1+S)
+vector holding each source, and keeps the rows of one point per U-orbit
+only, as every image of 1+U+U^2 is U-invariant (_period_system).  S acts as a signed permutation, so
 Ker(1+S) is written down (kernel_one_plus_S).  The weight action is built
 column by column, each the last times (aX+b) over (cX+d), an exact
 division checked term by term (weight_action), so a matrix of weight w
@@ -59,7 +61,7 @@ holds the coset membership test, and nothing else.
 import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, mul
 
 from .arith import QQ, euler_phi, factorize, sigma1_N, validate_query, xgcd
@@ -330,12 +332,14 @@ class PeriodModule:
 
     def rows(self, sigma, op, points):
         """sum(q_M * |_Sigma M) from the source points in points, gathered
-        by target coordinate: chi twist exponent e -> (sources,
-        coefficients), one list of each per target coordinate t, holding
-        the nonzero entries (source coordinate, integer coefficient) of row
-        t before the twist by zeta^e.  The terms are first summed as blocks,
-        q_M W(M) (W the weight action) added per (source point, target
-        point, exponent), so entries that cancel are left out."""
+        by target point: chi twist exponent e -> (sources, coefficients).
+        sources[j] lists the source coordinates of the blocks landing on
+        point j, each block's w+1 coordinates once; coefficients[t] is row
+        t before the twist by zeta^e, its integer entries aligned with
+        sources[t // (w+1)], each block's row as it stands, zeros included.
+        The terms are first summed as blocks, q_M W(M) (W the weight
+        action) added per (source point, target point, exponent).  Every
+        character argument met is checked to be a unit, kept or not."""
         w1, dim = self.w + 1, self.dim
         table = self.chi.table()
         blocks = {}  # (source point, target point, exponent) -> summed q W(M), row-major
@@ -354,13 +358,12 @@ class PeriodModule:
                     flat = [q * x for row in weight_action(m, self.w) for x in row]
                 blk = blocks.get((i, j, exp))
                 blocks[i, j, exp] = flat if blk is None else list(map(add, blk, flat))
-        rows = defaultdict(lambda: ([[] for _ in range(dim)], [[] for _ in range(dim)]))
+        rows = defaultdict(lambda: ([[] for _ in range(self.npoints)], [[] for _ in range(dim)]))
         for (i, j, exp), blk in blocks.items():
             sources, coefficients = rows[exp]
+            sources[j].extend(range(i * w1, (i + 1) * w1))
             for r in range(w1):
-                row = blk[r * w1 : (r + 1) * w1]
-                sources[j * w1 + r].extend(compress(range(i * w1, (i + 1) * w1), row))
-                coefficients[j * w1 + r].extend(filter(None, row))
+                coefficients[j * w1 + r].extend(blk[r * w1 : (r + 1) * w1])
         return rows
 
     # -- structured kernels ------------------------------------------------------
@@ -398,9 +401,10 @@ class PeriodModule:
     def _period_system(self, bs):
         """The sparse rows whose common kernel, in the coordinates of the
         Ker(1+S) vectors bs, is the period space: row t of 1+U+U^2 (rows)
-        taken through the one vector holding each of its sources, twisted
-        once per (vector, exponent), for the targets t at one point of each
-        U-orbit only.
+        taken through the one vector holding each of its sources, for the
+        targets t at one point of each U-orbit only.  Per target point and
+        exponent, each source's vector and its value there, twisted by
+        zeta^exponent, are looked up once for the point's w+1 rows.
 
         That keeps the row space.  U^3 = -I acts as chi(-1)(-1)^w = 1, so
         (1+U+U^2) U = 1+U+U^2 and every image v of 1+U+U^2 is U-invariant:
@@ -414,29 +418,30 @@ class PeriodModule:
         holders = {s: (k, t) for k, vec in enumerate(bs) for s, t in vec.items()}
         gathered = self.rows(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, range(self.npoints))
         source = [i for i, _ in sigma_block_map(self.unimodular, U)]
-        targets = []
+        rows = []
         done = set()
         for j in range(self.npoints):
-            if j not in done:
-                done.update((j, source[j], source[source[j]]))  # U^3 fixes every point
-                targets.extend(range(j * w1, (j + 1) * w1))
-        rows = []
-        for t in targets:
-            row = {}
+            if j in done:
+                continue
+            done.update((j, source[j], source[source[j]]))  # U^3 fixes every point
+            held = []  # per exponent: (k, zeta^exp times bs[k] there) per source, None off bs
             for exp, (sources, coefficients) in gathered.items():
-                part = {}  # k -> value before the twist by zeta^exp
-                for s, q in zip(sources[t], coefficients[t]):
-                    if s in holders:
-                        k, value = holders[s]
-                        old = part.get(k)
-                        part[k] = [q * x for x in value] if old is None else [y + q * x for y, x in zip(old, value)]
-                for k, value in part.items():
-                    value = cyclo_mul(m, value, zeta_power(m, exp)) if exp else value
-                    old = row.get(k)
-                    row[k] = value if old is None else list(map(add, old, value))
-            row = {k: tuple(value) for k, value in row.items() if any(value)}
-            if row:
-                rows.append(row)
+                hs = list(map(holders.get, sources[j]))
+                if exp:
+                    z = zeta_power(m, exp)
+                    hs = [h and (h[0], cyclo_mul(m, h[1], z)) for h in hs]
+                held.append((hs, coefficients))
+            for t in range(j * w1, (j + 1) * w1):
+                row = {}
+                for hs, coefficients in held:
+                    for h, q in zip(hs, coefficients[t]):
+                        if q and h:
+                            k, value = h
+                            old = row.get(k)
+                            row[k] = [q * x for x in value] if old is None else [y + q * x for y, x in zip(old, value)]
+                row = {k: tuple(value) for k, value in row.items() if any(value)}
+                if row:
+                    rows.append(row)
         # by the first vector a row holds, then its last, descending: fewer
         # clearing steps than coordinate order
         rows.sort(key=lambda row: (min(row), -max(row)))
@@ -616,7 +621,7 @@ class Subspace:
     pivots, compared on whole coefficient tuples.  Only its packing layout
     is kept: planes[k][c] = (coordinates, values) of the nonzero
     coefficients of zeta^c.  Kept with it for _trace_on_space: L = lcm(d_k)
-    and factors[k] = L / d_k; support, the coordinates any vector uses;
+    and factors[k] = L / d_k; points, the points whose blocks any vector uses;
     norm, the largest l1 norm of a vector; spread, the largest l1 norm at
     one coordinate of sum_k factors[k] |vector k|.
     """
@@ -640,7 +645,7 @@ class Subspace:
                         values.append(x)
                         weight[s] += f * abs(x)
             self.planes.append(vp)
-        self.support = {s for s, x in enumerate(weight) if x}
+        self.points = {s // (mod.w + 1) for s, x in enumerate(weight) if x}
         self.norm = max((sum(sum(map(abs, values)) for _, values in vp) for vp in self.planes), default=0)
         self.spread = max(weight)
 
@@ -675,16 +680,19 @@ def _trace_on_space(mod, sigma, op, space):
     the images of its integer basis at the pivots, SLAB vectors at a time.
 
     Row t of the operator, one per exponent (PeriodModule.rows), holds the
-    nonzero entries landing on coordinate t.  A slab is packed
-    into one int per coordinate and plane, vector k a signed slot of `bits`
-    bits at offset bits * k (Kronecker substitution), so image coordinate t
-    of a plane is one C-level dot product of row t with the packed sources
-    for the whole slab, and each image plane is twisted once.  Slot k of
-    the image Y_t at coordinate t is coordinate t of the image of vector
-    k, whose coordinate on basis vector j is Y_{p_j} / d_j.  Before any of
-    it is used, R_t = L Y_t - sum_j basis_j[t] (L / d_j) Y_{p_j} must be 0
-    in Z at every t (terms with Y_{p_j} = 0 skipped): every image lies
-    exactly in the span.  The trace adds the diagonal slots of Y_{p_k} / d_k.
+    entries landing on coordinate t, aligned with the sources of its target
+    point.  A slab is packed into one int per coordinate and plane, vector k
+    a signed slot of `bits` bits at offset bits * k (Kronecker
+    substitution).  Per plane, each target point's sources are read once and
+    handed to its w+1 rows, so image coordinate t of a plane is one C-level
+    dot product of row t with them for the whole slab, zero products
+    skipped (adding one would copy the running sum), and each image plane
+    is twisted once.  Slot k of the image Y_t at coordinate t is coordinate
+    t of the image of vector k, whose coordinate on basis vector j is
+    Y_{p_j} / d_j.  Before any of it is used, R_t = L Y_t - sum_j
+    basis_j[t] (L / d_j) Y_{p_j} must be 0 in Z at every t (terms with
+    Y_{p_j} = 0 skipped): every image lies exactly in the span.  The trace
+    adds the diagonal slots of Y_{p_k} / d_k.
 
     bits comes from an a-priori bound.  With op scaled to integers q_M,
     alpha = sum |q_M| max|W(M)| * norm * Z bounds every coordinate of every
@@ -703,11 +711,15 @@ def _trace_on_space(mod, sigma, op, space):
     den = math.lcm(*(q.denominator for q in op.coeffs.values()))
     op = {m: int(q * den) for m, q in op.coeffs.items()}
     g, dim, L, w1 = mod.g, mod.dim, space.L, mod.w + 1
-    rows = mod.rows(sigma, op, {s // w1 for s in space.support})
+    rows = mod.rows(sigma, op, space.points)
     alpha = sum(abs(q) * max(abs(a) + abs(b), abs(c) + abs(d)) ** mod.w for (a, b, c, d), q in op.items())
     alpha *= space.norm * mod.zeta_bound
     bits = _slot_bits(alpha * (L + mod.zeta_bound * g * space.spread))
     half, mask = 1 << (bits - 1), (1 << bits) - 1
+    layout = []  # per exponent: every target point's sources in one list, cut per point
+    for exp, (sources, coefficients) in rows.items():
+        ends = list(accumulate(map(len, sources)))
+        layout.append((exp, list(chain.from_iterable(sources)), list(map(slice, [0, *ends], ends)), coefficients))
     total = [0] * g
     for base in range(0, len(space.pivots), SLAB):
         slab = range(base, min(base + SLAB, len(space.pivots)))
@@ -717,10 +729,14 @@ def _trace_on_space(mod, sigma, op, space):
             for dst, (coords, values) in zip(packed, space.planes[k]):
                 for s, x in zip(coords, values):
                     dst[s] += x << shift
-        accs = {  # exponent -> untwisted image planes, one dot product per target coordinate
-            exp: [list(map(sum, map(map, repeat(mul), coefficients, map(map, repeat(plane.__getitem__), sources)))) for plane in packed]
-            for exp, (sources, coefficients) in rows.items()
-        }
+        accs = {}  # exponent -> untwisted image planes, one dot product per target coordinate
+        for exp, flat, cuts, coefficients in layout:
+            acc = accs[exp] = []
+            for plane in packed:
+                # each source read once, handed to the w+1 rows of its target point
+                per_row = chain.from_iterable(map(repeat, map(list(map(plane.__getitem__, flat)).__getitem__, cuts), repeat(w1)))
+                # a zero product is skipped: adding it would copy the running sum
+                acc.append(list(map(sum, map(filter, repeat(None), map(map, repeat(mul), coefficients, per_row)))))
         images = accs.pop(0, None) or [[0] * dim for _ in range(g)]  # zeta^0 is the identity
         for exp, acc in accs.items():
             _add_scaled(images, mod._zeta[exp], acc)

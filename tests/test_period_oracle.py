@@ -84,10 +84,11 @@ def _plane_vector(mod, vec, d=1):
 
 
 def _apply(mod, sigma, op, vectors):
-    """Apply sum(q_M * |_Sigma M) to a list of plane vectors: each row of
+    """Apply sum(q_M * |_Sigma M) to a list of plane vectors: each row t of
     mod.rows, gathered from the points the vectors use, dotted with every
-    plane of a vector (0 where the row misses the vector's coordinates),
-    and the image planes of exponent e twisted by zeta^e."""
+    plane of a vector at the sources of its target point t // (w+1) (0
+    where those miss the vector's coordinates), and the image planes of
+    exponent e twisted by zeta^e."""
     w1 = mod.w + 1
     rows = mod.rows(sigma, op, {s // w1 for vec in vectors for plane in vec for s, x in enumerate(plane) if x})
     twists = {exp: mult_matrix(mod.order, zeta_power(mod.order, exp)) for exp in rows}
@@ -97,7 +98,10 @@ def _apply(mod, sigma, op, vectors):
         used = {s for plane in vec for s, x in enumerate(plane) if x}
         for exp, (sources, coefficients) in rows.items():
             acc = [
-                [sum(map(mul, coefs, map(plane.__getitem__, srcs))) if not used.isdisjoint(srcs) else 0 for srcs, coefs in zip(sources, coefficients)]
+                [
+                    sum(map(mul, coefs, map(plane.__getitem__, sources[t // w1]))) if not used.isdisjoint(sources[t // w1]) else 0
+                    for t, coefs in enumerate(coefficients)
+                ]
                 for plane in vec
             ]
             if any(map(any, acc)):
@@ -607,6 +611,15 @@ def test_apply_operator_equals_the_blockwise_reference():
     for N, chi, w, sigma, op in jobs:
         mod = period_module(N, chi, w)
         vectors = _random_vectors(mod, rng)
+        # row t is aligned with the sources of its target point, all from the
+        # points asked for
+        w1 = w + 1
+        points = {0, mod.npoints - 1}
+        for sources, coefficients in mod.rows(sigma, op, points).values():
+            assert len(sources) == mod.npoints and len(coefficients) == mod.dim
+            for t, coefs in enumerate(coefficients):
+                assert len(coefs) == len(sources[t // w1]), (N, chi.label(), w, sigma, t)
+            assert {s // w1 for srcs in sources for s in srcs} <= points, (N, chi.label(), w, sigma)
         images = _apply(mod, sigma, op, vectors)
         assert images == _blockwise_apply(mod, sigma, op, vectors), (N, chi.label(), w, sigma)
         # alone, a sparse vector has the rows gathered from its own points only

@@ -16,15 +16,21 @@ An operator sum(q_M M) is applied one way only, as gathered rows
 (source point, target point, chi twist exponent), then gathered per
 exponent and target point: the source coordinates of the blocks landing on
 the point, and each of its w+1 rows the matching rows of those blocks as
-they stand, zeros included.  A restricted trace reads each source once per
-target point and plane and takes one dot product per row; the period
-space's elimination looks up, once per target point, the one Ker(1+S)
-vector holding each source, and keeps the rows of one point per U-orbit
-only, as every image of 1+U+U^2 is U-invariant (_period_system).  S acts as a signed permutation, so
-Ker(1+S) is written down (kernel_one_plus_S).  The weight action is built
-column by column, each the last times (aX+b) over (cX+d), an exact
-division checked term by term (weight_action), so a matrix of weight w
-costs O(w^2) integer operations.
+they stand, zeros included.  The module acts on the right, so the action
+of M g is that of M followed by that of g: the matrices of an operator fall
+into classes joined by M -> +-M g, g in S, U, U^2 (sigma_1(n) classes for
+T_n), and only the first of a class is walked by sigma_block_map.  The
+others are read off it through the unimodular maps of S, U and U^2, each
+walked once per module.  For an even character order m, zeta^(m/2) = -1
+folds every twist exponent below m/2.  A restricted trace reads each source
+once per target point and plane and takes one dot product per row; the
+period space's elimination looks up, once per target point, the one
+Ker(1+S) vector holding each source, and keeps the rows of one point per
+U-orbit only, as every image of 1+U+U^2 is U-invariant (_period_system).
+S acts as a signed permutation, so Ker(1+S) is written down
+(kernel_one_plus_S).  The weight action is built column by column, each the
+last times (aX+b) over (cX+d), an exact division checked term by term
+(weight_action), so a matrix of weight w costs O(w^2) integer operations.
 
 Representation: a vector over Q(zeta_m) is sparse, a dict coordinate ->
 integer coefficient tuple of length phi(m) on the power basis, nonzero
@@ -74,6 +80,7 @@ from .matrix_forms import (
     in_atkin_coset,
     mat_det,
     mat_mul,
+    mat_neg,
     sigma_det,
     sigma_twist,
 )
@@ -295,6 +302,34 @@ def c_atkin_direct(N, ell, m):
     return len(_fixed_point_args((N, ell, det // ell), m))
 
 
+# the single steps M -> M g by which PeriodModule.rows derives one matrix of an
+# operator from another
+_STEPS = (S, U, mat_mul(U, U))
+
+
+def _coset_classes(op):
+    """The matrices of op in classes, each a list of (M, P, parent, g): the
+    first has P = M and parent None; every other has P = P' g = +-M, P' the
+    P of the member at position parent and g in _STEPS.  A class is every
+    matrix of op reached from its first by such steps."""
+    seen = set()
+    classes = []
+    for m in op:
+        if m in seen:
+            continue
+        seen.add(m)
+        cls = [(m, m, None, None)]
+        for k, (_, p, _, _) in enumerate(cls):  # visits the members appended below too
+            for g in _STEPS:
+                pg = mat_mul(p, g)
+                for mg in (pg, mat_neg(pg)):
+                    if mg in op and mg not in seen:
+                        seen.add(mg)
+                        cls.append((mg, pg, k, g))
+        classes.append(cls)
+    return classes
+
+
 # -- the module ---------------------------------------------------------------
 
 class PeriodModule:
@@ -322,6 +357,7 @@ class PeriodModule:
         self._zeta = [mult_matrix(self.order, zeta_power(self.order, e)) for e in range(self.order)]
         # the largest coefficient of a power of zeta, so of any entry of _zeta
         self.zeta_bound = max(abs(x) for mat in self._zeta for row in mat for x in row)
+        self._unimodular_maps = {}  # g -> its walked unimodular map (_unimodular_map)
 
     def _twist_exponent(self, arg):
         e = self.chi.table()[arg % self.N]
@@ -329,6 +365,17 @@ class PeriodModule:
             raise RuntimeError("character argument is not a unit")
         # exponent is in units of zeta_order
         return e
+
+    def _unimodular_map(self, g):
+        """(sources, exponents) of the unimodular action of g, walked once
+        per module (g is S, U, U^2 or T): the block at point j of the image
+        is zeta^exponents[j] W(g) applied to the block at point sources[j].
+        g is invertible, so sources is a permutation."""
+        walked = self._unimodular_maps.get(g)
+        if walked is None:
+            sources, args = zip(*sigma_block_map(self.unimodular, g))
+            walked = self._unimodular_maps[g] = sources, tuple(map(self._twist_exponent, args))
+        return walked
 
     def rows(self, sigma, op, points):
         """sum(q_M * |_Sigma M) from the source points in points, gathered
@@ -338,27 +385,73 @@ class PeriodModule:
         t before the twist by zeta^e, its integer entries aligned with
         sources[t // (w+1)], each block's row as it stands, zeros included.
         The terms are first summed as blocks, q_M W(M) (W the weight
-        action) added per (source point, target point, exponent).  Every
-        character argument met is checked to be a unit, kept or not."""
-        w1, dim = self.w + 1, self.dim
+        action) added per (source point, target point, exponent).
+
+        The matrices are taken one class at a time (_coset_classes), and
+        only the first of a class is walked by sigma_block_map, every
+        member certified and every character argument checked to be a unit,
+        kept or not.  Each other is P = P' g = +-M for its key M, P' the
+        matrix of an earlier member and g one of S, U, U^2.  With A_k g
+        A_j^-1 = gamma in Gamma_0(N) (k = the source of g at j) and A_i P'
+        A_k^-1 = mu in the coset, A_i P A_j^-1 = mu gamma is in it too, with
+        argument mu_a gamma_a mod N: the source of P at j is that of P' at
+        k, its exponent the sum of the two, a unit's as mu_a is one.  W(P) =
+        W(g) W(P'), which for g = S reverses the rows of W(P') and signs row
+        r by W(S)[r][w-r] = (-1)^(w-r).  P stands for M as -I acts as
+        chi(-1) (-1)^w = 1.
+
+        For an even order m, zeta^(m/2) = -1: a block at exponent e + m/2
+        is added, negated, at exponent e, so every exponent is below m/2."""
+        w, w1, m = self.w, self.w + 1, self.order
+        half = m // 2 if m % 2 == 0 else m  # no exponent reaches m when m is odd
         table = self.chi.table()
         blocks = {}  # (source point, target point, exponent) -> summed q W(M), row-major
-        for m, q in op.items():
-            flat = None
-            for j, ent in enumerate(sigma_block_map(sigma, m)):
-                if ent is None:
-                    continue
-                i, arg = ent
-                exp = table[arg]
-                if exp is None:  # checked whether or not the block is kept
-                    raise RuntimeError("character argument is not a unit")
-                if i not in points:
-                    continue
-                if flat is None:
-                    flat = [q * x for row in weight_action(m, self.w) for x in row]
-                blk = blocks.get((i, j, exp))
-                blocks[i, j, exp] = flat if blk is None else list(map(add, blk, flat))
-        rows = defaultdict(lambda: ([[] for _ in range(self.npoints)], [[] for _ in range(dim)]))
+        for cls in _coset_classes(op):
+            members = []  # per member: [sources, exponents, W(P) once made if an S-step follows it]
+            s_parents = {parent for _, _, parent, g in cls if g == S}
+            for k, (key, P, parent, g) in enumerate(cls):
+                wm = None  # W(P), made on the first block kept unless an S-step gives it
+                if parent is None:
+                    sources, exps = [], []
+                    for ent in sigma_block_map(sigma, P):
+                        if ent is None:
+                            sources.append(None)
+                            exps.append(0)
+                            continue
+                        i, arg = ent
+                        exp = table[arg]
+                        if exp is None:  # checked whether or not the block is kept
+                            raise RuntimeError("character argument is not a unit")
+                        sources.append(i)
+                        exps.append(exp)
+                else:
+                    psources, pexps, _ = members[parent]
+                    if g == S and members[parent][2] is not None:
+                        wm = [row if (w - r) % 2 == 0 else [-x for x in row] for r, row in enumerate(reversed(members[parent][2]))]
+                        members[parent][2] = None  # held no longer than its S-step needs it
+                    gsources, gexps = self._unimodular_map(g)
+                    sources = list(map(psources.__getitem__, gsources))
+                    exps = [(pexps[s] + e) % m for s, e in zip(gsources, gexps)]
+                member = [sources, exps, None]
+                members.append(member)
+                q = op[key]
+                flat = neg = None
+                for j, (i, exp) in enumerate(zip(sources, exps)):
+                    if i is None or i not in points:
+                        continue
+                    if flat is None:
+                        if wm is None:
+                            wm = weight_action(P, w)
+                        if k in s_parents:
+                            member[2] = wm
+                        flat = [q * x for row in wm for x in row]
+                    f = flat
+                    if exp >= half:
+                        exp -= half
+                        f = neg = neg or [-x for x in flat]
+                    blk = blocks.get((i, j, exp))
+                    blocks[i, j, exp] = f if blk is None else list(map(add, blk, f))
+        rows = defaultdict(lambda: ([[] for _ in range(self.npoints)], [[] for _ in range(self.dim)]))
         for (i, j, exp), blk in blocks.items():
             sources, coefficients = rows[exp]
             sources[j].extend(range(i * w1, (i + 1) * w1))
@@ -382,10 +475,9 @@ class PeriodModule:
         one = zeta_power(m, 0)
         basis = []
         pivots = []
-        for j, (i, arg) in enumerate(sigma_block_map(self.unimodular, S)):
+        for j, (i, e) in enumerate(zip(*self._unimodular_map(S))):
             if i < j:
                 continue
-            e = self._twist_exponent(arg)
             if i == j and zeta_power(m, 2 * e) != tuple((-1) ** w * x for x in one):
                 raise RuntimeError("S does not square to (-1)^w at a fixed point")
             z = zeta_power(m, e)
@@ -417,7 +509,7 @@ class PeriodModule:
         # coordinate -> (k, value of bs[k] there): no coordinate lies in two
         holders = {s: (k, t) for k, vec in enumerate(bs) for s, t in vec.items()}
         gathered = self.rows(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, range(self.npoints))
-        source = [i for i, _ in sigma_block_map(self.unimodular, U)]
+        source = self._unimodular_map(U)[0]
         rows = []
         done = set()
         for j in range(self.npoints):
@@ -480,7 +572,7 @@ class PeriodModule:
         orbit, powers of zeta at the orbit's points, pivoted at the orbit's
         start point with scale 1."""
         w1 = self.w + 1
-        pmap = sigma_block_map(self.unimodular, T)
+        sources, exponents = self._unimodular_map(T)
         vectors = []
         pivots = []
         done = set()
@@ -491,8 +583,8 @@ class PeriodModule:
             exps = []
             cur = j0
             while True:
-                i, dg = pmap[cur]
-                exps.append(self._twist_exponent(dg))
+                i = sources[cur]
+                exps.append(exponents[cur])
                 if i == j0:
                     break
                 cycle.append(i)

@@ -172,10 +172,12 @@ def test_projective_line_matches_the_unit_orbit_reference():
 def test_memo_tables_are_bounded():
     for table in (coset_table, period_module):
         assert table.cache_info().maxsize is not None
-    # recomputed at each use: a level-sized map, and a weight action that at
-    # high weight is a large matrix of big ints rarely asked for twice
+    # recomputed at each use: a level-sized map, a weight action that at
+    # high weight is a large matrix of big ints rarely asked for twice, and
+    # the class table of an operator, as large as the operator
     assert not hasattr(sigma_block_map, "cache_info")
     assert not hasattr(weight_action, "cache_info")
+    assert not hasattr(po._coset_classes, "cache_info")
 
 
 def test_every_memo_table_is_bounded():
@@ -627,6 +629,95 @@ def test_apply_operator_equals_the_blockwise_reference():
             assert _apply(mod, sigma, op, [vec]) == [image], (N, chi.label(), w, sigma)
         zero = op is cancelling or sigma_det(sigma) != mat_det(next(iter(op)))
         assert zero == (not any(any(plane) for image in images for plane in image)), (sigma, op)
+
+
+def _dense_vector(mod, rng):
+    """One integer plane vector with every coordinate drawn from [-5, 5]."""
+    return [[rng.randint(-5, 5) for _ in range(mod.dim)] for _ in range(mod.g)]
+
+
+def test_derived_rows_apply_as_the_per_matrix_walk():
+    # rows walks one matrix per class of the operator and derives the others
+    # through S, U and U^2; the reference walks every matrix on its own.
+    # Every T_n, n <= 16, under characters of order 1, 2, 3, 4 and 10, at odd
+    # weight too, where the derived matrix may be -M for an operator key M;
+    # weight 0 at level 30 keeps the dense reference quick
+    rng = random.Random(23)
+    orders = set()
+    for label, w in (("7.2", 2), ("11.0", 2), ("11.3", 1), ("12.1", 1), ("15.1", 1), ("16.5", 1), ("30.0", 0), ("30.5", 0)):
+        N, ci = map(int, label.split("."))
+        chi = enumerate_characters(N)[ci]
+        mod = period_module(N, chi, w)
+        vec = _dense_vector(mod, rng)
+        for n in range(1, 17):
+            op = build_Tn(n).coeffs
+            sigma = hecke_coset_desc(N, n)
+            assert _apply(mod, sigma, op, [vec]) == _blockwise_apply(mod, sigma, op, [vec]), (label, n)
+        orders.add(chi.order)
+    assert orders == {1, 2, 3, 4, 10}
+    # composed cosets, trivial character
+    for N, ell in ((6, 2), (12, 3), (15, 5), (30, 5)):
+        mod = period_module(N, trivial_character(N), 2)
+        vec = _dense_vector(mod, rng)
+        for n in range(1, 16 // ell + 1):
+            sigma, op = atkin_coset_desc(N, ell, n), build_Tn(ell * n).coeffs
+            assert _apply(mod, sigma, op, [vec]) == _blockwise_apply(mod, sigma, op, [vec]), (N, ell, n)
+
+
+def test_derived_rows_compose_from_the_walked_matrix():
+    # a class walked as m, then -(m S) reached as (m S) and its child
+    # -(m S) U as (m S) U: each derived matrix is composed from the matrix
+    # its parent's map stands for, m S, not from the key -(m S), which at
+    # odd weight acts with the opposite sign on W and on the twist
+    m = sorted(build_Tn(3).coeffs)[0]
+    ms = mat_mul(m, S)
+    op = {m: 1, mat_neg(ms): 2, mat_neg(mat_mul(ms, U)): -3, mat_mul(ms, mat_mul(U, U)): 5}
+    assert [len(cls) for cls in po._coset_classes(op)] == [4]
+    rng = random.Random(5)
+    for N, ci in ((4, 1), (5, 1), (7, 1)):
+        chi = enumerate_characters(N)[ci]
+        assert chi.parity() == -1
+        mod = period_module(N, chi, 3)
+        vec = _dense_vector(mod, rng)
+        sigma = hecke_coset_desc(N, 3)
+        assert _apply(mod, sigma, op, [vec]) == _blockwise_apply(mod, sigma, op, [vec]), N
+
+
+def test_one_trace_walks_once_per_class(monkeypatch):
+    # the coset walk runs once per class of T_n under right multiplication
+    # by SL_2(Z), sigma_1(n) of them; the unimodular maps are walked once
+    # per module, with its basis
+    calls = []
+    walk = po.sigma_block_map
+
+    def counted(sigma, m):
+        calls.append(sigma)
+        return walk(sigma, m)
+
+    monkeypatch.setattr(po, "sigma_block_map", counted)
+    for N, chi, w in ((11, trivial_character(11), 2), (15, enumerate_characters(15)[5], 2), (16, enumerate_characters(16)[5], 1)):
+        trace_on_W(N, chi, w, hecke_coset_desc(N, 1), build_Tn(1))
+        for n in range(1, 17):
+            calls.clear()
+            trace_on_W(N, chi, w, hecke_coset_desc(N, n), build_Tn(n))
+            assert calls == [hecke_coset_desc(N, n)] * sum(divisors(n)), (N, chi.label(), w, n)
+
+
+def test_rows_fold_the_upper_half_of_an_even_order():
+    # zeta^(m/2) = -1 for an even order m: rows keeps only exponents below m/2
+    seen = 0
+    for N in (15, 16, 30):
+        for chi in enumerate_characters(N):
+            if chi.order % 2:
+                continue
+            w = 2 if chi.parity() == 1 else 1
+            mod = period_module(N, chi, w)
+            points = range(mod.npoints)
+            for n in range(1, 7):
+                exponents = set(mod.rows(hecke_coset_desc(N, n), build_Tn(n).coeffs, points))
+                assert all(e < chi.order // 2 for e in exponents), (chi.label(), n, exponents)
+            seen += 1
+    assert seen == 21
 
 
 def test_sigma_block_map_unreachable():

@@ -21,7 +21,7 @@ import math
 
 from .arith import QQ, euler_phi, is_square, isqrt
 
-__all__ = ["hurwitz_H", "h0", "precompute"]
+__all__ = ["hurwitz_H", "h0", "precompute", "twelfths"]
 
 _H_cache: dict[int, QQ] = {}
 _h0_cache: dict[int, QQ] = {}
@@ -109,6 +109,14 @@ def h0(D):
         else:
             _h0_cache[D] = QQ(-euler_phi(isqrt(D)), 2) if is_square(D) else QQ(0)
     return _h0_cache[D]
+
+
+def twelfths(q):
+    """12*q as an int, for q a value of H or h0; ArithmeticError when 12*q
+    is not an integer, so that no value is truncated."""
+    if 12 % q.denominator:
+        raise ArithmeticError(f"{q} is not a whole number of twelfths")
+    return q.numerator * (12 // q.denominator)
 
 
 def precompute(limit):

@@ -121,6 +121,15 @@ def _emit(records, fmt, stream):
             stream.write(f"{head}  value={rec.get('exact')}  approx={rec.get('approx')}\n")
 
 
+def _sweep_class_numbers(count, top):
+    """Fill H(D) and h0(-D) for 0 < D <= top by one sweep when `count`
+    queries reach up to top.  One sweep to top takes about top**1.5/7 steps
+    and a per-D walk about |D|/12: sweep once the range holds more than
+    about sqrt(top) values."""
+    if count * count >= top:
+        precompute(top)
+
+
 # -- trace command ----------------------------------------------------------------
 
 
@@ -162,6 +171,9 @@ def cmd_trace(args):
         if args.weight % 2:
             _usage_error("the composed operator needs even weight")
     lo, hi = args.n
+    # a trace of T_n composed with W_ell reads H and h0 at |D| <= 4*ell*n;
+    # the sweep runs before the workers fork, so they share its tables
+    _sweep_class_numbers(hi - lo + 1, 4 * (args.ell or 1) * hi)
     jobs = [
         (args.level, args.weight, args.char, args.ell, n, args.space)
         for n in range(lo, hi + 1)
@@ -183,12 +195,8 @@ def cmd_trace(args):
 
 def cmd_classnum(args):
     lo, hi = args.d
-    # H(D) walks for D > 0 and h0(D) for D < 0.  One sweep to top takes
-    # about top**1.5/7 steps and a per-D walk about |D|/12: sweep once the
-    # range holds more than about sqrt(top) values
-    top = hi if args.kind == "H" else -lo
-    if (hi - lo + 1) ** 2 >= top:
-        precompute(top)
+    # H(D) walks for D > 0 and h0(D) for D < 0
+    _sweep_class_numbers(hi - lo + 1, hi if args.kind == "H" else -lo)
     fn = hurwitz_H if args.kind == "H" else h0
     records = []
     for D in range(lo, hi + 1):

@@ -3,7 +3,9 @@ enumeration oracle, and the Eisenstein / coboundary traces built from them.
 
 The closed forms run over factorizations N = r*s; the oracle walks actual
 cusp representatives and translation double cosets and must agree with them
-on the nose, which the test suite checks term by term.
+on the nose, which the test suite checks term by term.  phi_chi is the
+character sum over a list of unit lifts; cusp_sum adds the lists' exponent
+histograms in ints, times the weights, and builds one CycloNum.
 """
 
 import math
@@ -84,16 +86,10 @@ def admissible_cusp_reps(N, chi):
 # -- closed forms ---------------------------------------------------------------
 
 
-def phi_chi(N, chi, a, d):
-    """Character cusp sum over factorizations N = r*s.
-
-    Valid under the parity hypothesis chi(-1) = (-1)^k; each admissible
-    factorization contributes phi((r,s)) times chi at the CRT class
-    alpha = a (r), d (s), evaluated through the induced modulus N/(r,s):
-    the unit lifts are collected, each phi((r,s)) times, and summed once.
-    """
-    if chi.modulus != N:
-        raise ValueError("character modulus must equal the level")
+def _unit_lifts(N, chi, a, d):
+    """The units mod N at which phi_chi reads chi, each phi((r,s)) times:
+    for each admissible factorization N = r*s, the unit lift of the CRT class
+    alpha = a (r), d (s) through the induced modulus N/(r,s)."""
     c = chi.conductor()
     lifts = []
     for r in divisors(N):
@@ -106,22 +102,34 @@ def phi_chi(N, chi, a, d):
         x = chi.unit_lift(alpha, mod)
         if x is not None:
             lifts += [x] * euler_phi(g)
-    return chi.total(lifts)
+    return lifts
+
+
+def phi_chi(N, chi, a, d):
+    """Character cusp sum over factorizations N = r*s: chi summed once over
+    the unit lifts, each factorization's phi((r,s)) times.  Valid under the
+    parity hypothesis chi(-1) = (-1)^k."""
+    if chi.modulus != N:
+        raise ValueError("character modulus must equal the level")
+    return chi.total(_unit_lifts(N, chi, a, d))
 
 
 def cusp_sum(N, ell, chi, n, weight):
     """The cusp rule of the Hecke (ell = 1) and composed traces: phi(ell)/ell
     times the sum over a*d = ell*n with ell | a + d of phi_chi(N/ell, chi,
-    a, d) weight(a, d), chi a character mod N/ell."""
+    a, d) weight(a, d), chi a character mod N/ell.  The weighted exponent
+    histograms of the unit lifts are summed in ints into one CycloNum."""
     require_exact_divisor(N, ell)
     if chi.modulus != N // ell:
         raise ValueError("character modulus must equal the level")
-    total = CycloNum.zero(chi.order)
+    acc = [0] * chi.order
     for a in divisors(n * ell):
         d = n * ell // a
         if (a + d) % ell == 0:
-            total = total + phi_chi(N // ell, chi, a, d) * weight(a, d)
-    return total * QQ(euler_phi(ell), ell)
+            wt = weight(a, d)
+            if wt:
+                acc = [x + wt * y for x, y in zip(acc, chi.counts(_unit_lifts(N // ell, chi, a, d)))]
+    return chi.value(acc) * QQ(euler_phi(ell), ell)
 
 
 # -- direct enumeration oracle ----------------------------------------------------

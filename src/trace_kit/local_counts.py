@@ -1,8 +1,10 @@
 """Local solution counts and conjugacy-class weights for the level-N formulas.
 
 S_N(u,t,n) counts units alpha mod N with alpha^2 - t*alpha + n = 0 (mod N*u);
-B is its character-weighted, index-scaled version, C its Moebius inverse,
-both summed as exponent histograms in ints.  C_fast is the closed
+B is its character-weighted, index-scaled version, C its Moebius inverse.
+B_counts and C_counts give both as exponent histograms of chi in ints, the
+form the closed trace formulas sum; B_coeff and C_coeff build one CycloNum
+from each.  C_fast is the closed
 multiplicative evaluation of the trivial-character C via prime-power tables.
 c_class_closed is the closed conjugacy-class weight, and c_atkin_closed the
 one at level N/ell; their direct counterparts, sums over the fixed points of
@@ -29,7 +31,9 @@ __all__ = [
     "solution_set",
     "count_S",
     "count_S_plain",
+    "B_counts",
     "B_coeff",
+    "C_counts",
     "C_coeff",
     "C_fast",
     "c_class_closed",
@@ -64,23 +68,23 @@ def count_S_plain(N, t, n):
     return count_S(N, 1, t, n)
 
 
-def _B_counts(N, chi, u, t, n):
+def B_counts(N, chi, u, t, n):
     """(phi1(N)/phi1(N/u)) * the exponent histogram of chi over the local
-    solution set."""
+    solution set, in ints."""
+    if chi.modulus != N:
+        raise ValueError("character modulus must equal the level")
     scale = index_phi1(N) // index_phi1(N // u)
     return [c * scale for c in chi.counts(solution_set(N, u, t, n))]
 
 
 def B_coeff(N, chi, u, t, n):
     """(phi1(N)/phi1(N/u)) * sum of chi over the local solution set."""
-    if chi.modulus != N:
-        raise ValueError("character modulus must equal the level")
-    return chi.value(_B_counts(N, chi, u, t, n))
+    return chi.value(B_counts(N, chi, u, t, n))
 
 
-def C_coeff(N, chi, u, t, n):
-    """Moebius inverse of B over divisors of u, summed in ints and built
-    into one CycloNum."""
+def C_counts(N, chi, u, t, n):
+    """Exponent histogram, in ints, of the Moebius inverse of B over the
+    divisors of u."""
     if chi.modulus != N:
         raise ValueError("character modulus must equal the level")
     if N % u:
@@ -89,8 +93,13 @@ def C_coeff(N, chi, u, t, n):
     for d in divisors(u):
         mu = moebius(d)
         if mu:
-            acc = [x + mu * y for x, y in zip(acc, _B_counts(N, chi, u // d, t, n))]
-    return chi.value(acc)
+            acc = [x + mu * y for x, y in zip(acc, B_counts(N, chi, u // d, t, n))]
+    return acc
+
+
+def C_coeff(N, chi, u, t, n):
+    """Moebius inverse of B over divisors of u, as one CycloNum."""
+    return chi.value(C_counts(N, chi, u, t, n))
 
 
 def _C_fast_local(p, a, i, D):

@@ -3,9 +3,13 @@
 One route serves both: T_n composed with W_ell is the ell > 1 case of the
 Hecke formulas at level N/ell, with the class sum Moebius-twisted over
 u | ell at the multiples t of ell, and the cusp sum scaled by phi(ell)/ell.
-All values are exact; the composed entry points return rationals.  Every
-formula has an independent verification route (group-ring operator acting
-on period polynomials) exercised by the oracle comparisons.
+The class sums are exponent histograms of chi in ints, with H and h0 read
+as whole twelfths, and each part of a trace (elliptic, hyperbolic, the full
+trace, its h0 cross-check) is one CycloNum built from its histogram and
+scaled once.  All values are exact; the composed entry points return
+rationals.  Every formula has an independent verification route
+(group-ring operator acting on period polynomials) exercised by the oracle
+comparisons.
 """
 
 import math
@@ -24,10 +28,10 @@ from .arith import (
     sigma1_N,
     validate_query,
 )
-from .class_numbers import h0, hurwitz_H
+from .class_numbers import h0, hurwitz_H, twelfths
 from .cusp_terms import cusp_sum
 from .dirichlet import CycloNum, trivial_character
-from .local_counts import B_coeff, C_coeff
+from .local_counts import B_counts, C_counts
 
 __all__ = [
     "TraceResult",
@@ -66,7 +70,8 @@ def _zero_result(chi, warning=None):
 
 
 def _fold_t(ts, term):
-    """term(0) + 2 * term(t) summed over the nonzero t in ts.
+    """term(0) + 2 * term(t) summed over the nonzero t in ts, on exponent
+    histograms in ints.
 
     Callers guarantee term(-t) = term(t) (parity hypothesis), so this is the
     sum over all t with |t| in ts.
@@ -74,18 +79,19 @@ def _fold_t(ts, term):
     total = term(0)
     for t in ts:
         if t:
-            total = total + term(t) * 2
+            total = [x + 2 * y for x, y in zip(total, term(t))]
     return total
 
 
 def _class_sum(N, ell, chi, w, n, t):
     """Gegenbauer weight P_w(t, ell n) times the Moebius-twisted class sum
-    over u | ell, u' | N/ell of mu(u) H(D/(u u')^2) C_{N/ell}(u', t, ell n),
-    D = 4 ell n - t^2, for chi a character mod N/ell; ell = 1 is the Hecke
-    operator's sum over u | N of H(D/u^2) C(u, t, n)."""
+    over u | ell, u' | N/ell of mu(u) 12 H(D/(u u')^2) C_{N/ell}(u', t, ell n),
+    D = 4 ell n - t^2, for chi a character mod N/ell, as an exponent histogram
+    in ints; ell = 1 is the Hecke operator's sum over u | N of
+    12 H(D/u^2) C(u, t, n)."""
     Np, m = N // ell, ell * n
     D = 4 * m - t * t
-    acc = CycloNum.zero(chi.order)
+    acc = [0] * chi.order
     for u in divisors(ell):
         mu = moebius(u)
         if not mu:
@@ -94,10 +100,11 @@ def _class_sum(N, ell, chi, w, n, t):
             uu = u * up
             if D % (uu * uu):
                 continue
-            hval = hurwitz_H(D // (uu * uu))
-            if hval:
-                acc = acc + C_coeff(Np, chi, up, t, m) * (hval * mu)
-    return acc * gegenbauer(w, t, m)
+            h = mu * twelfths(hurwitz_H(D // (uu * uu)))
+            if h:
+                acc = [x + h * y for x, y in zip(acc, C_counts(Np, chi, up, t, m))]
+    g = gegenbauer(w, t, m)
+    return [g * x for x in acc]
 
 
 def _cusp_trace(N, ell, chi, k, n):
@@ -108,7 +115,7 @@ def _cusp_trace(N, ell, chi, k, n):
     w, m = k - 2, ell * n
     scale = QQ(-1, 2 * ell ** (w // 2))
     ts = range(0, isqrt(4 * m) + 1, ell)
-    elliptic = _fold_t(ts, partial(_class_sum, N, ell, chi, w, n)) * scale
+    elliptic = chi.value(_fold_t(ts, partial(_class_sum, N, ell, chi, w, n))) * (scale / 12)
 
     hyper = cusp_sum(N, ell, chi, n, lambda a, d: min(a, d) ** (k - 1)) * scale
 
@@ -136,12 +143,13 @@ def _t_range_full(n):
     return list(range(isqrt(4 * n) + 1)) + split[::-1]
 
 
-def _full_trace(N, ell, chi, k, n):
+def _full_trace(N, ell, chi, k, n, term=None):
     """Raw double-coset trace of T_n composed with W_ell on cusp plus all
     modular forms by Hurwitz class numbers, chi a character mod N/ell (no
-    ell^(w/2) normalization)."""
+    ell^(w/2) normalization).  term(t), an exponent histogram of twelve
+    times the class sum at t, defaults to the Hurwitz one."""
     ts = [t for t in _t_range_full(ell * n) if t % ell == 0]
-    total = -_fold_t(ts, partial(_class_sum, N, ell, chi, k - 2, n))
+    total = chi.value(_fold_t(ts, term or partial(_class_sum, N, ell, chi, k - 2, n))) * QQ(-1, 12)
     if k == 2 and chi.is_trivial():
         total = total + sigma1_N(N, n)
     return total
@@ -160,24 +168,22 @@ def trace_hecke_full(N, chi, k, n):
     w = k - 2
 
     def h0_term(t):
-        acc = CycloNum.zero(chi.order)
         D = t * t - 4 * n
         if D == 0:
             # primed sum: only the u = 0 term, with gcd(N, 0) = N
-            return B_coeff(N, chi, N, t, n) * (h0(0) * gegenbauer(w, t, n))
-        u = 1
-        while u * u <= abs(D):
-            if D % (u * u) == 0:
-                hval = h0(D // (u * u))
-                if hval:
-                    acc = acc + B_coeff(N, chi, math.gcd(N, u), t, n) * hval
-            u += 1
-        return acc * gegenbauer(w, t, n)
+            terms = [(N, 0)]
+        else:
+            terms = [(math.gcd(N, u), D // (u * u)) for u in range(1, isqrt(abs(D)) + 1) if D % (u * u) == 0]
+        acc = [0] * chi.order
+        for g, E in terms:
+            h = twelfths(h0(E))
+            if h:
+                acc = [x + h * y for x, y in zip(acc, B_counts(N, chi, g, t, n))]
+        p = gegenbauer(w, t, n)
+        return [p * x for x in acc]
 
     total_h = _full_trace(N, 1, chi, k, n)
-    total_h0 = -_fold_t(_t_range_full(n), h0_term)
-    if k == 2 and chi.is_trivial():
-        total_h0 = total_h0 + sigma1_N(N, n)
+    total_h0 = _full_trace(N, 1, chi, k, n, h0_term)
     if total_h != total_h0:
         raise RuntimeError(
             f"class-number variants disagree at N={N}, k={k}, n={n}: "

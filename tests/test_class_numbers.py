@@ -1,5 +1,7 @@
+import pytest
+
 from trace_kit.arith import QQ, kronecker, moebius, sigma1
-from trace_kit.class_numbers import h0, hurwitz_H, precompute
+from trace_kit.class_numbers import h0, hurwitz_H, precompute, twelfths
 
 
 def test_hurwitz_examples():
@@ -90,3 +92,14 @@ def test_cache_consistency():
         cn._H_cache.pop(D, None)
         cn._h0_cache.pop(D, None)
         assert fn(D) == first
+
+
+def test_twelfths_is_exact():
+    precompute(3000)
+    for D in range(-400, 3001):
+        for v in (hurwitz_H(D), h0(D)):
+            t = twelfths(v)
+            assert type(t) is int and QQ(t, 12) == v, D
+    assert twelfths(QQ(-1, 12)) == -1 and twelfths(QQ(-3, 2)) == -18
+    with pytest.raises(ArithmeticError):
+        twelfths(QQ(1, 5))

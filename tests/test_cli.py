@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trace_kit.cli import main
+from trace_kit.dirichlet import enumerate_characters, trivial_character
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +98,32 @@ def test_classnum_range_matches_per_d_values(capsys):
         for r in records:
             v = fn(r["d"])
             assert r["exact"] == [v.numerator, v.denominator], r
+
+
+def test_trace_range_matches_per_n_values(capsys):
+    # a range fills H and h0 up to 4*ell*n by one sweep; every value equals
+    # the one computed per n from per-D walks
+    import trace_kit.class_numbers as cn
+    from trace_kit.cli import _value_json
+    from trace_kit.trace_formulas import trace_atkin_lehner, trace_hecke_cusp
+
+    for argv, ell, per_n in (
+        (("--level", "1", "--weight", "12"), 1, lambda n: trace_hecke_cusp(1, trivial_character(1), 12, n)),
+        (("--level", "13", "--weight", "2", "--char", "13.2"), 1,
+         lambda n: trace_hecke_cusp(13, enumerate_characters(13)[2], 2, n)),
+        (("--level", "6", "--weight", "4", "--ell", "2"), 2, lambda n: trace_atkin_lehner(6, 2, 4, n)),
+    ):
+        cn._H_cache.clear()
+        cn._h0_cache.clear()
+        code, out, _ = run_cli(capsys, "trace", *argv, "--n", "1:60", "--format", "json")
+        assert code == 0
+        assert all(D in cn._H_cache and -D in cn._h0_cache for D in range(1, 4 * ell * 60 + 1))
+        cn._H_cache.clear()
+        cn._h0_cache.clear()
+        records = json.loads(out)
+        assert [r["n"] for r in records] == list(range(1, 61))
+        for r in records:
+            assert r["exact"] == _value_json(per_n(r["n"]).value), (argv, r["n"])
 
 
 def test_classnum_cache_file_is_rejected(capsys):

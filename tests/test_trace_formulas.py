@@ -1,13 +1,19 @@
+import math
+from functools import partial
+
 import pytest
 
-from trace_kit.arith import QQ, divisors, is_square
+from trace_kit.arith import QQ, divisors, euler_phi, gegenbauer, is_square, isqrt, moebius, sigma1_N
+from trace_kit.class_numbers import h0, hurwitz_H
 from trace_kit.cusp_terms import (
     coboundary_trace,
     coboundary_trace_atkin,
     eisenstein_trace,
     eisenstein_trace_atkin,
+    phi_chi,
 )
-from trace_kit.dirichlet import enumerate_characters, trivial_character
+from trace_kit.dirichlet import CycloNum, enumerate_characters, trivial_character
+from trace_kit.local_counts import B_coeff, C_coeff
 from trace_kit.trace_formulas import (
     _t_range_full,
     cohen_gamma04,
@@ -205,3 +211,114 @@ def test_scalar_term_validates_its_query():
         scalar_term(1, T1, 1, 4)
     with pytest.raises(ValueError, match="n >= 1"):
         scalar_term(1, T1, 12, 0)
+
+
+# -- the closed route summed term by term in CycloNum arithmetic --------------------
+#
+# The reference the integer core must reproduce: every class and cusp term is
+# one CycloNum of Fractions, added and scaled one at a time.
+
+
+def _ref_fold_t(ts, term):
+    total = term(0)
+    for t in ts:
+        if t:
+            total = total + term(t) * 2
+    return total
+
+
+def _ref_class_sum(N, ell, chi, w, n, t):
+    Np, m = N // ell, ell * n
+    D = 4 * m - t * t
+    acc = CycloNum.zero(chi.order)
+    for u in divisors(ell):
+        mu = moebius(u)
+        if not mu:
+            continue
+        for up in divisors(Np):
+            uu = u * up
+            if D % (uu * uu):
+                continue
+            hval = hurwitz_H(D // (uu * uu))
+            if hval:
+                acc = acc + C_coeff(Np, chi, up, t, m) * (hval * mu)
+    return acc * gegenbauer(w, t, m)
+
+
+def _ref_cusp_sum(N, ell, chi, n, weight):
+    total = CycloNum.zero(chi.order)
+    for a in divisors(n * ell):
+        d = n * ell // a
+        if (a + d) % ell == 0:
+            total = total + phi_chi(N // ell, chi, a, d) * weight(a, d)
+    return total * QQ(euler_phi(ell), ell)
+
+
+def _ref_cusp_trace(N, ell, chi, k, n):
+    """(value, elliptic, hyperbolic, correction) of T_n composed with W_ell."""
+    w, m = k - 2, ell * n
+    scale = QQ(-1, 2 * ell ** (w // 2))
+    elliptic = _ref_fold_t(range(0, isqrt(4 * m) + 1, ell), partial(_ref_class_sum, N, ell, chi, w, n)) * scale
+    hyper = _ref_cusp_sum(N, ell, chi, n, lambda a, d: min(a, d) ** (k - 1)) * scale
+    corr = CycloNum.from_rational(sigma1_N(N, n) if k == 2 and chi.is_trivial() else 0, chi.order)
+    return elliptic + hyper + corr, elliptic, hyper, corr
+
+
+def _ref_full_trace(N, ell, chi, k, n):
+    ts = [t for t in _t_range_full(ell * n) if t % ell == 0]
+    total = -_ref_fold_t(ts, partial(_ref_class_sum, N, ell, chi, k - 2, n))
+    if k == 2 and chi.is_trivial():
+        total = total + sigma1_N(N, n)
+    return total
+
+
+def _ref_full_trace_h0(N, chi, k, n):
+    """The full Hecke trace by primitive class numbers h0 against B."""
+
+    def h0_term(t):
+        acc = CycloNum.zero(chi.order)
+        D = t * t - 4 * n
+        if D == 0:
+            return B_coeff(N, chi, N, t, n) * (h0(0) * gegenbauer(k - 2, t, n))
+        for u in range(1, isqrt(abs(D)) + 1):
+            if D % (u * u) == 0 and h0(D // (u * u)):
+                acc = acc + B_coeff(N, chi, math.gcd(N, u), t, n) * h0(D // (u * u))
+        return acc * gegenbauer(k - 2, t, n)
+
+    total = -_ref_fold_t(_t_range_full(n), h0_term)
+    if k == 2 and chi.is_trivial():
+        total = total + sigma1_N(N, n)
+    return total
+
+
+def _same(a, b):
+    return (a.order, a.coeffs) == (b.order, b.coeffs)
+
+
+def _assert_parts_match(res, ref, key):
+    for part, want in zip(("value", "elliptic", "hyperbolic", "correction"), ref):
+        assert _same(getattr(res, part), want), (key, part)
+
+
+def test_integer_core_matches_the_cyclonum_reference():
+    for N in range(1, 17):
+        for chi in enumerate_characters(N):
+            for k in range(2, 7):
+                if chi.parity() != (1 if k % 2 == 0 else -1):
+                    continue
+                for n in range(1, 31):
+                    key = (N, chi.label(), k, n)
+                    _assert_parts_match(trace_hecke_cusp(N, chi, k, n), _ref_cusp_trace(N, 1, chi, k, n), key)
+                    full = _ref_full_trace(N, 1, chi, k, n)
+                    assert _same(full, _ref_full_trace_h0(N, chi, k, n)), key
+                    assert _same(trace_hecke_full(N, chi, k, n), full), key
+
+
+def test_composed_integer_core_matches_the_cyclonum_reference():
+    for N, ell in ((6, 2), (6, 3), (10, 5), (12, 3), (12, 4), (30, 5)):
+        chi = trivial_character(N // ell)
+        for k in (2, 4):
+            for n in range(1, 21):
+                key = (N, ell, k, n)
+                _assert_parts_match(trace_atkin_lehner(N, ell, k, n), _ref_cusp_trace(N, ell, chi, k, n), key)
+                assert trace_atkin_full(N, ell, k, n) == _ref_full_trace(N, ell, chi, k, n).as_rational(), key

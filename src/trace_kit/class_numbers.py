@@ -25,6 +25,7 @@ __all__ = ["hurwitz_H", "h0", "precompute", "twelfths"]
 
 _H_cache: dict[int, QQ] = {}
 _h0_cache: dict[int, QQ] = {}
+_ZERO = QQ(0)
 
 
 def _twelfths(a, b, c):
@@ -83,31 +84,31 @@ def _store(D, twelve_h, prim):
     _h0_cache[-D] = QQ(prim, {3: 3, 4: 2}.get(D, 1))
 
 
-def _fill(D):
-    """Cache H(D) and h0(-D), D > 0, from one walk over the reduced forms."""
-    # -D is a discriminant only for D = 0, 3 (mod 4)
-    _store(D, *(_class_counts(D) if D % 4 in (0, 3) else (0, 0)))
-
-
 def hurwitz_H(D):
     if D not in _H_cache:
         if D > 0:
-            _fill(D)
+            # -D is a discriminant only for D = 0, 3 (mod 4); the others are
+            # 0 and take no entry
+            if D % 4 in (1, 2):
+                return _ZERO
+            _store(D, *_class_counts(D))
         elif D == 0:
             _H_cache[D] = QQ(-1, 12)
         else:
-            _H_cache[D] = QQ(-isqrt(-D), 2) if is_square(-D) else QQ(0)
+            _H_cache[D] = QQ(-isqrt(-D), 2) if is_square(-D) else _ZERO
     return _H_cache[D]
 
 
 def h0(D):
     if D not in _h0_cache:
         if D < 0:
-            _fill(-D)
+            if -D % 4 in (1, 2):
+                return _ZERO
+            _store(-D, *_class_counts(-D))
         elif D == 0:
             _h0_cache[D] = QQ(-1, 12)
         else:
-            _h0_cache[D] = QQ(-euler_phi(isqrt(D)), 2) if is_square(D) else QQ(0)
+            _h0_cache[D] = QQ(-euler_phi(isqrt(D)), 2) if is_square(D) else _ZERO
     return _h0_cache[D]
 
 
@@ -123,4 +124,5 @@ def precompute(limit):
     """Fill H(D) and h0(-D) for every 0 < D <= limit by one sweep."""
     twelve_h, prim = _class_sweep(limit)
     for D in range(1, limit + 1):
-        _store(D, twelve_h[D], prim[D])
+        if D % 4 in (0, 3):
+            _store(D, twelve_h[D], prim[D])

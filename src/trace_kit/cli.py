@@ -58,7 +58,13 @@ def _worker_count():
         if count < 1:
             _usage_error("TRACE_KIT_THREADS must be a positive integer")
         return count
-    return min(os.cpu_count() or 1, 4)
+    # the cores this process may run on, which a CPU mask can hold below
+    # the machine's count
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return min(cores, 4)
 
 
 def _resolve_char(level, label):

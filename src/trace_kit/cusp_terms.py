@@ -5,7 +5,9 @@ The closed forms run over factorizations N = r*s; the oracle walks actual
 cusp representatives and translation double cosets and must agree with them
 on the nose, which the test suite checks term by term.  phi_chi is the
 character sum over a list of unit lifts; cusp_sum adds the lists' exponent
-histograms in ints, times the weights, and builds one CycloNum.
+histograms in ints, times the weights, and builds one CycloNum.  The lifts
+depend on a and d only mod the level, so their histograms are memoized once
+per residue class.
 """
 
 import math
@@ -105,6 +107,13 @@ def _unit_lifts(N, chi, a, d):
     return lifts
 
 
+@lru_cache(maxsize=1 << 12)
+def _lift_counts(N, chi, a, d):
+    """chi's exponent histogram of the unit lifts at (a, d), as a tuple;
+    the lifts depend only on a and d mod N, which callers reduce first."""
+    return tuple(chi.counts(_unit_lifts(N, chi, a, d)))
+
+
 def phi_chi(N, chi, a, d):
     """Character cusp sum over factorizations N = r*s: chi summed once over
     the unit lifts, each factorization's phi((r,s)) times.  Valid under the
@@ -118,17 +127,19 @@ def cusp_sum(N, ell, chi, n, weight):
     """The cusp rule of the Hecke (ell = 1) and composed traces: phi(ell)/ell
     times the sum over a*d = ell*n with ell | a + d of phi_chi(N/ell, chi,
     a, d) weight(a, d), chi a character mod N/ell.  The weighted exponent
-    histograms of the unit lifts are summed in ints into one CycloNum."""
+    histograms of the unit lifts, read by (a, d) mod N/ell, are summed in
+    ints into one CycloNum."""
     require_exact_divisor(N, ell)
     if chi.modulus != N // ell:
         raise ValueError("character modulus must equal the level")
+    Np = N // ell
     acc = [0] * chi.order
     for a in divisors(n * ell):
         d = n * ell // a
         if (a + d) % ell == 0:
             wt = weight(a, d)
             if wt:
-                acc = [x + wt * y for x, y in zip(acc, chi.counts(_unit_lifts(N // ell, chi, a, d)))]
+                acc = [x + wt * y for x, y in zip(acc, _lift_counts(Np, chi, a % Np, d % Np))]
     return chi.value(acc) * QQ(euler_phi(ell), ell)
 
 

@@ -4,8 +4,11 @@ S_N(u,t,n) counts units alpha mod N with alpha^2 - t*alpha + n = 0 (mod N*u);
 B is its character-weighted, index-scaled version, C its Moebius inverse.
 B_counts and C_counts give both as exponent histograms of chi in ints, the
 form the closed trace formulas sum; B_coeff and C_coeff build one CycloNum
-from each.  C_fast is the closed
-multiplicative evaluation of the trivial-character C via prime-power tables.
+from each.  Since u | N makes u^2 divide N*u, all three depend on t and n
+only mod N*u: the histograms are memoized once per residue class, so a
+range of traces revisits a few classes instead of counting per (t, n).
+C_fast is the closed multiplicative evaluation of the trivial-character C
+via prime-power tables.
 c_class_closed is the closed conjugacy-class weight, and c_atkin_closed the
 one at level N/ell; their direct counterparts, sums over the fixed points of
 the double-coset action on P^1(Z/N), live on the period side.
@@ -68,13 +71,30 @@ def count_S_plain(N, t, n):
     return count_S(N, 1, t, n)
 
 
+@lru_cache(maxsize=1 << 13)
+def _histograms(N, chi, u, t, n):
+    """(B, C) exponent histograms as tuples, for u | N and t, n reduced
+    mod N*u; C's terms B(u/d) are read at their own classes mod N*u/d."""
+    scale = index_phi1(N) // index_phi1(N // u)
+    b = tuple(c * scale for c in chi.counts(solution_set(N, u, t, n)))
+    c = list(b)
+    for d in divisors(u)[1:]:
+        mu = moebius(d)
+        if mu:
+            M = N * (u // d)
+            c = [x + mu * y for x, y in zip(c, _histograms(N, chi, u // d, t % M, n % M)[0])]
+    return b, tuple(c)
+
+
 def B_counts(N, chi, u, t, n):
     """(phi1(N)/phi1(N/u)) * the exponent histogram of chi over the local
     solution set, in ints."""
     if chi.modulus != N:
         raise ValueError("character modulus must equal the level")
-    scale = index_phi1(N) // index_phi1(N // u)
-    return [c * scale for c in chi.counts(solution_set(N, u, t, n))]
+    if N % u:
+        return [0] * chi.order
+    M = N * u
+    return list(_histograms(N, chi, u, t % M, n % M)[0])
 
 
 def B_coeff(N, chi, u, t, n):
@@ -89,12 +109,8 @@ def C_counts(N, chi, u, t, n):
         raise ValueError("character modulus must equal the level")
     if N % u:
         raise ValueError("u must divide N")
-    acc = [0] * chi.order
-    for d in divisors(u):
-        mu = moebius(d)
-        if mu:
-            acc = [x + mu * y for x, y in zip(acc, B_counts(N, chi, u // d, t, n))]
-    return acc
+    M = N * u
+    return list(_histograms(N, chi, u, t % M, n % M)[1])
 
 
 def C_coeff(N, chi, u, t, n):

@@ -14,7 +14,7 @@ comparisons.
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .arith import (
     QQ,
@@ -83,6 +83,18 @@ def _fold_t(ts, term):
     return total
 
 
+@lru_cache(maxsize=256)
+def _class_pairs(N, ell):
+    """((u u')^2, mu(u), u') for u | ell squarefree and u' | N/ell: the
+    terms of the class sum, which do not depend on t."""
+    pairs = []
+    for u in divisors(ell):
+        mu = moebius(u)
+        if mu:
+            pairs += [((u * up) ** 2, mu, up) for up in divisors(N // ell)]
+    return tuple(pairs)
+
+
 def _class_sum(N, ell, chi, w, n, t):
     """Gegenbauer weight P_w(t, ell n) times the Moebius-twisted class sum
     over u | ell, u' | N/ell of mu(u) 12 H(D/(u u')^2) C_{N/ell}(u', t, ell n),
@@ -92,17 +104,12 @@ def _class_sum(N, ell, chi, w, n, t):
     Np, m = N // ell, ell * n
     D = 4 * m - t * t
     acc = [0] * chi.order
-    for u in divisors(ell):
-        mu = moebius(u)
-        if not mu:
+    for sq, mu, up in _class_pairs(N, ell):
+        if D % sq:
             continue
-        for up in divisors(Np):
-            uu = u * up
-            if D % (uu * uu):
-                continue
-            h = mu * twelfths(hurwitz_H(D // (uu * uu)))
-            if h:
-                acc = [x + h * y for x, y in zip(acc, C_counts(Np, chi, up, t, m))]
+        h = mu * twelfths(hurwitz_H(D // sq))
+        if h:
+            acc = [x + h * y for x, y in zip(acc, C_counts(Np, chi, up, t, m))]
     g = gegenbauer(w, t, m)
     return [g * x for x in acc]
 

@@ -81,6 +81,25 @@ def test_walk_equals_sweep():
         assert cn._class_counts(D) == (twelve_h[D], prim[D]), D
 
 
+def test_caches_hold_only_discriminants():
+    # D = 1, 2 (mod 4) is no discriminant: H(D) = h0(-D) = 0 without an
+    # entry; every stored value is the per-D walk's
+    import trace_kit.class_numbers as cn
+
+    cn._H_cache.clear()
+    cn._h0_cache.clear()
+    precompute(1000)
+    for D in range(1, 1001):
+        twelve_h, prim = cn._class_counts(D) if D % 4 in (0, 3) else (0, 0)
+        assert hurwitz_H(D) == QQ(twelve_h, 12), D
+        assert h0(-D) == QQ(prim, {3: 3, 4: 2}.get(D, 1)), D
+    # past the sweep, a per-D read stores nothing for a non-discriminant
+    assert hurwitz_H(1001) == h0(-1002) == 0
+    assert not [D for D in cn._H_cache if D > 0 and D % 4 in (1, 2)]
+    assert not [D for D in cn._h0_cache if D < 0 and -D % 4 in (1, 2)]
+    assert sorted(D for D in cn._H_cache if D > 0) == [D for D in range(1, 1001) if D % 4 in (0, 3)]
+
+
 def test_cache_consistency():
     # cached values equal freshly recomputed ones
     import trace_kit.class_numbers as cn

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from trace_kit.cli import main
+from trace_kit.cli import _worker_count, main
 from trace_kit.dirichlet import enumerate_characters, trivial_character
 
 
@@ -117,7 +118,9 @@ def test_trace_range_matches_per_n_values(capsys):
         cn._h0_cache.clear()
         code, out, _ = run_cli(capsys, "trace", *argv, "--n", "1:60", "--format", "json")
         assert code == 0
-        assert all(D in cn._H_cache and -D in cn._h0_cache for D in range(1, 4 * ell * 60 + 1))
+        # the sweep stores every discriminant -D up to the top, and only those
+        swept = {D for D in range(1, 4 * ell * 60 + 1) if D % 4 in (0, 3)}
+        assert {D for D in cn._H_cache if D > 0} == swept == {-D for D in cn._h0_cache if D < 0}
         cn._H_cache.clear()
         cn._h0_cache.clear()
         records = json.loads(out)
@@ -198,6 +201,17 @@ def test_worker_env(capsys, monkeypatch):
     monkeypatch.setenv("TRACE_KIT_THREADS", "1")
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_worker_default_follows_the_cpu_mask(monkeypatch):
+    monkeypatch.delenv("TRACE_KIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    assert _worker_count() == 4
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _worker_count() == 4
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])

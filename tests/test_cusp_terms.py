@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from trace_kit import cusp_terms
 from trace_kit.arith import QQ, divisors, euler_phi, sigma1_N, xgcd
 from trace_kit.cusp_terms import (
     admissible_cusp_reps,
@@ -64,6 +65,17 @@ def test_cusp_sum_matches_phi_chi_at_one():
             for ad in range(1, 16):
                 for a in divisors(ad):
                     assert cusp_sum(N, 1, chi, ad, _pick(a, ad // a)) == phi_chi(N, chi, a, ad // a)
+
+
+def test_cusp_sum_reads_lifts_by_class_mod_the_level():
+    # cusp_sum keys its unit-lift histograms by (a mod N, d mod N); phi_chi
+    # walks the lifts of (a, d) itself, with a and d past the level
+    cusp_terms._lift_counts.cache_clear()
+    for N in range(1, 13):
+        for chi in enumerate_characters(N):
+            for a in range(1, 2 * N + 2):
+                for d in range(1, 2 * N + 2):
+                    assert cusp_sum(N, 1, chi, a * d, _pick(a, d)) == phi_chi(N, chi, a, d), (N, chi, a, d)
 
 
 def _cusp_sum_by_gcd_conditions(N, ell, a, d):

@@ -1,13 +1,17 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from trace_kit.arith import divisors, index_phi1
+import trace_kit.local_counts as lc
+from trace_kit.arith import divisors, index_phi1, moebius
 from trace_kit.dirichlet import enumerate_characters, trivial_character
 from trace_kit.local_counts import (
     B_coeff,
+    B_counts,
     C_coeff,
+    C_counts,
     C_fast,
     c_atkin_closed,
     c_class_closed,
@@ -81,6 +85,57 @@ def test_C_examples_and_inversion():
             # squarefree level: C at the full level is |S|*u on valid keys
             if (t * t - 4 * n) % 36 == 0:
                 assert C_coeff(6, chi6, 6, t, n) == count_S_plain(6, t, n) * 6
+
+
+def _brute_B(N, chi, u, t, n):
+    """B_counts by a walk over alpha mod N*u that reads no memo; it checks
+    on the way that a unit mod N solves at all u of its lifts or at none."""
+    if (t * t - 4 * n) % (u * u):
+        return [0] * chi.order
+    M = N * u
+    lifts = Counter(a % N for a in range(M) if math.gcd(a, N) == 1 and (a * a - t * a + n) % M == 0)
+    assert set(lifts.values()) <= {u}, (N, u, t, n)
+    scale = index_phi1(N) // index_phi1(N // u)
+    hist = [0] * chi.order
+    for alpha in lifts:
+        hist[chi.value_exponent(alpha)] += scale
+    return hist
+
+
+def _brute_C(N, chi, u, t, n):
+    acc = [0] * chi.order
+    for d in divisors(u):
+        acc = [x + moebius(d) * y for x, y in zip(acc, _brute_B(N, chi, u // d, t, n))]
+    return acc
+
+
+def test_local_counts_depend_only_on_the_class_mod_N_u():
+    # every N <= 12, u | N and character mod N, at random (t, n) of both
+    # signs and at a shift of each by multiples of N*u, with more classes
+    # than the memo holds and the memo cleared between the two passes
+    rng = random.Random(25)
+    cases = []
+    for N in range(1, 13):
+        for chi in enumerate_characters(N):
+            for u in divisors(N):
+                M = N * u
+                cases += [(N, chi, u, rng.randrange(-5 * M, 5 * M), rng.randrange(-5 * M, 5 * M)) for _ in range(90)]
+    classes = {(N, chi, u, t % (N * u), n % (N * u)) for N, chi, u, t, n in cases}
+    assert len(classes) > lc._histograms.cache_info().maxsize
+    lc._histograms.cache_clear()
+    first = [(B_counts(N, chi, u, t, n), C_counts(N, chi, u, t, n)) for N, chi, u, t, n in cases]
+    lc._histograms.cache_clear()
+    solution_set.cache_clear()
+    for (N, chi, u, t, n), (b, c) in zip(cases, first):
+        M = N * u
+        ts, ns = t + rng.choice((-3, -1, 1, 2)) * M, n + rng.choice((-2, 0, 1, 4)) * M
+        assert b == _brute_B(N, chi, u, t, n), (N, chi, u, t, n)
+        assert c == _brute_C(N, chi, u, t, n), (N, chi, u, t, n)
+        assert B_counts(N, chi, u, ts, ns) == b and C_counts(N, chi, u, ts, ns) == c, (N, chi, u, t, n)
+    # the memo hands out copies
+    out = C_counts(12, trivial_character(12), 2, 2, 1)
+    out[0] += 1
+    assert C_counts(12, trivial_character(12), 2, 2, 1) == [out[0] - 1]
 
 
 def test_C_fast_examples():

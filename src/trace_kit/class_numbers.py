@@ -12,20 +12,23 @@ Both are extended to all integer arguments:
          D = 0 -> -1/12;
          D = u^2 > 0 -> -phi(u)/2, else 0.
 
-For D > 0 both are counted together in integers (12*H(D) and the primitive
-reduced forms of discriminant -D), by a per-D walk or, for a range, by the
-one sweep of `precompute`; the tests check the two walks against each other.
+Both are whole twelfths, stored and read as ints (`twelve_H`, `twelve_h0`);
+`hurwitz_H`/`h0` divide by 12 at the API.  For D > 0 both come from one
+count of the reduced forms of discriminant -D: `precompute(limit)` sweeps
+0 <= D <= limit into two int arrays, which only a larger sweep replaces, and
+a D above that top is walked alone through a memo of at most 2^14 entries.
 """
 
 import math
+from array import array
+from functools import lru_cache
 
 from .arith import QQ, euler_phi, is_square, isqrt
 
-__all__ = ["hurwitz_H", "h0", "precompute", "twelfths"]
+__all__ = ["hurwitz_H", "h0", "precompute", "twelve_H", "twelve_h0"]
 
-_H_cache: dict[int, QQ] = {}
-_h0_cache: dict[int, QQ] = {}
-_ZERO = QQ(0)
+# 12*H(D) and the primitive form count at 0 <= D <= top, from one sweep
+_twelve_h = _prim = array("q", [0])
 
 
 def _twelfths(a, b, c):
@@ -56,7 +59,7 @@ def _class_counts(D):
 
 
 def _class_sweep(limit):
-    """Lists of 12*H(D) and of the primitive form count for 0 <= D <= limit."""
+    """Int arrays of 12*H(D) and of the primitive form count for 0 <= D <= limit."""
     twelve_h = [0] * (limit + 1)
     prim = [0] * (limit + 1)
     a = 1
@@ -75,54 +78,50 @@ def _class_sweep(limit):
                 if g == 1 or math.gcd(g, c) == 1:
                     prim[D] += mult
         a += 1
-    return twelve_h, prim
+    return array("q", twelve_h), array("q", prim)
 
 
-def _store(D, twelve_h, prim):
-    _H_cache[D] = QQ(twelve_h, 12)
-    # h0(-D) = 2*prim/w, with w = 6 units at D = 3, 4 at D = 4, else 2
-    _h0_cache[-D] = QQ(prim, {3: 3, 4: 2}.get(D, 1))
+@lru_cache(maxsize=1 << 14)
+def _walk(D):
+    """`_class_counts(D)` for a discriminant -D above the swept top."""
+    return _class_counts(D)
+
+
+def _counts(D):
+    """(12*H(D), primitive count) above the swept top; D = 1, 2 (mod 4) takes no memo entry."""
+    return _walk(D) if D % 4 in (0, 3) else (0, 0)
+
+
+def twelve_H(D):
+    """12*H(D) as an int, for every integer D."""
+    if D > 0:
+        return _twelve_h[D] if D < len(_twelve_h) else _counts(D)[0]
+    if D == 0:
+        return -1
+    return -6 * isqrt(-D) if is_square(-D) else 0
+
+
+def twelve_h0(D):
+    """12*h0(D) as an int, for every integer D."""
+    if D < 0:
+        prim = _prim[-D] if -D < len(_prim) else _counts(-D)[1]
+        # h0(D) = 2*prim/w, with w = 6 units at D = -3, 4 at D = -4, else 2
+        return prim * (12 if D < -4 else 4 if D == -3 else 6)
+    if D == 0:
+        return -1
+    return -6 * euler_phi(isqrt(D)) if is_square(D) else 0
 
 
 def hurwitz_H(D):
-    if D not in _H_cache:
-        if D > 0:
-            # -D is a discriminant only for D = 0, 3 (mod 4); the others are
-            # 0 and take no entry
-            if D % 4 in (1, 2):
-                return _ZERO
-            _store(D, *_class_counts(D))
-        elif D == 0:
-            _H_cache[D] = QQ(-1, 12)
-        else:
-            _H_cache[D] = QQ(-isqrt(-D), 2) if is_square(-D) else _ZERO
-    return _H_cache[D]
+    return QQ(twelve_H(D), 12)
 
 
 def h0(D):
-    if D not in _h0_cache:
-        if D < 0:
-            if -D % 4 in (1, 2):
-                return _ZERO
-            _store(-D, *_class_counts(-D))
-        elif D == 0:
-            _h0_cache[D] = QQ(-1, 12)
-        else:
-            _h0_cache[D] = QQ(-euler_phi(isqrt(D)), 2) if is_square(D) else _ZERO
-    return _h0_cache[D]
-
-
-def twelfths(q):
-    """12*q as an int, for q a value of H or h0; ArithmeticError when 12*q
-    is not an integer, so that no value is truncated."""
-    if 12 % q.denominator:
-        raise ArithmeticError(f"{q} is not a whole number of twelfths")
-    return q.numerator * (12 // q.denominator)
+    return QQ(twelve_h0(D), 12)
 
 
 def precompute(limit):
-    """Fill H(D) and h0(-D) for every 0 < D <= limit by one sweep."""
-    twelve_h, prim = _class_sweep(limit)
-    for D in range(1, limit + 1):
-        if D % 4 in (0, 3):
-            _store(D, twelve_h[D], prim[D])
+    """Sweep every 0 <= D <= limit into the tables, unless they reach as far."""
+    global _twelve_h, _prim
+    if limit >= len(_twelve_h):
+        _twelve_h, _prim = _class_sweep(limit)

@@ -3,13 +3,13 @@
 One route serves both: T_n composed with W_ell is the ell > 1 case of the
 Hecke formulas at level N/ell, with the class sum Moebius-twisted over
 u | ell at the multiples t of ell, and the cusp sum scaled by phi(ell)/ell.
-The class sums are exponent histograms of chi in ints, with H and h0 read
-as whole twelfths, and each part of a trace (elliptic, hyperbolic, the full
-trace, its h0 cross-check) is one CycloNum built from its histogram and
-scaled once.  All values are exact; the composed entry points return
-rationals.  Every formula has an independent verification route
-(group-ring operator acting on period polynomials) exercised by the oracle
-comparisons.
+The class sums are exponent histograms of chi in ints that read 12*H and
+12*h0 as ints (`twelve_H`, `twelve_h0`), and each part of a trace
+(elliptic, hyperbolic, the full trace, its h0 cross-check) is one CycloNum
+built from its histogram and scaled once.  All values are exact; the
+composed entry points return rationals.  Every formula has an independent
+verification route (group-ring operator acting on period polynomials)
+exercised by the oracle comparisons.
 """
 
 import math
@@ -28,7 +28,7 @@ from .arith import (
     sigma1_N,
     validate_query,
 )
-from .class_numbers import h0, hurwitz_H, twelfths
+from .class_numbers import twelve_H, twelve_h0
 from .cusp_terms import cusp_sum
 from .dirichlet import CycloNum, trivial_character
 from .local_counts import B_counts, C_counts
@@ -107,7 +107,7 @@ def _class_sum(N, ell, chi, w, n, t):
     for sq, mu, up in _class_pairs(N, ell):
         if D % sq:
             continue
-        h = mu * twelfths(hurwitz_H(D // sq))
+        h = mu * twelve_H(D // sq)
         if h:
             acc = [x + h * y for x, y in zip(acc, C_counts(Np, chi, up, t, m))]
     g = gegenbauer(w, t, m)
@@ -183,7 +183,7 @@ def trace_hecke_full(N, chi, k, n):
             terms = [(math.gcd(N, u), D // (u * u)) for u in range(1, isqrt(abs(D)) + 1) if D % (u * u) == 0]
         acc = [0] * chi.order
         for g, E in terms:
-            h = twelfths(h0(E))
+            h = twelve_h0(E)
             if h:
                 acc = [x + h * y for x, y in zip(acc, B_counts(N, chi, g, t, n))]
         p = gegenbauer(w, t, n)
@@ -235,17 +235,15 @@ def cohen_gamma04(k, n):
     validate_query(4, None, k, n)
     if n % 2 == 0:
         raise ValueError("n must be odd")
-    div = QQ(0)
-    for a in divisors(n):
-        div += min(a, n // a) ** (k - 1)
-    cls = QQ(0)
+    # 4 * total in ints: -6 * divisor sum - the class sum of 12*H + 4 * sigma1
+    total4 = -6 * sum(min(a, n // a) ** (k - 1) for a in divisors(n))
     s = 0
     while s * s <= n:
-        term = gegenbauer(k - 2, 2 * s, n) * hurwitz_H(n - s * s)
-        cls += term if s == 0 else 2 * term
+        term = gegenbauer(k - 2, 2 * s, n) * twelve_H(n - s * s)
+        total4 -= term if s == 0 else 2 * term
         s += 1
-    total = QQ(-3, 2) * div - 3 * cls
     if k == 2:
-        total += sigma1(n)
-    assert total.denominator == 1
-    return int(total)
+        total4 += 4 * sigma1(n)
+    if total4 % 4:
+        raise ArithmeticError(f"the level-4 sum at k={k}, n={n} is not an integer: {total4}/4")
+    return total4 // 4

@@ -1,7 +1,7 @@
-import pytest
+import tracemalloc
 
-from trace_kit.arith import QQ, kronecker, moebius, sigma1
-from trace_kit.class_numbers import h0, hurwitz_H, precompute, twelfths
+from trace_kit.arith import QQ, euler_phi, kronecker, moebius, sigma1
+from trace_kit.class_numbers import h0, hurwitz_H, precompute, twelve_H, twelve_h0
 
 
 def test_hurwitz_examples():
@@ -81,44 +81,83 @@ def test_walk_equals_sweep():
         assert cn._class_counts(D) == (twelve_h[D], prim[D]), D
 
 
-def test_caches_hold_only_discriminants():
-    # D = 1, 2 (mod 4) is no discriminant: H(D) = h0(-D) = 0 without an
-    # entry; every stored value is the per-D walk's
+def test_caches_hold_only_discriminants(empty_class_tables):
+    # D = 1, 2 (mod 4) is no discriminant: H(D) = h0(-D) = 0, read from the
+    # swept tables and, above them, without a per-D memo entry; every other
+    # value is the per-D walk's
     import trace_kit.class_numbers as cn
 
-    cn._H_cache.clear()
-    cn._h0_cache.clear()
+    empty_class_tables()
     precompute(1000)
+    assert len(cn._twelve_h) == len(cn._prim) == 1001
     for D in range(1, 1001):
         twelve_h, prim = cn._class_counts(D) if D % 4 in (0, 3) else (0, 0)
+        assert (cn._twelve_h[D], cn._prim[D]) == (twelve_h, prim), D
         assert hurwitz_H(D) == QQ(twelve_h, 12), D
         assert h0(-D) == QQ(prim, {3: 3, 4: 2}.get(D, 1)), D
     # past the sweep, a per-D read stores nothing for a non-discriminant
     assert hurwitz_H(1001) == h0(-1002) == 0
-    assert not [D for D in cn._H_cache if D > 0 and D % 4 in (1, 2)]
-    assert not [D for D in cn._h0_cache if D < 0 and -D % 4 in (1, 2)]
-    assert sorted(D for D in cn._H_cache if D > 0) == [D for D in range(1, 1001) if D % 4 in (0, 3)]
+    assert cn._walk.cache_info().currsize == 0
+    twelve_h, prim = cn._class_counts(1003)
+    assert twelve_H(1003) == twelve_h and twelve_h0(-1003) == 12 * prim
+    assert cn._walk.cache_info().currsize == 1
 
 
-def test_cache_consistency():
-    # cached values equal freshly recomputed ones
+def test_cache_consistency(empty_class_tables):
+    # values read from the swept tables and the per-D memo equal ones walked
+    # afresh without either
     import trace_kit.class_numbers as cn
 
-    samples = [(cn.hurwitz_H, D) for D in (-16, -1, 0, 3, 4, 20, 23, 400)]
-    samples += [(cn.h0, D) for D in (-20, -4, 0, 4, 9, 49)]
-    for fn, D in samples:
-        first = fn(D)
-        cn._H_cache.pop(D, None)
-        cn._h0_cache.pop(D, None)
-        assert fn(D) == first
+    precompute(500)
+    samples = [(cn.hurwitz_H, D) for D in (-16, -1, 0, 3, 4, 20, 23, 400, 20003, 20004)]
+    samples += [(cn.h0, D) for D in (-20003, -20, -4, -3, 0, 4, 9, 49)]
+    first = [fn(D) for fn, D in samples]
+    assert [fn(D) for fn, D in samples] == first
+    empty_class_tables()
+    assert [fn(D) for fn, D in samples] == first
 
 
 def test_twelfths_is_exact():
+    # 12*H(D) and 12*h0(D) are exact ints, 12 times the API values, over
+    # negative, zero and positive D, squares and the unit weights at D = 3, 4
     precompute(3000)
     for D in range(-400, 3001):
-        for v in (hurwitz_H(D), h0(D)):
-            t = twelfths(v)
-            assert type(t) is int and QQ(t, 12) == v, D
-    assert twelfths(QQ(-1, 12)) == -1 and twelfths(QQ(-3, 2)) == -18
-    with pytest.raises(ArithmeticError):
-        twelfths(QQ(1, 5))
+        for twelve, fn in ((twelve_H, hurwitz_H), (twelve_h0, h0)):
+            t = twelve(D)
+            assert type(t) is int and t == 12 * fn(D), D
+    assert twelve_H(0) == twelve_h0(0) == -1
+    assert twelve_H(3) == twelve_h0(-3) == 4 and twelve_H(4) == twelve_h0(-4) == 6
+    for u in range(1, 21):
+        assert twelve_H(-u * u) == -6 * u and twelve_h0(u * u) == -6 * euler_phi(u), u
+    assert twelve_H(-8) == twelve_h0(8) == twelve_H(1) == twelve_h0(-2) == 0
+
+
+def test_class_number_memory_stays_bounded(monkeypatch, empty_class_tables):
+    # 60,000 isolated D above the swept top retain no more than the per-D
+    # memo's 2^14 entries (5 MiB is 320 bytes an entry), not one value per D.
+    # The walk is a stand-in here: the memo is under test, and a real walk
+    # near D = 10^7 takes about 10^6 steps
+    import trace_kit.class_numbers as cn
+
+    precompute(100)
+    monkeypatch.setattr(cn, "_class_counts", lambda D: (12 * D, D))
+    discs = [D for D in range(10**7, 10**7 + 120000) if D % 4 in (0, 3)]
+    tracemalloc.start()
+    try:
+        for D in discs:
+            assert hurwitz_H(D) == D and h0(-D) == D
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grown < 5 << 20, grown
+    info = cn._walk.cache_info()
+    assert info.currsize == info.maxsize == 1 << 14
+
+    # a smaller sweep keeps the tables held, a larger one replaces them
+    empty_class_tables()
+    precompute(200)
+    held = cn._twelve_h
+    precompute(100)
+    assert cn._twelve_h is held and len(held) == len(cn._prim) == 201
+    precompute(300)
+    assert len(cn._twelve_h) == len(cn._prim) == 301 and cn._twelve_h[:201] == held

@@ -83,25 +83,25 @@ def test_classnum(capsys):
     assert "value=[-1, 2]" in out
 
 
-def test_classnum_range_matches_per_d_values(capsys):
-    # a range is filled by one sweep; every value equals the per-D walk's
+def test_classnum_range_matches_per_d_values(capsys, empty_class_tables):
+    # a range is filled by one sweep to its top |D|; every value equals the
+    # per-D walk's
     import trace_kit.class_numbers as cn
 
-    for kind, fn in (("H", cn.hurwitz_H), ("h0", cn.h0)):
-        cn._H_cache.clear()
-        cn._h0_cache.clear()
+    for kind, fn, top in (("H", cn.hurwitz_H, 300), ("h0", cn.h0, 400)):
+        empty_class_tables()
         code, out, _ = run_cli(capsys, "classnum", "--kind", kind, "--d=-400:300", "--format", "json")
         assert code == 0
+        assert len(cn._twelve_h) == len(cn._prim) == top + 1
         records = json.loads(out)
         assert [r["d"] for r in records] == list(range(-400, 301))
-        cn._H_cache.clear()
-        cn._h0_cache.clear()
+        empty_class_tables()
         for r in records:
             v = fn(r["d"])
             assert r["exact"] == [v.numerator, v.denominator], r
 
 
-def test_trace_range_matches_per_n_values(capsys):
+def test_trace_range_matches_per_n_values(capsys, empty_class_tables):
     # a range fills H and h0 up to 4*ell*n by one sweep; every value equals
     # the one computed per n from per-D walks
     import trace_kit.class_numbers as cn
@@ -114,15 +114,12 @@ def test_trace_range_matches_per_n_values(capsys):
          lambda n: trace_hecke_cusp(13, enumerate_characters(13)[2], 2, n)),
         (("--level", "6", "--weight", "4", "--ell", "2"), 2, lambda n: trace_atkin_lehner(6, 2, 4, n)),
     ):
-        cn._H_cache.clear()
-        cn._h0_cache.clear()
+        empty_class_tables()
         code, out, _ = run_cli(capsys, "trace", *argv, "--n", "1:60", "--format", "json")
         assert code == 0
-        # the sweep stores every discriminant -D up to the top, and only those
-        swept = {D for D in range(1, 4 * ell * 60 + 1) if D % 4 in (0, 3)}
-        assert {D for D in cn._H_cache if D > 0} == swept == {-D for D in cn._h0_cache if D < 0}
-        cn._H_cache.clear()
-        cn._h0_cache.clear()
+        # the sweep covers every D up to the top, and no further
+        assert len(cn._twelve_h) == len(cn._prim) == 4 * ell * 60 + 1
+        empty_class_tables()
         records = json.loads(out)
         assert [r["n"] for r in records] == list(range(1, 61))
         for r in records:

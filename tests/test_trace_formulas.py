@@ -174,6 +174,18 @@ def test_cohen_examples():
             cohen_gamma04(4, n)
 
 
+def test_cohen_raises_on_a_fractional_sum(monkeypatch):
+    # the level-4 sum is 4 * total in ints; a class number off by one twelfth
+    # leaves a remainder mod 4, which raises instead of being truncated
+    import trace_kit.class_numbers as cn
+    import trace_kit.trace_formulas as tf
+
+    monkeypatch.setattr(tf, "twelve_H", lambda D: cn.twelve_H(D) + (D == 5))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        cohen_gamma04(2, 9)
+    assert cohen_gamma04(2, 7) == 0
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         trace_hecke_cusp(4, T1, 4, 1)  # modulus mismatch

@@ -83,6 +83,16 @@ def _resolve_char(level, label):
     return chars[idx]
 
 
+def _check_composed(level, chi, ell, weight):
+    """The query checks of the composed operator T_n o W_ell, shared by
+    trace and verify oracle."""
+    if not chi.is_trivial():
+        _usage_error("the composed operator is defined for the trivial character only")
+    require_exact_divisor(level, ell)
+    if weight % 2:
+        _usage_error("the composed operator needs even weight")
+
+
 def _rational_json(q):
     return [int(q.numerator), int(q.denominator)]
 
@@ -171,11 +181,7 @@ def cmd_trace(args):
     # validate once in the parent; workers then re-resolve from cached tables
     chi = _resolve_char(args.level, args.char)
     if args.ell is not None:
-        if not chi.is_trivial():
-            _usage_error("the composed operator is defined for the trivial character only")
-        require_exact_divisor(args.level, args.ell)
-        if args.weight % 2:
-            _usage_error("the composed operator needs even weight")
+        _check_composed(args.level, chi, args.ell, args.weight)
     lo, hi = args.n
     # a trace of T_n composed with W_ell reads H and h0 at |D| <= 4*ell*n;
     # the sweep runs before the workers fork, so they share its tables
@@ -226,8 +232,7 @@ def cmd_verify(args):
     if args.target == "heckeop":
         lo, hi = args.n
         if args.dump_operator and lo != hi:
-            print("--dump-operator needs a single n", file=sys.stderr)
-            return USAGE_EXIT
+            _usage_error("--dump-operator needs a single n")
         all_ok = True
         for n in range(lo, hi + 1):
             rep = verify_operator(n)
@@ -251,8 +256,8 @@ def cmd_verify(args):
 
     if args.target == "oracle":
         chi = _resolve_char(args.level, args.char)
-        if args.ell is not None and not chi.is_trivial():
-            _usage_error("the composed operator is defined for the trivial character only")
+        if args.ell is not None:
+            _check_composed(args.level, chi, args.ell, args.weight)
         lo, hi = args.n
         all_ok = True
         for n in range(lo, hi + 1):

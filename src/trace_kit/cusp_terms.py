@@ -13,9 +13,9 @@ per residue class.
 import math
 from functools import lru_cache
 
-from .arith import QQ, crt_solve, divisors, euler_phi, require_exact_divisor, sigma1_N, validate_query, xgcd
+from .arith import QQ, crt_solve, divisors, euler_phi, require_exact_divisor, sigma1_N, validate_query
 from .dirichlet import CycloNum, trivial_character
-from .matrix_forms import in_atkin_coset, mat_mul, sigma_det, sigma_twist
+from .matrix_forms import complete_row, in_atkin_coset, mat_mul, sigma_det, sigma_twist
 
 __all__ = [
     "CuspRep",
@@ -47,10 +47,7 @@ class CuspRep:
         self.r = r
         self.s = N // r
         self.q = q
-        g, p, y = xgcd(q, r)
-        assert g == 1
-        # p*q - (-y)*r = 1: top row completes (r, q) to determinant 1
-        self.matrix = (p, -y, r, q)
+        self.matrix = complete_row(r, q)
         self.width = self.s // math.gcd(self.r, self.s)
 
     def __repr__(self):

@@ -1,12 +1,13 @@
 """The universal degree-n operator on the rational group ring of projective
 integral matrices, built two independent ways and machine-verified.
 
-The geometric construction sums one representative per elliptic conjugacy
-class (fixed point in a fundamental strip, boundary tie-breaks applied
-verbatim), an upper-triangular family, a scalar term at square n, and three
-auxiliary inequality-system families with their conjugate corrections.  The
-condensed construction is a five-sum simplification with half/third-weighted
-boundary terms.  Every family and every sum is generated straight from its
+build_Tn is the geometric construction: one representative per elliptic
+conjugacy class (fixed point in a fundamental strip, boundary tie-breaks
+applied verbatim), an upper-triangular family, a scalar term at square n,
+and three auxiliary inequality-system families with their conjugate
+corrections.  The condensed construction, a five-sum simplification with
+half/third-weighted boundary terms, is built only by verify_operator, as
+the check on it.  Every family and every sum is generated straight from its
 defining inequalities, each by its own loops, so the two constructions share
 no enumeration; det_matrices, the box of all determinant-n matrices with
 bounded entries, stays as the reference the tests filter.  Both must agree
@@ -263,20 +264,6 @@ def _elliptic_family(n):
                 yield ((t + mm) // 2, -beta, c, (t - mm) // 2)
 
 
-_FAMILIES = {
-    "upper": _upper_family,
-    "X": _x_family,
-    "Y": _y_family,
-    "Z": _z_family,
-    "elliptic": _elliptic_family,
-}
-
-
-def enumerate_family(n, name):
-    """Sorted members of determinant n of the named matrix family."""
-    return sorted(_FAMILIES[name](n))
-
-
 # -- constructions ----------------------------------------------------------------
 
 
@@ -292,42 +279,37 @@ def build_Tn_infty(n):
 
 def build_elliptic_reps(n):
     """(matrix, -1/stabilizer order) for one representative per elliptic class."""
-    return [(m, QQ(-1, stab_order(m))) for m in enumerate_family(n, "elliptic")]
+    return [(m, QQ(-1, stab_order(m))) for m in sorted(_elliptic_family(n))]
 
 
 @lru_cache(maxsize=256)
-def build_Tn(n, variant="geometric"):
-    """The universal degree-n operator.
-
-    variant='geometric': elliptic representatives + upper-triangular family +
-    scalar term + correction families X, Y, Z with their S/U conjugates.
-    variant='condensed': the simplified five-sum form; the scalar carries
-    coefficient 1/6 (forced by the class-sum property at square n).
-    """
+def build_Tn(n):
+    """The universal degree-n operator: elliptic representatives +
+    upper-triangular family + scalar term + correction families X, Y, Z
+    with their S/U conjugates."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if variant == "geometric":
-        out = GroupRingElem(n)
-        for m, c in build_elliptic_reps(n):
-            out.add_term(m, c)
-        for m in enumerate_family(n, "upper"):
+    out = GroupRingElem(n)
+    for m, c in build_elliptic_reps(n):
+        out.add_term(m, c)
+    for m in sorted(_upper_family(n)):
+        out.add_term(m, 1)
+    if is_square(n):
+        r = isqrt(n)
+        out.add_term((r, 0, 0, r), QQ(1, 6))
+    # a correction member enters with +1 and its conjugate with -1:
+    # S m S for the X family, U^2 m U for the Y and Z families
+    for family, left, right in ((_x_family, S, S), (_y_family, _UU, U), (_z_family, _UU, U)):
+        for m in sorted(family(n)):
             out.add_term(m, 1)
-        if is_square(n):
-            r = isqrt(n)
-            out.add_term((r, 0, 0, r), QQ(1, 6))
-        # a correction member enters with +1 and its conjugate with -1:
-        # S m S for the X family, U^2 m U for the Y and Z families
-        for name, left, right in (("X", S, S), ("Y", _UU, U), ("Z", _UU, U)):
-            for m in enumerate_family(n, name):
-                out.add_term(m, 1)
-                out.add_term(mat_mul(mat_mul(left, m), right), -1)
-        return out
-    if variant == "condensed":
-        return _build_condensed(n)
-    raise ValueError(f"unknown variant {variant!r}")
+            out.add_term(mat_mul(mat_mul(left, m), right), -1)
+    return out
 
 
 def _build_condensed(n):
+    """The simplified five-sum form of build_Tn(n), not memoized: only
+    verify_operator builds it, to compare with build_Tn.  The scalar carries
+    coefficient 1/6 (forced by the class-sum property at square n)."""
     out = GroupRingElem(n)
     for condensed_sum in _CONDENSED_SUMS:
         for m, q in condensed_sum(n):
@@ -551,15 +533,15 @@ def expected_class_weights(n):
     return out
 
 
-def verify_operator(n, variant="geometric"):
+def verify_operator(n):
     """Full property check of the degree-n operator.
 
     Returns a report dict with pass flags for the transfer identity, the two
     exchange memberships, the per-class coefficient sums, and agreement of
     the two constructions; failures carry witnesses.
     """
-    op = build_Tn(n, variant)
-    report = {"n": n, "variant": variant}
+    op = build_Tn(n)
+    report = {"n": n}
 
     inf = build_Tn_infty(n)
     transfer = (ONE_MINUS_S * op) - (inf * ONE_MINUS_S)
@@ -593,8 +575,7 @@ def verify_operator(n, variant="geometric"):
     report["class_witnesses"] = failures
     report["ledger"] = ledger
 
-    other = build_Tn(n, "condensed" if variant == "geometric" else "geometric")
-    report["variants_agree"] = op == other
+    report["variants_agree"] = op == _build_condensed(n)
     report["ok"] = (
         report["transfer"]
         and report["exchange"]

@@ -1,17 +1,14 @@
-"""Local solution counts and conjugacy-class weights for the level-N formulas.
+"""Local solution counts for the level-N closed formulas.
 
 S_N(u,t,n) counts units alpha mod N with alpha^2 - t*alpha + n = 0 (mod N*u);
 B is its character-weighted, index-scaled version, C its Moebius inverse.
 B_counts and C_counts give both as exponent histograms of chi in ints, the
-form the closed trace formulas sum; B_coeff and C_coeff build one CycloNum
-from each.  Since u | N makes u^2 divide N*u, all three depend on t and n
-only mod N*u: the histograms are memoized once per residue class, so a
-range of traces revisits a few classes instead of counting per (t, n).
+form the closed trace formulas sum (chi.value turns one into a CycloNum).
+Since u | N makes u^2 divide N*u, all three depend on t and n only mod N*u:
+the histograms are memoized once per residue class, so a range of traces
+revisits a few classes instead of counting per (t, n).
 C_fast is the closed multiplicative evaluation of the trivial-character C
 via prime-power tables.
-c_class_closed is the closed conjugacy-class weight, and c_atkin_closed the
-one at level N/ell; their direct counterparts, sums over the fixed points of
-the double-coset action on P^1(Z/N), live on the period side.
 """
 
 import math
@@ -24,23 +21,14 @@ from .arith import (
     index_phi1,
     legendre,
     moebius,
-    validate_query,
     valuation,
 )
-from .dirichlet import trivial_character
-from .matrix_forms import form_content, mat_det, mat_trace, quad_form_of
 
 __all__ = [
     "solution_set",
-    "count_S",
-    "count_S_plain",
     "B_counts",
-    "B_coeff",
     "C_counts",
-    "C_coeff",
     "C_fast",
-    "c_class_closed",
-    "c_atkin_closed",
 ]
 
 
@@ -61,14 +49,6 @@ def solution_set(N, u, t, n):
         if math.gcd(alpha, N) == 1 and (alpha * alpha - t * alpha + n) % M == 0:
             out.append(alpha)
     return tuple(out)
-
-
-def count_S(N, u, t, n):
-    return len(solution_set(N, u, t, n))
-
-
-def count_S_plain(N, t, n):
-    return count_S(N, 1, t, n)
 
 
 @lru_cache(maxsize=1 << 13)
@@ -97,11 +77,6 @@ def B_counts(N, chi, u, t, n):
     return list(_histograms(N, chi, u, t % M, n % M)[0])
 
 
-def B_coeff(N, chi, u, t, n):
-    """(phi1(N)/phi1(N/u)) * sum of chi over the local solution set."""
-    return chi.value(B_counts(N, chi, u, t, n))
-
-
 def C_counts(N, chi, u, t, n):
     """Exponent histogram, in ints, of the Moebius inverse of B over the
     divisors of u."""
@@ -111,11 +86,6 @@ def C_counts(N, chi, u, t, n):
         raise ValueError("u must divide N")
     M = N * u
     return list(_histograms(N, chi, u, t % M, n % M)[1])
-
-
-def C_coeff(N, chi, u, t, n):
-    """Moebius inverse of B over divisors of u, as one CycloNum."""
-    return chi.value(C_counts(N, chi, u, t, n))
 
 
 def _C_fast_local(p, a, i, D):
@@ -171,7 +141,8 @@ def _C_fast_local(p, a, i, D):
 
 
 def C_fast(N, u, D):
-    """Multiplicative closed form with C_coeff(N,1,u,t,n) = |S_N(t,n)| * C_fast."""
+    """Multiplicative closed form: for chi trivial mod N, C_counts(N, chi, u,
+    t, n) is [len(solution_set(N, 1, t, n)) * C_fast(N, u, t^2 - 4n)]."""
     if u < 1 or N % u or D % (u * u):
         return 0
     out = 1
@@ -180,27 +151,3 @@ def C_fast(N, u, D):
         if out == 0:
             return 0
     return out
-
-
-# -- conjugacy-class weights ---------------------------------------------------
-
-
-def c_class_closed(N, chi, m):
-    """Class weight via the closed form B(gcd(content, N), trace, det)."""
-    n = mat_det(m)
-    validate_query(N, chi, n=n)
-    # content 0 (scalars): gcd(0, N) = N
-    return B_coeff(N, chi, math.gcd(form_content(quad_form_of(m)), N), mat_trace(m), n)
-
-
-def c_atkin_closed(N, ell, m):
-    """Atkin-Lehner composed class weight, closed form (integer valued):
-    delta(gcd(ell, content), 1) times the trivial-character class weight at
-    level N/ell, when ell divides the trace."""
-    det = mat_det(m)
-    validate_query(N, n=det, ell=ell)
-    if det % ell:
-        raise ValueError("determinant must be divisible by ell")
-    if mat_trace(m) % ell or math.gcd(ell, form_content(quad_form_of(m))) != 1:
-        return 0
-    return int(c_class_closed(N // ell, trivial_character(N // ell), m).as_rational())

@@ -68,6 +68,15 @@ def mat_inv_unimodular(m):
     return (d, -b, -c, a)
 
 
+def complete_row(c, d):
+    """The determinant-1 matrix (a, b; c, d) over a coprime bottom row:
+    xgcd(d, c) = (1, a, y) gives a*d - (-y)*c = 1, so b = -y."""
+    g, a, y = xgcd(d, c)
+    if g != 1:
+        raise ValueError(f"bottom row ({c}, {d}) is not coprime")
+    return (a, -y, c, d)
+
+
 def proj_canonical(m):
     """Sign-normalized representative of {M, -M}: first nonzero entry > 0."""
     if mat_det(m) <= 0:

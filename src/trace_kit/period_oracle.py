@@ -8,8 +8,8 @@ the weight -w substitution action and a chi twist, to the one point (if any)
 it comes from; that source point is read off the matrix by a congruence and
 a P^1(Z/N) index lookup.  Unimodular matrices act as the determinant-1
 coset, so there is one action routine for both.  The points fixed by a
-matrix give the direct conjugacy-class weights (c_class_direct,
-c_atkin_direct) and the trace on the whole module.
+matrix give its direct conjugacy-class weight, which trace_on_V sums into
+the trace on the whole module.
 
 An operator sum(q_M M) is applied one way only, as gathered rows
 (PeriodModule.rows): q_M times the weight action summed block by block per
@@ -70,13 +70,14 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add, mul
 
-from .arith import QQ, euler_phi, factorize, sigma1_N, validate_query, xgcd
+from .arith import QQ, euler_phi, factorize, sigma1_N, validate_query
 from .dirichlet import CycloNum, cyclo_conjugates, cyclo_mul, mult_matrix, zeta_power
 from .matrix_forms import (
     IDENT,
     S,
     T,
     U,
+    complete_row,
     in_atkin_coset,
     mat_det,
     mat_mul,
@@ -91,8 +92,6 @@ __all__ = [
     "weight_action",
     "hecke_coset_desc",
     "atkin_coset_desc",
-    "c_class_direct",
-    "c_atkin_direct",
     "PeriodModule",
     "period_module",
     "dim_period_space",
@@ -141,9 +140,7 @@ class CosetTable:
             c1, d1 = c, d
             while math.gcd(c1, d1) != 1:
                 d1 += N
-        g, a, y = xgcd(d1, c1)
-        assert g == 1
-        return (a, -y, c1, d1)
+        return complete_row(c1, d1)
 
     def index_of(self, c, d):
         i = 0
@@ -279,29 +276,6 @@ def _fixed_point_args(sigma, m):
     return [ent[1] for j, ent in enumerate(sigma_block_map(sigma, m)) if ent is not None and ent[0] == j]
 
 
-def _class_weight(chi, sigma, m):
-    """sum of chi over the fixed points of the action of m through sigma."""
-    return chi.total(_fixed_point_args(sigma, m))
-
-
-def c_class_direct(N, chi, m):
-    """Class weight by direct summation over P^1(Z/N): chi at the fixed
-    points of m in the determinant-det(m) Hecke coset."""
-    det = mat_det(m)
-    validate_query(N, chi, n=det)
-    return _class_weight(chi, (N, 1, det), m)
-
-
-def c_atkin_direct(N, ell, m):
-    """Atkin-Lehner class weight: the fixed points of m in the composed
-    coset of determinant det(m)."""
-    det = mat_det(m)
-    validate_query(N, n=det, ell=ell)
-    if det % ell:
-        raise ValueError("determinant must be divisible by ell")
-    return len(_fixed_point_args((N, ell, det // ell), m))
-
-
 # the single steps M -> M g by which PeriodModule.rows derives one matrix of an
 # operator from another
 _STEPS = (S, U, mat_mul(U, U))
@@ -359,13 +333,6 @@ class PeriodModule:
         self.zeta_bound = max(abs(x) for mat in self._zeta for row in mat for x in row)
         self._unimodular_maps = {}  # g -> its walked unimodular map (_unimodular_map)
 
-    def _twist_exponent(self, arg):
-        e = self.chi.table()[arg % self.N]
-        if e is None:
-            raise RuntimeError("character argument is not a unit")
-        # exponent is in units of zeta_order
-        return e
-
     def _unimodular_map(self, g):
         """(sources, exponents) of the unimodular action of g, walked once
         per module (g is S, U, U^2 or T): the block at point j of the image
@@ -374,7 +341,11 @@ class PeriodModule:
         walked = self._unimodular_maps.get(g)
         if walked is None:
             sources, args = zip(*sigma_block_map(self.unimodular, g))
-            walked = self._unimodular_maps[g] = sources, tuple(map(self._twist_exponent, args))
+            table = self.chi.table()  # exponents in units of zeta_order
+            exps = tuple(table[arg % self.N] for arg in args)
+            if None in exps:
+                raise RuntimeError("character argument is not a unit")
+            walked = self._unimodular_maps[g] = sources, exps
         return walked
 
     def rows(self, sigma, op, points):
@@ -881,7 +852,7 @@ def trace_on_V(N, chi, w, sigma, op):
         wm = weight_action(m, w)
         ptrace = sum(wm[r][r] for r in range(w + 1))
         if ptrace:
-            total = total + _class_weight(chi, sigma, m) * (QQ(q) * ptrace)
+            total = total + chi.total(_fixed_point_args(sigma, m)) * (QQ(q) * ptrace)
     return total
 
 

@@ -20,7 +20,7 @@ from .cusp_terms import (
 )
 from .dirichlet import enumerate_characters, trivial_character
 from .hecke_operator import build_Tn, build_Tn_infty, verify_operator
-from .local_counts import C_coeff, C_fast, count_S_plain
+from .local_counts import C_counts, C_fast, solution_set
 from .period_oracle import (
     atkin_coset_desc,
     dim_period_space,
@@ -253,8 +253,8 @@ def criterion_local_tables(quick=False):
                         D = t * t - 4 * n
                         if D % (u * u):
                             continue  # outside the key domain (u^2 | D)
-                        brute = C_coeff(N, chiN, u, t, n).as_rational()
-                        fast = count_S_plain(N, t, n) * C_fast(N, u, D)
+                        brute = chiN.value(C_counts(N, chiN, u, t, n)).as_rational()
+                        fast = len(solution_set(N, 1, t, n)) * C_fast(N, u, D)
                         if brute != fast:
                             return False, f"table mismatch p={p} a={a} i={i} t={t} n={n}: {brute} vs {fast}"
     for N in (6, 10, 15, 30):
@@ -298,7 +298,7 @@ def criterion_scalar_slice(quick=False):
                     r = math.isqrt(n)
                     slice_val = CycloNum.zero(chi.order)
                     for u in divisors(N):
-                        slice_val = slice_val + C_coeff(N, chi, u, 2 * r, n) * hurwitz_H(0)
+                        slice_val = slice_val + chi.value(C_counts(N, chi, u, 2 * r, n)) * hurwitz_H(0)
                     slice_val = slice_val * gegenbauer(k - 2, 2 * r, n) * QQ(-1)
                     if scalar_term(N, chi, k, n) != slice_val:
                         return False, f"scalar slice mismatch N={N} chi={chi.label()} k={k} n={n}"

@@ -162,8 +162,27 @@ def test_verify_heckeop_dump(tmp_path, capsys):
     assert {"a": 1, "b": 0, "c": 0, "d": 1, "num": 1, "den": 6} in rows
     assert rows == sorted(rows, key=lambda r: (r["a"], r["b"], r["c"], r["d"]))
     # range + dump is a usage error
-    code, out, err = run_cli(capsys, "verify", "heckeop", "--n", "1:2", "--dump-operator", str(path))
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "heckeop", "--n", "1:2", "--dump-operator", str(path)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.err == "error: --dump-operator needs a single n\n" and not out.out
+
+
+@pytest.mark.parametrize("command", [("trace",), ("verify", "oracle")])
+def test_composed_queries_are_checked_alike(capsys, command):
+    # trace and verify oracle reject the same composed queries the same way
+    for extra, message in (
+        (("--level", "6", "--weight", "3", "--ell", "2"), "the composed operator needs even weight"),
+        (("--level", "5", "--weight", "4", "--char", "5.2", "--ell", "5"), "the composed operator is defined for the trivial character only"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *extra, "--n", "1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {message}\n" and not out.out
+    code, out, err = run_cli(capsys, *command, "--level", "4", "--weight", "4", "--ell", "2", "--n", "1")
+    assert code == 2 and not out and err.startswith("error: ell must be an exact divisor")
 
 
 def test_verify_oracle(capsys):

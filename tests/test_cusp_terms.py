@@ -17,7 +17,7 @@ from trace_kit.cusp_terms import (
     phi_generic,
 )
 from trace_kit.dirichlet import enumerate_characters, trivial_character
-from trace_kit.local_counts import B_coeff, C_coeff
+from trace_kit.local_counts import B_counts, C_counts
 from trace_kit.period_oracle import atkin_coset_desc, coset_table, hecke_coset_desc
 
 
@@ -47,12 +47,12 @@ def test_cusp_sum_examples():
     [
         lambda: phi_chi(3, enumerate_characters(6)[1], 1, 1),
         lambda: phi_generic((6, 1, 2), enumerate_characters(3)[1], 1, 1, 2),
-        lambda: B_coeff(6, enumerate_characters(3)[1], 2, 1, 2),
-        lambda: C_coeff(6, enumerate_characters(5)[1], 2, 1, 2),
+        lambda: B_counts(6, enumerate_characters(3)[1], 2, 1, 2),
+        lambda: C_counts(6, enumerate_characters(5)[1], 2, 1, 2),
         lambda: cusp_sum(6, 1, enumerate_characters(3)[1], 1, _pick(1, 1)),
         lambda: cusp_sum(6, 2, trivial_character(6), 1, _pick(1, 2)),  # the level is N/ell = 3
     ],
-    ids=["phi_chi", "phi_generic", "B_coeff", "C_coeff", "cusp_sum", "cusp_sum_composed"],
+    ids=["phi_chi", "phi_generic", "B_counts", "C_counts", "cusp_sum", "cusp_sum_composed"],
 )
 def test_closed_helpers_reject_a_character_of_another_modulus(call):
     with pytest.raises(ValueError, match="character modulus must equal the level"):

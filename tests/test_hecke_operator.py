@@ -9,9 +9,14 @@ from trace_kit.hecke_operator import (
     build_Tn,
     build_Tn_infty,
     _CONDENSED_SUMS,
+    _build_condensed,
+    _elliptic_family,
+    _upper_family,
+    _x_family,
+    _y_family,
+    _z_family,
     build_elliptic_reps,
     det_matrices,
-    enumerate_family,
     expected_class_weights,
     ideal_membership,
     operator_json_entries,
@@ -113,12 +118,13 @@ def in_elliptic_rep(m, n):
     return True
 
 
+# each family's generator and the predicate that cuts it out of the box
 BOX_FAMILIES = {
-    "upper": in_upper_family,
-    "X": in_X_family,
-    "Y": in_Y_family,
-    "Z": in_Z_family,
-    "elliptic": in_elliptic_rep,
+    _upper_family: in_upper_family,
+    _x_family: in_X_family,
+    _y_family: in_Y_family,
+    _z_family: in_Z_family,
+    _elliptic_family: in_elliptic_rep,
 }
 
 
@@ -146,14 +152,14 @@ def box_condensed_weights(m):
 
 
 def box_sets(n, bound):
-    """(family name -> sorted members, [sorted (matrix, weight) per condensed
-    sum]) from one walk of the box |entries| <= bound."""
-    families = {name: [] for name in BOX_FAMILIES}
+    """(family generator -> sorted members, [sorted (matrix, weight) per
+    condensed sum]) from one walk of the box |entries| <= bound."""
+    families = {family: [] for family in BOX_FAMILIES}
     sums = [[] for _ in _CONDENSED_SUMS]
     for m in det_matrices(n, bound):
-        for name, pred in BOX_FAMILIES.items():
+        for family, pred in BOX_FAMILIES.items():
             if pred(m, n):
-                families[name].append(m)
+                families[family].append(m)
         for terms, q in zip(sums, box_condensed_weights(m)):
             if q:
                 terms.append((m, q))
@@ -164,7 +170,7 @@ def test_one_representative_per_elliptic_class():
     # the enumerated representatives biject with the elliptic labels found by
     # a bounded scan
     for n in range(1, 25):
-        reps = enumerate_family(n, "elliptic")
+        reps = sorted(_elliptic_family(n))
         labels = [class_label(m) for m in reps]
         assert len(set(labels)) == len(labels), n
         scan_labels = set()
@@ -180,8 +186,8 @@ def test_family_bound_stability():
     # equals the box filter at family_bound(n) ...
     for n in range(1, 33):
         families, sums = box_sets(n, family_bound(n))
-        for name, members in families.items():
-            assert enumerate_family(n, name) == members, (n, name)
+        for family, members in families.items():
+            assert sorted(family(n)) == members, (n, family.__name__)
         for condensed_sum, terms in zip(_CONDENSED_SUMS, sums):
             assert sorted(condensed_sum(n)) == terms, (n, condensed_sum.__name__)
     # ... and doubling the box adds no member
@@ -191,7 +197,24 @@ def test_family_bound_stability():
 
 def test_variants_agree():
     for n in range(1, 61):
-        assert build_Tn(n, "geometric") == build_Tn(n, "condensed"), n
+        assert build_Tn(n) == _build_condensed(n), n
+
+
+def test_verify_operator_compares_the_two_builds(monkeypatch, capsys):
+    # without the boundary sum the condensed build is wrong at every n, and
+    # only the comparison with build_Tn can tell: the geometric operator
+    # still passes every structural check
+    from trace_kit import hecke_operator
+    from trace_kit.cli import main
+
+    monkeypatch.setattr(hecke_operator, "_CONDENSED_SUMS", _CONDENSED_SUMS[:-1])
+    for n in range(1, 4):
+        rep = verify_operator(n)
+        assert rep["transfer"] and rep["exchange"] and rep["class_sums"], n
+        assert rep["variants_agree"] is False and rep["ok"] is False, n
+    assert main(["verify", "heckeop", "--n", "1:3"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("variants_agree=FAIL") == 3
 
 
 def test_build_Tn_memo_is_bounded():

@@ -7,36 +7,27 @@ import pytest
 import trace_kit.local_counts as lc
 from trace_kit.arith import divisors, index_phi1, moebius
 from trace_kit.dirichlet import enumerate_characters, trivial_character
-from trace_kit.local_counts import (
-    B_coeff,
-    B_counts,
-    C_coeff,
-    C_counts,
-    C_fast,
-    c_atkin_closed,
-    c_class_closed,
-    count_S,
-    count_S_plain,
-    solution_set,
-)
+from trace_kit.local_counts import B_counts, C_counts, C_fast, solution_set
 from trace_kit.matrix_forms import conjugate, mat_det
-from trace_kit.period_oracle import c_atkin_direct, c_class_direct
+
+from class_weights import c_atkin_closed, c_atkin_direct, c_class_closed, c_class_direct
 
 
 def test_count_examples():
-    assert count_S(4, 1, 2, 1) == 2
+    assert len(solution_set(4, 1, 2, 1)) == 2
     assert sorted(solution_set(4, 1, 2, 1)) == [1, 3]
-    assert count_S(4, 2, 2, 1) == 1
+    assert len(solution_set(4, 2, 2, 1)) == 1
     assert solution_set(4, 2, 2, 1) == (1,)
     for t in (-3, 0, 5):
         for n in (1, 2, 7):
-            assert count_S(1, 1, t, n) == 1
+            assert len(solution_set(1, 1, t, n)) == 1
 
 
 def test_invalid_keys_are_zero():
-    assert count_S(4, 3, 2, 1) == 0  # u does not divide N
-    assert count_S(4, 2, 1, 1) == 0  # u^2 does not divide t^2-4n
-    assert not B_coeff(4, trivial_character(4), 2, 1, 1)
+    assert len(solution_set(4, 3, 2, 1)) == 0  # u does not divide N
+    assert len(solution_set(4, 2, 1, 1)) == 0  # u^2 does not divide t^2-4n
+    chi4 = trivial_character(4)
+    assert not chi4.value(B_counts(4, chi4, 2, 1, 1))
 
 
 def test_welldefinedness_debug_assert():
@@ -64,27 +55,28 @@ def test_welldefinedness_debug_assert():
 
 
 def test_B_examples():
-    assert B_coeff(1, trivial_character(1), 1, 5, 7) == 1
+    chi1 = trivial_character(1)
+    assert chi1.value(B_counts(1, chi1, 1, 5, 7)) == 1
     eps4 = [c for c in enumerate_characters(4) if not c.is_trivial()][0]
-    assert not B_coeff(4, eps4, 1, 2, 1)  # chi(1) + chi(3) = 0
+    assert not eps4.value(B_counts(4, eps4, 1, 2, 1))  # chi(1) + chi(3) = 0
     for N in (2, 3, 4, 6):
         chiN = trivial_character(N)
-        assert B_coeff(N, chiN, N, 2, 1) == index_phi1(N)
+        assert chiN.value(B_counts(N, chiN, N, 2, 1)) == index_phi1(N)
 
 
 def test_C_examples_and_inversion():
     chi6 = trivial_character(6)
     for t in range(-4, 5):
         for n in range(1, 10):
-            assert C_coeff(6, chi6, 1, t, n) == B_coeff(6, chi6, 1, t, n)
+            assert chi6.value(C_counts(6, chi6, 1, t, n)) == chi6.value(B_counts(6, chi6, 1, t, n))
             for u in divisors(6):
-                total = C_coeff(6, chi6, 1, t, n) * 0
+                total = chi6.value(C_counts(6, chi6, 1, t, n)) * 0
                 for d in divisors(u):
-                    total = total + C_coeff(6, chi6, d, t, n)
-                assert total == B_coeff(6, chi6, u, t, n)
+                    total = total + chi6.value(C_counts(6, chi6, d, t, n))
+                assert total == chi6.value(B_counts(6, chi6, u, t, n))
             # squarefree level: C at the full level is |S|*u on valid keys
             if (t * t - 4 * n) % 36 == 0:
-                assert C_coeff(6, chi6, 6, t, n) == count_S_plain(6, t, n) * 6
+                assert chi6.value(C_counts(6, chi6, 6, t, n)) == len(solution_set(6, 1, t, n)) * 6
 
 
 def _brute_B(N, chi, u, t, n):
@@ -166,8 +158,8 @@ def test_C_fast_matches_moebius_inverse():
                         u = p**i
                         if D % (u * u):
                             continue
-                        brute = C_coeff(N, chiN, u, t, n).as_rational()
-                        assert brute == count_S_plain(N, t, n) * C_fast(N, u, D)
+                        brute = chiN.value(C_counts(N, chiN, u, t, n)).as_rational()
+                        assert brute == len(solution_set(N, 1, t, n)) * C_fast(N, u, D)
 
 
 def test_c_class_examples():

@@ -23,7 +23,6 @@ from trace_kit.dirichlet import (
     zeta_power,
 )
 from trace_kit.hecke_operator import GroupRingElem, build_Tn, build_Tn_infty
-from trace_kit.local_counts import c_class_closed
 from trace_kit.matrix_forms import (
     IDENT,
     S,
@@ -51,6 +50,8 @@ from trace_kit.period_oracle import (
 )
 from trace_kit.trace_formulas import trace_hecke_cusp
 from trace_kit.verification import _DIM_LEVELS, _parity_chars, eta_product
+
+from class_weights import c_class_closed
 
 
 def _zero(mod):
@@ -733,6 +734,15 @@ def test_sigma_block_map_unreachable():
         vec[0][i] = QQ(1)
     out = _act(mod, sigma, (2, 4, 4, 10), vec)  # det 4 != 2: never members
     assert not any(any(p) for p in out)
+
+
+def test_unimodular_map_rejects_a_non_unit_argument(monkeypatch):
+    # a coset map whose character argument shares a factor with the level
+    # must raise, not twist by a missing exponent
+    mod = po.PeriodModule(4, trivial_character(4), 0)
+    monkeypatch.setattr(po, "sigma_block_map", lambda sigma, m: [(j, 2) for j in range(mod.npoints)])
+    with pytest.raises(RuntimeError, match="not a unit"):
+        mod._unimodular_map(S)
 
 
 def test_action_compatibility():

@@ -13,7 +13,7 @@ from trace_kit.cusp_terms import (
     phi_chi,
 )
 from trace_kit.dirichlet import CycloNum, enumerate_characters, trivial_character
-from trace_kit.local_counts import B_coeff, C_coeff
+from trace_kit.local_counts import B_counts, C_counts
 from trace_kit.trace_formulas import (
     _t_range_full,
     cohen_gamma04,
@@ -133,18 +133,14 @@ def test_scalar_term_examples():
     assert not scalar_term(1, T1, 12, 2)
     assert scalar_term(1, T1, 12, 1) == QQ(11, 12)
     # slice equality is covered by the acceptance battery; spot-check one
-    from trace_kit.class_numbers import hurwitz_H
-    from trace_kit.local_counts import C_coeff
-    from trace_kit.arith import gegenbauer
-
     for N in (2, 6):
         chiN = trivial_character(N)
         for k in (4, 6):
             for n in (1, 4):
                 r = {1: 1, 4: 2}[n]
-                sl = C_coeff(N, chiN, 1, 2 * r, n) * 0
+                sl = chiN.value(C_counts(N, chiN, 1, 2 * r, n)) * 0
                 for u in divisors(N):
-                    sl = sl + C_coeff(N, chiN, u, 2 * r, n) * hurwitz_H(0)
+                    sl = sl + chiN.value(C_counts(N, chiN, u, 2 * r, n)) * hurwitz_H(0)
                 sl = sl * (-gegenbauer(k - 2, 2 * r, n))
                 assert scalar_term(N, chiN, k, n) == sl
 
@@ -253,7 +249,7 @@ def _ref_class_sum(N, ell, chi, w, n, t):
                 continue
             hval = hurwitz_H(D // (uu * uu))
             if hval:
-                acc = acc + C_coeff(Np, chi, up, t, m) * (hval * mu)
+                acc = acc + chi.value(C_counts(Np, chi, up, t, m)) * (hval * mu)
     return acc * gegenbauer(w, t, m)
 
 
@@ -291,10 +287,10 @@ def _ref_full_trace_h0(N, chi, k, n):
         acc = CycloNum.zero(chi.order)
         D = t * t - 4 * n
         if D == 0:
-            return B_coeff(N, chi, N, t, n) * (h0(0) * gegenbauer(k - 2, t, n))
+            return chi.value(B_counts(N, chi, N, t, n)) * (h0(0) * gegenbauer(k - 2, t, n))
         for u in range(1, isqrt(abs(D)) + 1):
             if D % (u * u) == 0 and h0(D // (u * u)):
-                acc = acc + B_coeff(N, chi, math.gcd(N, u), t, n) * h0(D // (u * u))
+                acc = acc + chi.value(B_counts(N, chi, math.gcd(N, u), t, n)) * h0(D // (u * u))
         return acc * gegenbauer(k - 2, t, n)
 
     total = -_ref_fold_t(_t_range_full(n), h0_term)

@@ -1,6 +1,11 @@
 """Exact traces of Hecke and Atkin-Lehner operators on modular forms for the
 level-N congruence group, cross-verified by a universal group-ring operator
-and exact period-polynomial linear algebra."""
+and exact period-polynomial linear algebra.
+
+`run_suite` is in `__all__` but its module, `verification`, is imported on
+first access to the name, so a program that only computes traces (the
+`trace` command among them) does not compile or load the suite.
+"""
 
 from .arith import QQ, gegenbauer, index_phi1, sigma1_N
 from .class_numbers import h0, hurwitz_H
@@ -23,7 +28,6 @@ from .trace_formulas import (
     trace_hecke_full,
     trace_series,
 )
-from .verification import run_suite
 
 __all__ = [
     "QQ",
@@ -57,3 +61,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "run_suite":
+        from .verification import run_suite
+
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | {"run_suite"})

@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -16,7 +15,6 @@ from .dirichlet import CycloNum, enumerate_characters, trivial_character
 from .hecke_operator import build_Tn, operator_json_entries, verify_operator
 from .period_oracle import atkin_coset_desc, hecke_coset_desc, trace_on_W
 from .trace_formulas import trace_atkin_full, trace_atkin_lehner, trace_hecke_cusp, trace_hecke_full
-from .verification import run_suite
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -43,11 +41,6 @@ def _parse_range(text):
     raise argparse.ArgumentTypeError("ranges look like A or A:B")
 
 
-def _usage_error(message):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(USAGE_EXIT)
-
-
 def _worker_count():
     env = os.environ.get("TRACE_KIT_THREADS")
     if env:
@@ -56,7 +49,7 @@ def _worker_count():
         except ValueError:
             count = 0
         if count < 1:
-            _usage_error("TRACE_KIT_THREADS must be a positive integer")
+            raise ValueError("TRACE_KIT_THREADS must be a positive integer")
         return count
     # the cores this process may run on, which a CPU mask can hold below
     # the machine's count
@@ -74,12 +67,12 @@ def _resolve_char(level, label):
         n_str, idx_str = label.split(".")
         n, idx = int(n_str), int(idx_str)
     except ValueError:
-        _usage_error(f"bad character label {label!r}; expected N.i")
+        raise ValueError(f"bad character label {label!r}; expected N.i") from None
     if n != level:
-        _usage_error(f"character modulus {n} does not match --level {level}")
+        raise ValueError(f"character modulus {n} does not match --level {level}")
     chars = enumerate_characters(n)
     if not 0 <= idx < len(chars):
-        _usage_error(f"character index out of range; 0..{len(chars) - 1} available")
+        raise ValueError(f"character index out of range; 0..{len(chars) - 1} available")
     return chars[idx]
 
 
@@ -87,10 +80,10 @@ def _check_composed(level, chi, ell, weight):
     """The query checks of the composed operator T_n o W_ell, shared by
     trace and verify oracle."""
     if not chi.is_trivial():
-        _usage_error("the composed operator is defined for the trivial character only")
+        raise ValueError("the composed operator is defined for the trivial character only")
     require_exact_divisor(level, ell)
     if weight % 2:
-        _usage_error("the composed operator needs even weight")
+        raise ValueError("the composed operator needs even weight")
 
 
 def _rational_json(q):
@@ -124,6 +117,8 @@ def _emit(records, fmt, stream):
     elif fmt == "csv":
         if not records:
             return
+        import csv
+
         writer = csv.writer(stream, lineterminator="\n")
         keys = sorted(records[0])
         writer.writerow(keys)
@@ -232,7 +227,7 @@ def cmd_verify(args):
     if args.target == "heckeop":
         lo, hi = args.n
         if args.dump_operator and lo != hi:
-            _usage_error("--dump-operator needs a single n")
+            raise ValueError("--dump-operator needs a single n")
         all_ok = True
         for n in range(lo, hi + 1):
             rep = verify_operator(n)
@@ -276,6 +271,8 @@ def cmd_verify(args):
         return 0 if all_ok else FAIL_EXIT
 
     # suite
+    from .verification import run_suite
+
     ok = run_suite(quick=args.quick)
     return 0 if ok else FAIL_EXIT
 
@@ -338,8 +335,14 @@ def build_parser():
 
 
 def main(argv=None):
-    # argparse exits with code 2 on usage errors already
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; every usage error, from
+    argparse, from the checks here or a ValueError from the library, prints
+    to stderr and returns USAGE_EXIT."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (code 2) or the help (code 0)
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -97,7 +97,8 @@ def _unit_lifts(N, chi, a, d):
         if (N // g) % c or (a - d) % g:
             continue
         alpha, mod = crt_solve([(a, r), (d, s)])
-        assert mod == N // g
+        if mod != N // g:
+            raise ArithmeticError(f"CRT of {a} mod {r} and {d} mod {s} gave modulus {mod}, not {N // g}")
         x = chi.unit_lift(alpha, mod)
         if x is not None:
             lifts += [x] * euler_phi(g)

@@ -248,19 +248,23 @@ def _square_key_via_root(q1, m, root_sign):
     x0, y0 = _primitive_zero_vector(q1, root_sign)
     # complete (x0, y0) to a unimodular matrix with it as first column
     g, p, qq = xgcd(x0, y0)
-    assert g == 1
+    if g != 1:
+        raise ArithmeticError(f"zero vector {(x0, y0)} of {q1} is not primitive")
     # x0*u_y - y0*u_x = 1 with u = (u_x, u_y)
     u = (-qq, p)
     gmat = (x0, u[0], y0, u[1])
-    assert gmat[0] * gmat[3] - gmat[1] * gmat[2] == 1
+    if gmat[0] * gmat[3] - gmat[1] * gmat[2] != 1:
+        raise ArithmeticError(f"completion {gmat} of {(x0, y0)} is not unimodular")
     A2, B2, C2 = _form_apply(q1, gmat)
-    assert A2 == 0 and abs(B2) == m
+    if A2 != 0 or abs(B2) != m:
+        raise ArithmeticError(f"{q1} moved to {(A2, B2, C2)}, not to the shape [0, +-{m}, C]")
     if B2 == -m:
         # S-flip [0,-m,C] -> [C, m, 0]
         return C2 % m
     # [0, m, C]: completed against the other zero line gives k = C^{-1} mod m
     g, inv, _ = xgcd(C2 % m, m)
-    assert g == 1
+    if g != 1:
+        raise ArithmeticError(f"{C2} is not a unit mod {m} for the primitive form {q1}")
     return inv % m
 
 

@@ -13,7 +13,7 @@ exercised by the oracle comparisons.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 
 from .arith import (
@@ -45,19 +45,13 @@ __all__ = [
 ]
 
 
-@dataclass
-class TraceResult:
-    """An exact trace with its assembly parts.
+TraceResult = namedtuple("TraceResult", "value elliptic hyperbolic correction warning", defaults=(None,))
+TraceResult.__doc__ = """An exact trace with its assembly parts.
 
-    value = elliptic + hyperbolic + correction, all CycloNum (or rational
-    CycloNum); the parts mirror the formula's class-sum / cusp-sum split.
-    """
-
-    value: CycloNum
-    elliptic: CycloNum
-    hyperbolic: CycloNum
-    correction: CycloNum
-    warning: str | None = None
+value = elliptic + hyperbolic + correction, all CycloNum (or rational
+CycloNum); the parts mirror the formula's class-sum / cusp-sum split.
+`warning` is None or a message about the query.
+"""
 
 
 def _parity_ok(chi, k):

@@ -49,14 +49,16 @@ def test_trace_char_label_and_parity_warning(capsys):
 
 
 def test_trace_char_validation(capsys):
-    with pytest.raises(SystemExit):
-        main(["trace", "--level", "5", "--weight", "4", "--char", "7.0", "--n", "1"])
+    code, out, err = run_cli(capsys, "trace", "--level", "5", "--weight", "4", "--char", "7.0", "--n", "1")
+    assert code == 2 and not out
+    assert err == "error: character modulus 7 does not match --level 5\n"
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["trace", "--level", "1", "--n", "oops"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(capsys):
+    # argparse's own usage errors are returned, not raised
+    code, out, err = run_cli(capsys, "trace", "--level", "1", "--n", "oops")
+    assert code == 2 and not out
+    assert err.startswith("usage: trace-kit trace ") and err.endswith("trace-kit trace: error: argument --n: invalid _parse_range value: 'oops'\n")
 
 
 @pytest.mark.parametrize(
@@ -127,9 +129,8 @@ def test_trace_range_matches_per_n_values(capsys, empty_class_tables):
 
 
 def test_classnum_cache_file_is_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classnum", "--kind", "H", "--d", "1:5", "--cache-file", "x"])
-    assert exc.value.code == 2 and not capsys.readouterr().out
+    code, out, err = run_cli(capsys, "classnum", "--kind", "H", "--d", "1:5", "--cache-file", "x")
+    assert code == 2 and not out and "unrecognized arguments: --cache-file x" in err
 
 
 def test_output_determinism(capsys):
@@ -162,11 +163,9 @@ def test_verify_heckeop_dump(tmp_path, capsys):
     assert {"a": 1, "b": 0, "c": 0, "d": 1, "num": 1, "den": 6} in rows
     assert rows == sorted(rows, key=lambda r: (r["a"], r["b"], r["c"], r["d"]))
     # range + dump is a usage error
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "heckeop", "--n", "1:2", "--dump-operator", str(path)])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.err == "error: --dump-operator needs a single n\n" and not out.out
+    code, out, err = run_cli(capsys, "verify", "heckeop", "--n", "1:2", "--dump-operator", str(path))
+    assert code == 2
+    assert err == "error: --dump-operator needs a single n\n" and not out
 
 
 @pytest.mark.parametrize("command", [("trace",), ("verify", "oracle")])
@@ -176,11 +175,9 @@ def test_composed_queries_are_checked_alike(capsys, command):
         (("--level", "6", "--weight", "3", "--ell", "2"), "the composed operator needs even weight"),
         (("--level", "5", "--weight", "4", "--char", "5.2", "--ell", "5"), "the composed operator is defined for the trivial character only"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main([*command, *extra, "--n", "1"])
-        assert exc.value.code == 2
-        out = capsys.readouterr()
-        assert out.err == f"error: {message}\n" and not out.out
+        code, out, err = run_cli(capsys, *command, *extra, "--n", "1")
+        assert code == 2
+        assert err == f"error: {message}\n" and not out
     code, out, err = run_cli(capsys, *command, "--level", "4", "--weight", "4", "--ell", "2", "--n", "1")
     assert code == 2 and not out and err.startswith("error: ell must be an exact divisor")
 
@@ -233,8 +230,6 @@ def test_worker_default_follows_the_cpu_mask(monkeypatch):
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])
 def test_worker_env_rejects_bad_values(capsys, monkeypatch, value):
     monkeypatch.setenv("TRACE_KIT_THREADS", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["trace", "--level", "1", "--weight", "12", "--n", "1:2"])
-    out = capsys.readouterr()
-    assert exc.value.code == 2 and not out.out
-    assert out.err == "error: TRACE_KIT_THREADS must be a positive integer\n"
+    code, out, err = run_cli(capsys, "trace", "--level", "1", "--weight", "12", "--n", "1:2")
+    assert code == 2 and not out
+    assert err == "error: TRACE_KIT_THREADS must be a positive integer\n"

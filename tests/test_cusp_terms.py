@@ -302,3 +302,12 @@ def test_weight_two_dimension():
     for N in range(1, 21):
         chiN = trivial_character(N)
         assert eisenstein_trace(N, chiN, 2, 1) == cusp_count(N) - 1
+
+
+def test_unit_lifts_checks_the_crt_modulus(monkeypatch):
+    # the CRT class of (a mod r, d mod s) lives mod N/(r,s); a wrong modulus
+    # raises, under python -O too
+    assert cusp_terms._unit_lifts(6, trivial_character(6), 1, 1)
+    monkeypatch.setattr(cusp_terms, "crt_solve", lambda residues: (0, 1))
+    with pytest.raises(ArithmeticError, match="gave modulus 1, not 6"):
+        cusp_terms._unit_lifts(6, trivial_character(6), 1, 1)

@@ -285,3 +285,16 @@ def test_matrix_with_form_roundtrip():
     q = quad_form_of(U)
     m2 = matrix_with_form(1, form_neg(q))
     assert quad_form_of(m2) == form_neg(q) and mat_trace(m2) == 1
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [((2, 4), "is not primitive"), ((1, 1), "not to the shape")],
+)
+def test_square_key_checks_its_zero_vector(monkeypatch, vector, message):
+    # a wrong zero vector of a square-disc form raises, under python -O too
+    import trace_kit.matrix_forms as mf
+
+    monkeypatch.setattr(mf, "_primitive_zero_vector", lambda q, root_sign: vector)
+    with pytest.raises(ArithmeticError, match=message):
+        reduce_form((1, 3, 0))

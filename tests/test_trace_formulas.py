@@ -15,6 +15,7 @@ from trace_kit.cusp_terms import (
 from trace_kit.dirichlet import CycloNum, enumerate_characters, trivial_character
 from trace_kit.local_counts import B_counts, C_counts
 from trace_kit.trace_formulas import (
+    TraceResult,
     _t_range_full,
     cohen_gamma04,
     scalar_term,
@@ -50,6 +51,20 @@ def test_breakdown_assembles():
     res = trace_hecke_cusp(1, T1, 12, 1)
     assert res.value == res.elliptic + res.hyperbolic + res.correction
     assert res.elliptic == QQ(3, 2) and res.hyperbolic == QQ(-1, 2)
+
+
+def test_trace_result_fields_and_repr():
+    res = trace_hecke_cusp(1, T1, 12, 2)
+    parts = (res.value, res.elliptic, res.hyperbolic, res.correction)
+    built = TraceResult(*parts)
+    assert built.warning is None and built == res
+    assert tuple(built) == (*parts, None)
+    assert TraceResult(*parts, "w") != res and TraceResult(*parts, "w").warning == "w"
+    # the repr a dataclass of these five fields had
+    assert repr(res) == (
+        f"TraceResult(value={res.value!r}, elliptic={res.elliptic!r}, "
+        f"hyperbolic={res.hyperbolic!r}, correction={res.correction!r}, warning=None)"
+    )
 
 
 def test_parity_vanishing():

@@ -150,8 +150,10 @@ def validate_query(N, chi=None, k=2, n=1, ell=1):
     """Reject a trace query outside the domain of the formulas with ValueError.
 
     chi=None marks the trivial-character formulas (Atkin-Lehner composition,
-    level-4 specialization), which are defined for even k only.  Every
-    default passes, so a caller checks only the parameters it has.
+    level-4 specialization), which are defined for even k only.  Given a
+    character, the composed operator T_n o W_ell (ell > 1) is defined for the
+    trivial one and even k only.  Every default passes, so a caller checks
+    only the parameters it has.
     """
     if N < 1 or k < 2 or n < 1:
         raise ValueError("need N >= 1, k >= 2, n >= 1")
@@ -161,6 +163,11 @@ def validate_query(N, chi=None, k=2, n=1, ell=1):
     elif chi.modulus != N:
         raise ValueError("character modulus must equal the level")
     require_exact_divisor(N, ell)
+    if ell > 1 and chi is not None:
+        if not chi.is_trivial():
+            raise ValueError("the composed operator is defined for the trivial character only")
+        if k % 2:
+            raise ValueError("the composed operator needs even weight")
 
 
 def crt_solve(residues):

@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from .arith import QQ, require_exact_divisor
+from .arith import QQ, validate_query
 from .class_numbers import h0, hurwitz_H, precompute
 from .dirichlet import CycloNum, enumerate_characters, trivial_character
 from .hecke_operator import build_Tn, operator_json_entries, verify_operator
@@ -76,14 +76,13 @@ def _resolve_char(level, label):
     return chars[idx]
 
 
-def _check_composed(level, chi, ell, weight):
-    """The query checks of the composed operator T_n o W_ell, shared by
-    trace and verify oracle."""
-    if not chi.is_trivial():
-        raise ValueError("the composed operator is defined for the trivial character only")
-    require_exact_divisor(level, ell)
-    if weight % 2:
-        raise ValueError("the composed operator needs even weight")
+def _resolve_query(args):
+    """The character of a trace or verify oracle query, once validate_query
+    has checked the whole query, so before any trace runs.  W_1 is the
+    identity: --ell 1 runs the Hecke formulas, under any character."""
+    chi = _resolve_char(args.level, args.char)
+    validate_query(args.level, chi, args.weight, args.n[0], args.ell or 1)
+    return chi
 
 
 def _rational_json(q):
@@ -147,14 +146,15 @@ def _sweep_class_numbers(count, top):
 def _trace_one(args_tuple):
     level, weight, char_label, ell, n, space = args_tuple
     chi = _resolve_char(level, char_label)
+    hecke = ell in (None, 1)  # T_n o W_1 = T_n
     res = None
     if space == "full":
-        if ell is None:
+        if hecke:
             val = trace_hecke_full(level, chi, weight, n)
         else:
             val = CycloNum.from_rational(trace_atkin_full(level, ell, weight, n))
     else:
-        res = trace_hecke_cusp(level, chi, weight, n) if ell is None else trace_atkin_lehner(level, ell, weight, n)
+        res = trace_hecke_cusp(level, chi, weight, n) if hecke else trace_atkin_lehner(level, ell, weight, n)
         val = res.value
     record = {
         "level": level,
@@ -173,10 +173,9 @@ def _trace_one(args_tuple):
 
 
 def cmd_trace(args):
-    # validate once in the parent; workers then re-resolve from cached tables
-    chi = _resolve_char(args.level, args.char)
-    if args.ell is not None:
-        _check_composed(args.level, chi, args.ell, args.weight)
+    # validate once in the parent, before the pool forks; workers then
+    # re-resolve from cached tables
+    _resolve_query(args)
     lo, hi = args.n
     # a trace of T_n composed with W_ell reads H and h0 at |D| <= 4*ell*n;
     # the sweep runs before the workers fork, so they share its tables
@@ -250,13 +249,11 @@ def cmd_verify(args):
         return 0 if all_ok else FAIL_EXIT
 
     if args.target == "oracle":
-        chi = _resolve_char(args.level, args.char)
-        if args.ell is not None:
-            _check_composed(args.level, chi, args.ell, args.weight)
+        chi = _resolve_query(args)
         lo, hi = args.n
         all_ok = True
         for n in range(lo, hi + 1):
-            if args.ell is not None:
+            if args.ell not in (None, 1):
                 closed = CycloNum.from_rational(trace_atkin_full(args.level, args.ell, args.weight, n))
                 sigma = atkin_coset_desc(args.level, args.ell, n)
                 op = build_Tn(n * args.ell)

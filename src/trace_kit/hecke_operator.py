@@ -71,7 +71,10 @@ class GroupRingElem:
     def add_term(self, m, q):
         if mat_det(m) != self.det:
             raise ValueError("determinant mismatch in group-ring element")
-        key = proj_canonical(m)
+        self._accumulate(proj_canonical(m), q)
+
+    def _accumulate(self, key, q):
+        """coeffs[key] += q, the key dropped once its coefficient is 0."""
         new = self.coeffs.get(key, 0) + q
         if new:
             self.coeffs[key] = new
@@ -84,11 +87,7 @@ class GroupRingElem:
         out = GroupRingElem(self.det)
         out.coeffs = dict(self.coeffs)
         for m, q in other.coeffs.items():
-            new = out.coeffs.get(m, 0) + q
-            if new:
-                out.coeffs[m] = new
-            else:
-                out.coeffs.pop(m, None)
+            out._accumulate(m, q)
         return out
 
     def __sub__(self, other):
@@ -102,15 +101,9 @@ class GroupRingElem:
 
     def __mul__(self, other):
         out = GroupRingElem(self.det * other.det)
-        acc = out.coeffs
         for m1, q1 in self.coeffs.items():
             for m2, q2 in other.coeffs.items():
-                key = proj_canonical(mat_mul(m1, m2))
-                new = acc.get(key, 0) + q1 * q2
-                if new:
-                    acc[key] = new
-                else:
-                    acc.pop(key, None)
+                out._accumulate(proj_canonical(mat_mul(m1, m2)), q1 * q2)
         return out
 
     def __eq__(self, other):

@@ -348,15 +348,15 @@ class PeriodModule:
             walked = self._unimodular_maps[g] = sources, exps
         return walked
 
-    def rows(self, sigma, op, points):
-        """sum(q_M * |_Sigma M) from the source points in points, gathered
-        by target point: chi twist exponent e -> (sources, coefficients).
-        sources[j] lists the source coordinates of the blocks landing on
-        point j, each block's w+1 coordinates once; coefficients[t] is row
-        t before the twist by zeta^e, its integer entries aligned with
-        sources[t // (w+1)], each block's row as it stands, zeros included.
-        The terms are first summed as blocks, q_M W(M) (W the weight
-        action) added per (source point, target point, exponent).
+    def rows(self, sigma, op):
+        """sum(q_M * |_Sigma M) gathered by target point: chi twist exponent
+        e -> (sources, coefficients).  sources[j] lists the source
+        coordinates of the blocks landing on point j, each block's w+1
+        coordinates once; coefficients[t] is row t before the twist by
+        zeta^e, its integer entries aligned with sources[t // (w+1)], each
+        block's row as it stands, zeros included.  The terms are first summed
+        as blocks, q_M W(M) (W the weight action) added per (source point,
+        target point, exponent).
 
         The matrices are taken one class at a time (_coset_classes), and
         only the first of a class is walked by sigma_block_map, every
@@ -366,10 +366,9 @@ class PeriodModule:
         A_j^-1 = gamma in Gamma_0(N) (k = the source of g at j) and A_i P'
         A_k^-1 = mu in the coset, A_i P A_j^-1 = mu gamma is in it too, with
         argument mu_a gamma_a mod N: the source of P at j is that of P' at
-        k, its exponent the sum of the two, a unit's as mu_a is one.  W(P) =
-        W(g) W(P'), which for g = S reverses the rows of W(P') and signs row
-        r by W(S)[r][w-r] = (-1)^(w-r).  P stands for M as -I acts as
-        chi(-1) (-1)^w = 1.
+        k, its exponent the sum of the two, a unit's as mu_a is one.  P
+        stands for M as -I acts as chi(-1) (-1)^w = 1, and W(P) is made
+        once per member that keeps a block.
 
         For an even order m, zeta^(m/2) = -1: a block at exponent e + m/2
         is added, negated, at exponent e, so every exponent is below m/2."""
@@ -378,10 +377,8 @@ class PeriodModule:
         table = self.chi.table()
         blocks = {}  # (source point, target point, exponent) -> summed q W(M), row-major
         for cls in _coset_classes(op):
-            members = []  # per member: [sources, exponents, W(P) once made if an S-step follows it]
-            s_parents = {parent for _, _, parent, g in cls if g == S}
-            for k, (key, P, parent, g) in enumerate(cls):
-                wm = None  # W(P), made on the first block kept unless an S-step gives it
+            members = []  # per member: (sources, exponents)
+            for key, P, parent, g in cls:
                 if parent is None:
                     sources, exps = [], []
                     for ent in sigma_block_map(sigma, P):
@@ -396,26 +393,18 @@ class PeriodModule:
                         sources.append(i)
                         exps.append(exp)
                 else:
-                    psources, pexps, _ = members[parent]
-                    if g == S and members[parent][2] is not None:
-                        wm = [row if (w - r) % 2 == 0 else [-x for x in row] for r, row in enumerate(reversed(members[parent][2]))]
-                        members[parent][2] = None  # held no longer than its S-step needs it
+                    psources, pexps = members[parent]
                     gsources, gexps = self._unimodular_map(g)
                     sources = list(map(psources.__getitem__, gsources))
                     exps = [(pexps[s] + e) % m for s, e in zip(gsources, gexps)]
-                member = [sources, exps, None]
-                members.append(member)
+                members.append((sources, exps))
                 q = op[key]
                 flat = neg = None
                 for j, (i, exp) in enumerate(zip(sources, exps)):
-                    if i is None or i not in points:
+                    if i is None:
                         continue
                     if flat is None:
-                        if wm is None:
-                            wm = weight_action(P, w)
-                        if k in s_parents:
-                            member[2] = wm
-                        flat = [q * x for row in wm for x in row]
+                        flat = [q * x for row in weight_action(P, w) for x in row]
                     f = flat
                     if exp >= half:
                         exp -= half
@@ -479,7 +468,7 @@ class PeriodModule:
         m, w1 = self.order, self.w + 1
         # coordinate -> (k, value of bs[k] there): no coordinate lies in two
         holders = {s: (k, t) for k, vec in enumerate(bs) for s, t in vec.items()}
-        gathered = self.rows(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, range(self.npoints))
+        gathered = self.rows(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1})
         source = self._unimodular_map(U)[0]
         rows = []
         done = set()
@@ -684,9 +673,8 @@ class Subspace:
     pivots, compared on whole coefficient tuples.  Only its packing layout
     is kept: planes[k][c] = (coordinates, values) of the nonzero
     coefficients of zeta^c.  Kept with it for _trace_on_space: L = lcm(d_k)
-    and factors[k] = L / d_k; points, the points whose blocks any vector uses;
-    norm, the largest l1 norm of a vector; spread, the largest l1 norm at
-    one coordinate of sum_k factors[k] |vector k|.
+    and factors[k] = L / d_k; norm, the largest l1 norm of a vector; spread,
+    the largest l1 norm at one coordinate of sum_k factors[k] |vector k|.
     """
 
     def __init__(self, mod, vectors, pivots, scales):
@@ -708,7 +696,6 @@ class Subspace:
                         values.append(x)
                         weight[s] += f * abs(x)
             self.planes.append(vp)
-        self.points = {s // (mod.w + 1) for s, x in enumerate(weight) if x}
         self.norm = max((sum(sum(map(abs, values)) for _, values in vp) for vp in self.planes), default=0)
         self.spread = max(weight)
 
@@ -774,7 +761,7 @@ def _trace_on_space(mod, sigma, op, space):
     den = math.lcm(*(q.denominator for q in op.coeffs.values()))
     op = {m: int(q * den) for m, q in op.coeffs.items()}
     g, dim, L, w1 = mod.g, mod.dim, space.L, mod.w + 1
-    rows = mod.rows(sigma, op, space.points)
+    rows = mod.rows(sigma, op)
     alpha = sum(abs(q) * max(abs(a) + abs(b), abs(c) + abs(d)) ** mod.w for (a, b, c, d), q in op.items())
     alpha *= space.norm * mod.zeta_bound
     bits = _slot_bits(alpha * (L + mod.zeta_bound * g * space.spread))
@@ -830,8 +817,7 @@ def _period_job(N, chi, w, sigma, op):
     is checked to belong to the level, the character and the operator."""
     if sigma[0] != N:
         raise ValueError("coset descriptor level must equal N")
-    if sigma[1] > 1 and not chi.is_trivial():
-        raise ValueError("the composed coset needs the trivial character")
+    validate_query(N, chi, w + 2, ell=sigma[1])
     if sigma_det(sigma) != op.det:
         raise ValueError("operator determinant does not match the double coset")
     return period_module(N, chi, w)

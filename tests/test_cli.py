@@ -3,8 +3,11 @@ import os
 
 import pytest
 
+from trace_kit.arith import validate_query
 from trace_kit.cli import _worker_count, main
 from trace_kit.dirichlet import enumerate_characters, trivial_character
+from trace_kit.hecke_operator import build_Tn, build_Tn_infty
+from trace_kit.period_oracle import atkin_coset_desc, trace_coboundary, trace_on_W
 
 
 def run_cli(capsys, *argv):
@@ -170,16 +173,44 @@ def test_verify_heckeop_dump(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [("trace",), ("verify", "oracle")])
 def test_composed_queries_are_checked_alike(capsys, command):
-    # trace and verify oracle reject the same composed queries the same way
-    for extra, message in (
-        (("--level", "6", "--weight", "3", "--ell", "2"), "the composed operator needs even weight"),
-        (("--level", "5", "--weight", "4", "--char", "5.2", "--ell", "5"), "the composed operator is defined for the trivial character only"),
+    # trace, verify oracle, the period traces and validate_query reject the
+    # same composed queries the same way
+    for (level, weight, ci, ell), message in (
+        ((6, 3, 0, 2), "the composed operator needs even weight"),
+        ((5, 4, 2, 5), "the composed operator is defined for the trivial character only"),
     ):
+        extra = ("--level", str(level), "--weight", str(weight), *(("--char", f"{level}.{ci}") if ci else ()), "--ell", str(ell))
         code, out, err = run_cli(capsys, *command, *extra, "--n", "1")
         assert code == 2
         assert err == f"error: {message}\n" and not out
+        chi = enumerate_characters(level)[ci]
+        with pytest.raises(ValueError) as exc:
+            validate_query(level, chi, weight, 1, ell)
+        assert str(exc.value) == message
+        sigma = atkin_coset_desc(level, ell, 1)
+        for trace, op in ((trace_on_W, build_Tn(ell)), (trace_coboundary, build_Tn_infty(ell))):
+            with pytest.raises(ValueError) as exc:
+                trace(level, chi, weight - 2, sigma, op)
+            assert str(exc.value) == message, trace
     code, out, err = run_cli(capsys, *command, "--level", "4", "--weight", "4", "--ell", "2", "--n", "1")
     assert code == 2 and not out and err.startswith("error: ell must be an exact divisor")
+
+
+def test_ell_one_is_the_hecke_query(capsys):
+    # W_1 is the identity: --ell 1 gives the Hecke traces under any
+    # character, and the record keeps ell = 1
+    for space in ("cusp", "full"):
+        query = ("--level", "5", "--weight", "4", "--char", "5.2", "--space", space, "--n", "1:3", "--format", "json")
+        code, out, _ = run_cli(capsys, "trace", *query)
+        assert code == 0
+        hecke = json.loads(out)
+        code, out, _ = run_cli(capsys, "trace", *query, "--ell", "1")
+        assert code == 0
+        records = json.loads(out)
+        assert [r.pop("ell") for r in records] == [1, 1, 1]
+        assert records == [{k: v for k, v in r.items() if k != "ell"} for r in hecke]
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--level", "5", "--weight", "4", "--char", "5.2", "--ell", "1", "--n", "1:3")
+    assert code == 0 and out.count("pass") == 3
 
 
 def test_verify_oracle(capsys):

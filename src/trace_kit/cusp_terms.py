@@ -121,12 +121,9 @@ def phi_chi(N, chi, a, d):
     return chi.total(_unit_lifts(N, chi, a, d))
 
 
-def cusp_sum(N, ell, chi, n, weight):
-    """The cusp rule of the Hecke (ell = 1) and composed traces: phi(ell)/ell
-    times the sum over a*d = ell*n with ell | a + d of phi_chi(N/ell, chi,
-    a, d) weight(a, d), chi a character mod N/ell.  The weighted exponent
-    histograms of the unit lifts, read by (a, d) mod N/ell, are summed in
-    ints into one CycloNum."""
+def _cusp_counts(N, ell, chi, n, weight):
+    """cusp_sum before its phi(ell)/ell, in ints: the weighted exponent
+    histograms of the unit lifts, read by (a, d) mod N/ell."""
     require_exact_divisor(N, ell)
     if chi.modulus != N // ell:
         raise ValueError("character modulus must equal the level")
@@ -138,7 +135,14 @@ def cusp_sum(N, ell, chi, n, weight):
             wt = weight(a, d)
             if wt:
                 acc = [x + wt * y for x, y in zip(acc, _lift_counts(Np, chi, a % Np, d % Np))]
-    return chi.value(acc) * QQ(euler_phi(ell), ell)
+    return acc
+
+
+def cusp_sum(N, ell, chi, n, weight):
+    """The cusp rule of the Hecke (ell = 1) and composed traces: phi(ell)/ell
+    times the sum over a*d = ell*n with ell | a + d of phi_chi(N/ell, chi,
+    a, d) weight(a, d), chi a character mod N/ell."""
+    return chi.value(_cusp_counts(N, ell, chi, n, weight)) * QQ(euler_phi(ell), ell)
 
 
 # -- direct enumeration oracle ----------------------------------------------------

@@ -2,11 +2,10 @@
 
 S_N(u,t,n) counts units alpha mod N with alpha^2 - t*alpha + n = 0 (mod N*u);
 B is its character-weighted, index-scaled version, C its Moebius inverse.
-B_counts and C_counts give both as exponent histograms of chi in ints, the
-form the closed trace formulas sum (chi.value turns one into a CycloNum).
-Since u | N makes u^2 divide N*u, all three depend on t and n only mod N*u:
-the histograms are memoized once per residue class, so a range of traces
-revisits a few classes instead of counting per (t, n).
+B_counts and C_counts give both as exponent histograms of chi in ints.  Since
+u | N makes u^2 divide N*u, all three depend on t and n only mod N*u: the
+histograms are memoized once per residue class, and the closed trace formulas
+sum their int weights by class and read each class's histogram once.
 C_fast is the closed multiplicative evaluation of the trivial-character C
 via prime-power tables.
 """

@@ -3,22 +3,21 @@
 One route serves both: T_n composed with W_ell is the ell > 1 case of the
 Hecke formulas at level N/ell, with the class sum Moebius-twisted over
 u | ell at the multiples t of ell, and the cusp sum scaled by phi(ell)/ell.
-The class sums are exponent histograms of chi in ints that read 12*H and
-12*h0 as ints (`twelve_H`, `twelve_h0`), and each part of a trace
-(elliptic, hyperbolic, the full trace, its h0 cross-check) is one CycloNum
-built from its histogram and scaled once.  All values are exact; the
-composed entry points return rationals.  Every formula has an independent
-verification route (group-ring operator acting on period polynomials)
-exercised by the oracle comparisons.
+The class sums are keyed by residue class: each t adds one int weight to
+its class of the local counts, whose exponent histogram of chi is read once.
+Each part of a trace is one CycloNum built from int histograms over one
+common denominator.  All values are exact; the composed entry points return
+rationals.  The period route checks every formula independently.
 """
 
 import math
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .arith import (
     QQ,
     divisors,
+    euler_phi,
     gegenbauer,
     index_phi1,
     is_square,
@@ -29,8 +28,8 @@ from .arith import (
     validate_query,
 )
 from .class_numbers import twelve_H, twelve_h0
-from .cusp_terms import cusp_sum
-from .dirichlet import CycloNum, trivial_character
+from .cusp_terms import _cusp_counts
+from .dirichlet import CycloNum, _reduce, trivial_character
 from .local_counts import B_counts, C_counts
 
 __all__ = [
@@ -54,29 +53,6 @@ CycloNum); the parts mirror the formula's class-sum / cusp-sum split.
 """
 
 
-def _parity_ok(chi, k):
-    return chi.parity() == (1 if k % 2 == 0 else -1)
-
-
-def _zero_result(chi, warning=None):
-    z = CycloNum.zero(chi.order)
-    return TraceResult(z, z, z, z, warning)
-
-
-def _fold_t(ts, term):
-    """term(0) + 2 * term(t) summed over the nonzero t in ts, on exponent
-    histograms in ints.
-
-    Callers guarantee term(-t) = term(t) (parity hypothesis), so this is the
-    sum over all t with |t| in ts.
-    """
-    total = term(0)
-    for t in ts:
-        if t:
-            total = [x + 2 * y for x, y in zip(total, term(t))]
-    return total
-
-
 @lru_cache(maxsize=256)
 def _class_pairs(N, ell):
     """((u u')^2, mu(u), u') for u | ell squarefree and u' | N/ell: the
@@ -89,39 +65,75 @@ def _class_pairs(N, ell):
     return tuple(pairs)
 
 
-def _class_sum(N, ell, chi, w, n, t):
-    """Gegenbauer weight P_w(t, ell n) times the Moebius-twisted class sum
-    over u | ell, u' | N/ell of mu(u) 12 H(D/(u u')^2) C_{N/ell}(u', t, ell n),
-    D = 4 ell n - t^2, for chi a character mod N/ell, as an exponent histogram
-    in ints; ell = 1 is the Hecke operator's sum over u | N of
-    12 H(D/u^2) C(u, t, n)."""
+def _read(order, weights, counts):
+    """Sum of c * counts(u, t) over weights' (u, t) -> c, in ints."""
+    acc = [0] * order
+    for (u, t), c in weights.items():
+        acc = [x + c * y for x, y in zip(acc, counts(u, t))]
+    return acc
+
+
+def _class_counts(N, ell, chi, w, n, ts):
+    """Exponent histogram in ints of the sum over t in ts, u | ell and
+    u' | N/ell of P_w(t, ell n) mu(u) 12 H(D/(u u')^2) C_{N/ell}(u', t, ell n),
+    D = 4 ell n - t^2, chi a character mod N/ell; -t adds what t adds (parity
+    hypothesis), so t != 0 counts twice.  Each t adds its int weight to the
+    residue class (u', t mod (N/ell) u')."""
     Np, m = N // ell, ell * n
-    D = 4 * m - t * t
-    acc = [0] * chi.order
-    for sq, mu, up in _class_pairs(N, ell):
-        if D % sq:
+    pairs = _class_pairs(N, ell)
+    weights = {}
+    for t in ts:
+        g = gegenbauer(w, t, m) * (2 if t else 1)
+        if not g:
             continue
-        h = mu * twelve_H(D // sq)
-        if h:
-            acc = [x + h * y for x, y in zip(acc, C_counts(Np, chi, up, t, m))]
-    g = gegenbauer(w, t, m)
-    return [g * x for x in acc]
+        D = 4 * m - t * t
+        for sq, mu, up in pairs:
+            if D % sq == 0:
+                h = twelve_H(D // sq)
+                if h:
+                    key = (up, t % (Np * up))
+                    weights[key] = weights.get(key, 0) + mu * h * g
+    return _read(chi.order, weights, lambda u, t: C_counts(Np, chi, u, t, m))
+
+
+def _h0_counts(N, chi, w, n):
+    """The full Hecke class sum by primitive class numbers: P_w(t, n)
+    12 h0(D/u^2) B(gcd(N, u), t, n) over u^2 | D = t^2 - 4n (u = 0 alone at
+    D = 0), each t adding to the residue class (g, t mod N g)."""
+    weights = {}
+    for t in _t_range_full(n):
+        p = gegenbauer(w, t, n) * (2 if t else 1)
+        if not p:
+            continue
+        D = t * t - 4 * n
+        us = [u for u in range(1, isqrt(abs(D)) + 1) if D % (u * u) == 0] if D else [0]
+        for u in us:
+            h = twelve_h0(D // (u * u) if u else 0)
+            if h:
+                g = math.gcd(N, u)
+                key = (g, t % (N * g))
+                weights[key] = weights.get(key, 0) + p * h
+    return _read(chi.order, weights, lambda g, t: B_counts(N, chi, g, t, n))
+
+
+def _cyclo(order, hist, den):
+    """The CycloNum sum of hist[k] zeta^k over den, reduced once in ints."""
+    return CycloNum(order, (QQ(x, den) for x in _reduce(order, hist)))
 
 
 def _cusp_trace(N, ell, chi, k, n):
     """Trace of T_n composed with W_ell on cusp forms, chi a character mod
     N/ell: t runs over the multiples of ell, the elliptic and hyperbolic
     terms carry ell^(-w/2), and the hyperbolic term is the cusp sum of
-    min(a, d)^(k-1)."""
+    min(a, d)^(k-1).  Each part is one int histogram over 24 ell^(w/2+1)."""
     w, m = k - 2, ell * n
-    scale = QQ(-1, 2 * ell ** (w // 2))
-    ts = range(0, isqrt(4 * m) + 1, ell)
-    elliptic = chi.value(_fold_t(ts, partial(_class_sum, N, ell, chi, w, n))) * (scale / 12)
-
-    hyper = cusp_sum(N, ell, chi, n, lambda a, d: min(a, d) ** (k - 1)) * scale
-
-    corr = CycloNum.from_rational(sigma1_N(N, n) if k == 2 and chi.is_trivial() else 0, chi.order)
-    return TraceResult(elliptic + hyper + corr, elliptic, hyper, corr)
+    den = 24 * ell ** (w // 2 + 1)
+    ell_h = [-ell * x for x in _class_counts(N, ell, chi, w, n, range(0, isqrt(4 * m) + 1, ell))]
+    scale = -12 * euler_phi(ell)
+    hyp_h = [scale * x for x in _cusp_counts(N, ell, chi, n, lambda a, d: min(a, d) ** (k - 1))]
+    corr_h = [den * sigma1_N(N, n) if k == 2 and chi.is_trivial() else 0] + [0] * (chi.order - 1)
+    value_h = [x + y + z for x, y, z in zip(ell_h, hyp_h, corr_h)]
+    return TraceResult(*(_cyclo(chi.order, h, den) for h in (value_h, ell_h, hyp_h, corr_h)))
 
 
 def trace_hecke_cusp(N, chi, k, n):
@@ -131,8 +143,9 @@ def trace_hecke_cusp(N, chi, k, n):
     warning field instead of raising.
     """
     validate_query(N, chi, k, n)
-    if not _parity_ok(chi, k):
-        return _zero_result(chi, warning="character parity does not match the weight")
+    if chi.parity() != (1 if k % 2 == 0 else -1):
+        z = CycloNum.zero(chi.order)
+        return TraceResult(z, z, z, z, "character parity does not match the weight")
     return _cusp_trace(N, 1, chi, k, n)
 
 
@@ -144,16 +157,14 @@ def _t_range_full(n):
     return list(range(isqrt(4 * n) + 1)) + split[::-1]
 
 
-def _full_trace(N, ell, chi, k, n, term=None):
-    """Raw double-coset trace of T_n composed with W_ell on cusp plus all
-    modular forms by Hurwitz class numbers, chi a character mod N/ell (no
-    ell^(w/2) normalization).  term(t), an exponent histogram of twelve
-    times the class sum at t, defaults to the Hurwitz one."""
-    ts = [t for t in _t_range_full(ell * n) if t % ell == 0]
-    total = chi.value(_fold_t(ts, term or partial(_class_sum, N, ell, chi, k - 2, n))) * QQ(-1, 12)
+def _full_trace(N, chi, k, n, class_h):
+    """Raw double-coset trace on cusp plus all modular forms (no ell^(w/2)
+    normalization) from class_h, twelve times its class sum as an exponent
+    histogram of chi, a character mod N/ell."""
+    total = [-x for x in class_h]
     if k == 2 and chi.is_trivial():
-        total = total + sigma1_N(N, n)
-    return total
+        total[0] += 12 * sigma1_N(N, n)
+    return _cyclo(chi.order, total, 12)
 
 
 def trace_hecke_full(N, chi, k, n):
@@ -161,36 +172,20 @@ def trace_hecke_full(N, chi, k, n):
 
     Both published shapes (Hurwitz numbers over divisors of N, and primitive
     weighted numbers against the Moebius-inverted local factor) are computed
-    and must agree; their common value is returned.
+    and must agree exactly as reduced int tuples; their common value is
+    returned.
     """
     validate_query(N, chi, k, n)
-    if not _parity_ok(chi, k):
+    if chi.parity() != (1 if k % 2 == 0 else -1):
         return CycloNum.zero(chi.order)
-    w = k - 2
-
-    def h0_term(t):
-        D = t * t - 4 * n
-        if D == 0:
-            # primed sum: only the u = 0 term, with gcd(N, 0) = N
-            terms = [(N, 0)]
-        else:
-            terms = [(math.gcd(N, u), D // (u * u)) for u in range(1, isqrt(abs(D)) + 1) if D % (u * u) == 0]
-        acc = [0] * chi.order
-        for g, E in terms:
-            h = twelve_h0(E)
-            if h:
-                acc = [x + h * y for x, y in zip(acc, B_counts(N, chi, g, t, n))]
-        p = gegenbauer(w, t, n)
-        return [p * x for x in acc]
-
-    total_h = _full_trace(N, 1, chi, k, n)
-    total_h0 = _full_trace(N, 1, chi, k, n, h0_term)
-    if total_h != total_h0:
+    hurwitz = _class_counts(N, 1, chi, k - 2, n, _t_range_full(n))
+    primitive = _h0_counts(N, chi, k - 2, n)
+    if _reduce(chi.order, hurwitz) != _reduce(chi.order, primitive):
         raise RuntimeError(
             f"class-number variants disagree at N={N}, k={k}, n={n}: "
-            f"{total_h!r} vs {total_h0!r}"
+            f"{_full_trace(N, chi, k, n, hurwitz)!r} vs {_full_trace(N, chi, k, n, primitive)!r}"
         )
-    return total_h
+    return _full_trace(N, chi, k, n, hurwitz)
 
 
 def trace_atkin_lehner(N, ell, k, n):
@@ -204,7 +199,9 @@ def trace_atkin_full(N, ell, k, n):
     """Raw double-coset trace on cusp plus all modular forms (no ell^(w/2)
     normalization); the quantity the period oracle computes directly."""
     validate_query(N, None, k, n, ell)
-    return _full_trace(N, ell, trivial_character(N // ell), k, n).as_rational()
+    chi = trivial_character(N // ell)
+    ts = [t for t in _t_range_full(ell * n) if t % ell == 0]
+    return _full_trace(N, chi, k, n, _class_counts(N, ell, chi, k - 2, n, ts)).as_rational()
 
 
 def scalar_term(N, chi, k, n):

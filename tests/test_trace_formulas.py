@@ -345,3 +345,38 @@ def test_composed_integer_core_matches_the_cyclonum_reference():
                 key = (N, ell, k, n)
                 _assert_parts_match(trace_atkin_lehner(N, ell, k, n), _ref_cusp_trace(N, ell, chi, k, n), key)
                 assert trace_atkin_full(N, ell, k, n) == _ref_full_trace(N, ell, chi, k, n).as_rational(), key
+
+
+def test_integer_core_matches_the_reference_past_the_wrap():
+    # the class sums key each t by (u', t mod (N/ell) u'); out to n = 120,
+    # and on the full space's split t, many t share one residue class
+    for N, ci, k in ((20, 0, 4), (20, 3, 3), (24, 1, 3), (36, 7, 2), (36, 7, 4), (36, 8, 3)):
+        chi = enumerate_characters(N)[ci]
+        for n in range(1, 121):
+            key = (N, ci, k, n)
+            _assert_parts_match(trace_hecke_cusp(N, chi, k, n), _ref_cusp_trace(N, 1, chi, k, n), key)
+            full = _ref_full_trace(N, 1, chi, k, n)
+            assert _same(full, _ref_full_trace_h0(N, chi, k, n)), key
+            assert _same(trace_hecke_full(N, chi, k, n), full), key
+    for N, ell in ((30, 5), (42, 7)):
+        chi = trivial_character(N // ell)
+        for n in range(1, 61):
+            key = (N, ell, n)
+            _assert_parts_match(trace_atkin_lehner(N, ell, 4, n), _ref_cusp_trace(N, ell, chi, 4, n), key)
+            assert trace_atkin_full(N, ell, 4, n) == _ref_full_trace(N, ell, chi, 4, n).as_rational(), key
+
+
+@pytest.mark.parametrize("ci", [0, 2])
+def test_hurwitz_h0_cross_check_raises_on_a_wrong_class_number(monkeypatch, ci):
+    # n = 1, t = 1 reads 12*h0(-3), and alpha^2 - alpha + 1 = 0 has two roots
+    # mod 13: one h0 read 12 too high moves the h0 shape off the Hurwitz one
+    import trace_kit.class_numbers as cn
+    import trace_kit.trace_formulas as tf
+
+    chi = enumerate_characters(13)[ci]
+    want = trace_hecke_full(13, chi, 2, 1)
+    monkeypatch.setattr(tf, "twelve_h0", lambda D: cn.twelve_h0(D) + 12 * (D == -3))
+    with pytest.raises(RuntimeError, match=r"class-number variants disagree at N=13, k=2, n=1: ") as err:
+        trace_hecke_full(13, chi, 2, 1)
+    assert str(err.value).count("CycloNum(") == 2
+    assert repr(want) in str(err.value)

@@ -2,22 +2,21 @@
 level-N congruence group, cross-verified by a universal group-ring operator
 and exact period-polynomial linear algebra.
 
-`run_suite` is in `__all__` but its module, `verification`, is imported on
-first access to the name, so a program that only computes traces (the
-`trace` command among them) does not compile or load the suite.
+The period side (`hecke_operator`, `period_oracle`) and the suite
+(`verification`, home of `run_suite`) are in `sys.modules` once the package
+is imported, but each module's code runs on the first read of one of its
+attributes (`importlib.util.LazyLoader`).  Their names in `__all__` are read
+through the module `__getattr__` (PEP 562).  So a program that only computes
+traces, the `trace` command among them, compiles and runs the closed route
+alone.
 """
+
+import importlib.util
+import sys
 
 from .arith import QQ, gegenbauer, index_phi1, sigma1_N
 from .class_numbers import h0, hurwitz_H
 from .dirichlet import CycloNum, DirichletChar, enumerate_characters, trivial_character
-from .hecke_operator import GroupRingElem, build_Tn, build_Tn_infty, verify_operator
-from .period_oracle import (
-    atkin_coset_desc,
-    dim_period_space,
-    hecke_coset_desc,
-    trace_coboundary,
-    trace_on_W,
-)
 from .trace_formulas import (
     TraceResult,
     cohen_gamma04,
@@ -28,6 +27,20 @@ from .trace_formulas import (
     trace_hecke_full,
     trace_series,
 )
+
+# public name -> the submodule that defines it, loaded on first use
+_LAZY = {
+    "GroupRingElem": "hecke_operator",
+    "build_Tn": "hecke_operator",
+    "build_Tn_infty": "hecke_operator",
+    "verify_operator": "hecke_operator",
+    "atkin_coset_desc": "period_oracle",
+    "dim_period_space": "period_oracle",
+    "hecke_coset_desc": "period_oracle",
+    "trace_coboundary": "period_oracle",
+    "trace_on_W": "period_oracle",
+    "run_suite": "verification",
+}
 
 __all__ = [
     "QQ",
@@ -63,13 +76,26 @@ __all__ = [
 __version__ = "0.1.0"
 
 
-def __getattr__(name):
-    if name == "run_suite":
-        from .verification import run_suite
+def _register_lazy_modules():
+    """Put each module behind _LAZY in sys.modules, and on the package, with
+    its code not yet run: LazyLoader runs it on the first attribute read."""
+    for name in sorted(set(_LAZY.values())):
+        spec = importlib.util.find_spec(f"{__name__}.{name}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        globals()[name] = module
 
-        return run_suite
+
+_register_lazy_modules()
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(sys.modules[f"{__name__}.{_LAZY[name]}"], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | {"run_suite"})
+    return sorted(set(globals()) | set(_LAZY))

@@ -1,7 +1,8 @@
 """Command-line surface: trace tables, class numbers, operator dumps, and
 the verification suite.  Output is deterministic and machine-readable.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 standard
+output closed by its reader (128 + SIGPIPE, as in `trace ... | head -1`).
 """
 
 import argparse
@@ -12,12 +13,11 @@ import sys
 from .arith import QQ, validate_query
 from .class_numbers import h0, hurwitz_H, precompute
 from .dirichlet import CycloNum, enumerate_characters, trivial_character
-from .hecke_operator import build_Tn, operator_json_entries, verify_operator
-from .period_oracle import atkin_coset_desc, hecke_coset_desc, trace_on_W
 from .trace_formulas import trace_atkin_full, trace_atkin_lehner, trace_hecke_cusp, trace_hecke_full
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+PIPE_EXIT = 141
 
 
 def _positive_int(text):
@@ -223,6 +223,9 @@ def cmd_classnum(args):
 
 
 def cmd_verify(args):
+    from .hecke_operator import build_Tn, operator_json_entries, verify_operator
+    from .period_oracle import atkin_coset_desc, hecke_coset_desc, trace_on_W
+
     if args.target == "heckeop":
         lo, hi = args.n
         if args.dump_operator and lo != hi:
@@ -334,14 +337,25 @@ def build_parser():
 def main(argv=None):
     """Run one command and return its exit code; every usage error, from
     argparse, from the checks here or a ValueError from the library, prints
-    to stderr and returns USAGE_EXIT."""
+    to stderr and returns USAGE_EXIT.  A standard output closed by its
+    reader prints nothing and returns PIPE_EXIT."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed its usage error (code 2) or the help (code 0)
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a closed pipe raises below and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so that the flush at exit
+        # cannot fail again (the recipe of the Python docs' note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return PIPE_EXIT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +267,27 @@ def test_worker_env_rejects_bad_values(capsys, monkeypatch, value):
     code, out, err = run_cli(capsys, "trace", "--level", "1", "--weight", "12", "--n", "1:2")
     assert code == 2 and not out
     assert err == "error: TRACE_KIT_THREADS must be a positive integer\n"
+
+
+# 3 records stay in the stdout buffer until main flushes it; 100 records
+# overflow it, so the write itself meets the closed pipe
+@pytest.mark.parametrize("n", ["1:3", "1:100"])
+def test_closed_stdout_pipe_exits_quietly(n):
+    # the reader has closed its end before the command writes, as `| head -1`
+    # does once it has its line: no error line, and exit 128 + SIGPIPE
+    env = dict(os.environ, TRACE_KIT_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trace_kit.cli", "trace", "--level", "11", "--weight", "2", "--n", n, "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .arith import QQ, crt_solve, divisors, euler_phi, require_exact_divisor, sigma1_N, validate_query
 from .dirichlet import CycloNum, trivial_character
-from .matrix_forms import complete_row, in_atkin_coset, mat_mul, sigma_det, sigma_twist
 
 __all__ = [
     "CuspRep",
@@ -43,6 +42,8 @@ class CuspRep:
     __slots__ = ("N", "r", "s", "q", "matrix", "width")
 
     def __init__(self, N, r, q):
+        from .matrix_forms import complete_row  # imported on use: a trace runs no cusp representative
+
         self.N = N
         self.r = r
         self.s = N // r
@@ -156,6 +157,8 @@ def phi_generic(sigma, chi, w, a, d):
     C M C^{-1} in the double coset and accumulate the twist value; divide
     by (a,d).  Must reproduce the closed forms exactly.
     """
+    from .matrix_forms import in_atkin_coset, mat_mul, sigma_det, sigma_twist  # imported on use, as above
+
     if chi.modulus != sigma[0]:
         raise ValueError("character modulus must equal the level")
     if a * d != sigma_det(sigma):

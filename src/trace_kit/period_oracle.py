@@ -24,38 +24,49 @@ others are read off it through the unimodular maps of S, U and U^2, each
 walked once per module.  For an even character order m, zeta^(m/2) = -1
 folds every twist exponent below m/2.  A restricted trace reads each source
 once per target point and plane and takes one dot product per row; the
-period space's elimination looks up, once per target point, the one
-Ker(1+S) vector holding each source, and keeps the rows of one point per
-U-orbit only, as every image of 1+U+U^2 is U-invariant (_period_system).
-S acts as a signed permutation, so Ker(1+S) is written down
-(kernel_one_plus_S).  The weight action is built column by column, each the
-last times (aX+b) over (cX+d), an exact division checked term by term
-(weight_action), so a matrix of weight w costs O(w^2) integer operations.
+period space's elimination keeps the rows of one point per U-orbit only,
+as every image of 1+U+U^2 is U-invariant (_period_system).  S acts as a
+signed permutation, so Ker(1+S) is written down (kernel_one_plus_S).  The
+weight action is built column by column, each the last times (aX+b) over
+(cX+d), an exact division checked term by term (weight_action), so a
+matrix of weight w costs O(w^2) integer operations.
 
 Representation: a vector over Q(zeta_m) is sparse, a dict coordinate ->
 integer coefficient tuple of length phi(m) on the power basis, nonzero
 tuples only.  The Ker(1+S) vectors, the elimination's rows and the period
-space's vectors all take this one form.  The weight action has integer
-entries and acts on each coefficient alone; a field element mixes them
-through its integer multiplication matrix, so the hot loops stay in ints.
-The one elimination, of Ker(1+U+U^2) on Ker(1+S), is sparse and
-fraction-free over Z[zeta_m]: a pivot row is multiplied by the other Galois
-conjugates of its lead, which makes the lead a rational integer, and other
-rows are cleared by integer cross-multiplication.
+space's vectors all take this one form.  Every period polynomial satisfies
+P|(1+S) = 0, and each written-down Ker(1+S) vector is the field's 1 at its
+own pivot and 0 at the others', so a vector of Ker(1+S) is fixed by its
+values at those pivots: the pivot point of each S-pair and the upper half
+of each point S fixes, about half the coordinates.  The period space is
+kept in these Ker(1+S) coordinates, and the rows that act on it are folded
+onto them (PeriodModule.rows with fold, laid out once per module by
+_fold); the elimination's unknowns are the same values.  The translation
+space Ker(1-T) does not lie in Ker(1+S) and keeps full coordinates.  The
+weight action has integer entries and acts on each coefficient alone; a
+field element mixes them through its integer multiplication matrix, so the
+hot loops stay in ints.  The one elimination, of Ker(1+U+U^2) on Ker(1+S),
+is sparse and fraction-free over Z[zeta_m]: a pivot row is multiplied by
+the other Galois conjugates of its lead, which makes the lead a rational
+integer, and other rows are cleared by integer cross-multiplication.
 
 Every cached basis (a Subspace) comes out reduced: vector k is d_k times
 the field's 1 at its own pivot coordinate p_k and 0 at the others' pivots,
 checked on whole tuples as it is laid out per plane for the trace.
 A restricted trace therefore reads each image's coordinates v[p_k] / d_k
 straight off the pivots, with no further elimination, and certifies them
-first: L v - sum_k v[p_k] (L / d_k) basis_k must vanish exactly in Z,
-L = lcm(d_k), or the operator does not preserve the subspace.  It works on
-slabs of SLAB basis vectors packed into one int per coordinate and plane,
-each vector a signed slot (Kronecker substitution), so one big-int
-multiply-add per operator entry and plane serves the whole slab.  The slot
-width comes from an a-priori bound on every image coordinate and every
-residual term, so each packed int is 0 exactly when all its slots are and
-each slot reads back exactly (_trace_on_space).
+first: every image must lie in the span, or the operator does not preserve
+the subspace.  On full coordinates that is L v - sum_k v[p_k] (L / d_k)
+basis_k = 0 exactly in Z, L = lcm(d_k).  On Ker(1+S) coordinates it is
+that residual at the Ker(1+S) pivots, plus the Ker(1+S) relations at
+every other coordinate: there v must be -zeta^e (-1)^k times v at its
+pivot, and 0 at a dropped middle coordinate.  It works on slabs of SLAB
+basis vectors packed into one int per coordinate and plane, each vector a
+signed slot (Kronecker substitution), so one big-int multiply-add per
+operator entry and plane serves the whole slab.  The slot width comes from
+an a-priori bound on every image coordinate, every residual and every
+relation, so each packed int is 0 exactly when all its slots are and each
+slot reads back exactly (_trace_on_space).
 
 Every field operation (product, Galois conjugates, powers of zeta,
 multiplication matrices) comes from the coefficient-tuple kernel in dirichlet; this module
@@ -65,7 +76,7 @@ holds the coset membership test, and nothing else.
 """
 
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add, mul
@@ -304,7 +315,33 @@ def _coset_classes(op):
     return classes
 
 
-# -- the module ---------------------------------------------------------------
+def _landing(m, d, e, form):
+    """(point d, exponent, slot) at which PeriodModule.rows sums a block in
+    form `form` (_fold) that arrives at exponent e: for an even order m,
+    zeta^(m/2) = -1 takes e + m/2 to e and the block negated, slot 2 form +
+    1 against 2 form."""
+    e %= m
+    if m % 2 == 0 and e >= m // 2:
+        return d, e - m // 2, 2 * form + 1
+    return d, e, 2 * form
+
+
+def _block(made, slot, forms):
+    """A member's block in the form and sign of slot (_landing), made from
+    its plain block made[0] and stored in made[slot]; form f > 0 reads
+    forms[f] = (entry index, sign) off the plain block."""
+    if slot % 2:
+        f = [-x for x in made[slot - 1] or _block(made, slot - 1, forms)]
+    else:
+        rev, signs = forms[slot // 2]
+        f = list(map(mul, signs, map(made[0].__getitem__, rev)))
+    made[slot] = f
+    return f
+
+
+# a module's Ker(1+S) layout (PeriodModule._fold)
+_Fold = namedtuple("_Fold", "pivots land lo forms relations dropped")
+
 
 class PeriodModule:
     """Induced polynomial module for (N, chi, w); requires chi(-1) = (-1)^w.
@@ -348,15 +385,25 @@ class PeriodModule:
             walked = self._unimodular_maps[g] = sources, exps
         return walked
 
-    def rows(self, sigma, op):
+    def rows(self, sigma, op, fold=False):
         """sum(q_M * |_Sigma M) gathered by target point: chi twist exponent
         e -> (sources, coefficients).  sources[j] lists the source
-        coordinates of the blocks landing on point j, each block's w+1
+        coordinates of the blocks landing on point j, each block's kept
         coordinates once; coefficients[t] is row t before the twist by
         zeta^e, its integer entries aligned with sources[t // (w+1)], each
         block's row as it stands, zeros included.  The terms are first summed
         as blocks, q_M W(M) (W the weight action) added per (source point,
         target point, exponent).
+
+        With fold, the rows act on vectors of Ker(1+S) given by their values
+        at the pivots of kernel_one_plus_S (_fold), and every source is such
+        a pivot.  There v[j, w-k] = -zeta^e (-1)^k v[i, k] for a point j
+        whose S-partner i > j, e the exponent of S at j: a block B with
+        source j moves, before blocks are summed, to source i at exponent
+        + e as -B W(S), its columns reversed with signs (-1)^(k+1).  At a
+        point S fixes only the columns below the middle move, onto the upper
+        half of the same point; the middle column stays when it is a pivot,
+        and is dropped when v vanishes there.
 
         The matrices are taken one class at a time (_coset_classes), and
         only the first of a class is walked by sigma_block_map, every
@@ -371,10 +418,16 @@ class PeriodModule:
         once per member that keeps a block.
 
         For an even order m, zeta^(m/2) = -1: a block at exponent e + m/2
-        is added, negated, at exponent e, so every exponent is below m/2."""
+        is added, negated, at exponent e, so every exponent is below m/2.
+        Where each block lands is looked up per (source point, exponent)
+        (_landing)."""
         w, w1, m = self.w, self.w + 1, self.order
-        half = m // 2 if m % 2 == 0 else m  # no exponent reaches m when m is odd
         table = self.chi.table()
+        if fold:
+            land, lo, forms = self._fold.land, self._fold.lo, self._fold.forms
+        else:
+            land = [[(_landing(m, i, e, 0),) for e in range(m)] for i in range(self.npoints)]
+            lo, forms = [0] * self.npoints, None
         blocks = {}  # (source point, target point, exponent) -> summed q W(M), row-major
         for cls in _coset_classes(op):
             members = []  # per member: (sources, exponents)
@@ -398,25 +451,23 @@ class PeriodModule:
                     sources = list(map(psources.__getitem__, gsources))
                     exps = [(pexps[s] + e) % m for s, e in zip(gsources, gexps)]
                 members.append((sources, exps))
-                q = op[key]
-                flat = neg = None
+                made = None  # this member's block per slot (_landing), made on first use
                 for j, (i, exp) in enumerate(zip(sources, exps)):
                     if i is None:
                         continue
-                    if flat is None:
-                        flat = [q * x for row in weight_action(P, w) for x in row]
-                    f = flat
-                    if exp >= half:
-                        exp -= half
-                        f = neg = neg or [-x for x in flat]
-                    blk = blocks.get((i, j, exp))
-                    blocks[i, j, exp] = f if blk is None else list(map(add, blk, f))
+                    if made is None:
+                        made = [[op[key] * x for row in weight_action(P, w) for x in row], None, None, None, None, None]
+                    for d, e, slot in land[i][exp]:
+                        f = made[slot] or _block(made, slot, forms)
+                        blk = blocks.get((d, j, e))
+                        blocks[d, j, e] = f if blk is None else list(map(add, blk, f))
         rows = defaultdict(lambda: ([[] for _ in range(self.npoints)], [[] for _ in range(self.dim)]))
         for (i, j, exp), blk in blocks.items():
             sources, coefficients = rows[exp]
-            sources[j].extend(range(i * w1, (i + 1) * w1))
+            c0 = lo[i]
+            sources[j].extend(range(i * w1 + c0, (i + 1) * w1))
             for r in range(w1):
-                coefficients[j * w1 + r].extend(blk[r * w1 : (r + 1) * w1])
+                coefficients[j * w1 + r].extend(blk[r * w1 + c0 : (r + 1) * w1])
         return rows
 
     # -- structured kernels ------------------------------------------------------
@@ -450,13 +501,56 @@ class PeriodModule:
                 pivots.append(p)
         return basis, pivots
 
-    def _period_system(self, bs):
+    @cached_property
+    def _fold(self):
+        """The Ker(1+S) coordinates, laid out once per module from
+        kernel_one_plus_S: a vector of Ker(1+S) is its values at pivots.
+
+        For rows: land[i][e], the (point, exponent, slot) (_landing) at
+        which a block with source point i and exponent e is summed; lo[i],
+        the first column kept at i; forms[f] = (entry index, sign) per
+        row-major entry of the moved block, form 1 the whole -B W(S) and
+        form 2 its columns k with 2k > w only.  For the certificate:
+        relations, per value u that a vector takes off its pivot, (those
+        coordinates, their vectors' pivots, u's multiplication matrix);
+        dropped, the middle coordinates of the points S fixes that no vector
+        holds."""
+        w, w1, m = self.w, self.w + 1, self.order
+        bs, pivots = self.kernel_one_plus_S()
+        groups = defaultdict(lambda: ([], []))  # u -> (coordinates, pivots)
+        for vec, p in zip(bs, pivots):
+            for s, u in vec.items():
+                if s != p:
+                    groups[u][0].append(s)
+                    groups[u][1].append(p)
+        relations = [(coords, ps, mult_matrix(m, u)) for u, (coords, ps) in groups.items()]
+        held = set(pivots).union(*(coords for coords, _, _ in relations))
+        dropped = [s for s in range(self.dim) if s not in held]
+        counts = defaultdict(int)  # point -> its pivots
+        for p in pivots:
+            counts[p // w1] += 1
+        land, lo = [], []
+        for j, (i, e) in enumerate(zip(*self._unimodular_map(S))):
+            lo.append(w1 - counts[j] if i == j else 0)
+            if i < j:
+                ways = ((j, 0, 0),)
+            elif i > j:
+                ways = ((i, e, 1),)
+            else:  # S fixes j; at w = 0 nothing moves, and a dropped middle keeps nothing
+                ways = ((j, 0, 0),) * (lo[j] < w1) + ((j, e, 2),) * (w > 0)
+            land.append([tuple(_landing(m, d, exp + shift, form) for d, shift, form in ways) for exp in range(m)])
+        rev = [r * w1 + w - k for r in range(w1) for k in range(w1)]
+        signs = [(-1) ** (k + 1) for _ in range(w1) for k in range(w1)]
+        upper = [s if 2 * (n % w1) > w else 0 for n, s in enumerate(signs)]
+        return _Fold(pivots, land, lo, (None, (rev, signs), (rev, upper)), relations, dropped)
+
+    def _period_system(self):
         """The sparse rows whose common kernel, in the coordinates of the
-        Ker(1+S) vectors bs, is the period space: row t of 1+U+U^2 (rows)
-        taken through the one vector holding each of its sources, for the
-        targets t at one point of each U-orbit only.  Per target point and
-        exponent, each source's vector and its value there, twisted by
-        zeta^exponent, are looked up once for the point's w+1 rows.
+        Ker(1+S) vectors (_fold.pivots, by index), is the period space: row
+        t of 1+U+U^2 (rows, folded) for the targets t at one point of each
+        U-orbit only.  Every source of a folded row is the pivot of one
+        Ker(1+S) vector; the coefficient there, twisted by zeta^exponent, is
+        that vector's entry in the row.
 
         That keeps the row space.  U^3 = -I acts as chi(-1)(-1)^w = 1, so
         (1+U+U^2) U = 1+U+U^2 and every image v of 1+U+U^2 is U-invariant:
@@ -466,9 +560,8 @@ class PeriodModule:
         cut out the same kernel as all of them.  A point U fixes is its own
         orbit and keeps its w+1 rows."""
         m, w1 = self.order, self.w + 1
-        # coordinate -> (k, value of bs[k] there): no coordinate lies in two
-        holders = {s: (k, t) for k, vec in enumerate(bs) for s, t in vec.items()}
-        gathered = self.rows(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1})
+        column = {p: k for k, p in enumerate(self._fold.pivots)}
+        gathered = self.rows(self.unimodular, {IDENT: 1, U: 1, mat_mul(U, U): 1}, fold=True)
         source = self._unimodular_map(U)[0]
         rows = []
         done = set()
@@ -476,21 +569,17 @@ class PeriodModule:
             if j in done:
                 continue
             done.update((j, source[j], source[source[j]]))  # U^3 fixes every point
-            held = []  # per exponent: (k, zeta^exp times bs[k] there) per source, None off bs
-            for exp, (sources, coefficients) in gathered.items():
-                hs = list(map(holders.get, sources[j]))
-                if exp:
-                    z = zeta_power(m, exp)
-                    hs = [h and (h[0], cyclo_mul(m, h[1], z)) for h in hs]
-                held.append((hs, coefficients))
+            held = [  # per exponent: the vector of each source, zeta^exp and the rows
+                (list(map(column.__getitem__, sources[j])), zeta_power(m, exp), coefficients)
+                for exp, (sources, coefficients) in gathered.items()
+            ]
             for t in range(j * w1, (j + 1) * w1):
                 row = {}
-                for hs, coefficients in held:
-                    for h, q in zip(hs, coefficients[t]):
-                        if q and h:
-                            k, value = h
+                for ks, z, coefficients in held:
+                    for k, q in zip(ks, coefficients[t]):
+                        if q:
                             old = row.get(k)
-                            row[k] = [q * x for x in value] if old is None else [y + q * x for y, x in zip(old, value)]
+                            row[k] = [q * x for x in z] if old is None else [y + q * x for y, x in zip(old, z)]
                 row = {k: tuple(value) for k, value in row.items() if any(value)}
                 if row:
                     rows.append(row)
@@ -501,30 +590,22 @@ class PeriodModule:
 
     def _scaled_period_space(self):
         """(sparse integer vectors, pivots, dens) of the period space
-        Ker(1+S) intersect Ker(1+U+U^2): vector k is dens[k] times the
-        field's 1 at pivot k and 0 at the others'.  The free columns of the
-        elimination of _period_system pick Ker(1+S) vectors, whose pivots
-        carry over.  The vectors, sums of Ker(1+S) vectors, come lazily:
-        each is built as it is consumed."""
-        bs, bpivots = self.kernel_one_plus_S()
-        m = self.order
-        sols, free = _nullspace(self._period_system(bs), m, len(bs))
-
-        def combine(sol):
-            vec = {}
-            for k, a in sol.items():
-                for s, t in bs[k].items():
-                    p = cyclo_mul(m, a, t)
-                    old = vec.get(s)
-                    vec[s] = p if old is None else tuple(map(add, old, p))
-            return {s: t for s, t in vec.items() if any(t)}
-
-        return map(combine, sols), [bpivots[fc] for fc in free], [sol[fc][0] for sol, fc in zip(sols, free)]
+        Ker(1+S) intersect Ker(1+U+U^2), in Ker(1+S) coordinates: vector k
+        is dens[k] times the field's 1 at pivot k and 0 at the others'.  The
+        free columns of the elimination of _period_system pick Ker(1+S)
+        vectors, whose pivots carry over.  A solution is a sum of Ker(1+S)
+        vectors, each the field's 1 at its own pivot and 0 at the others',
+        so its coefficients are its values at those pivots."""
+        pivots = self._fold.pivots
+        sols, free = _nullspace(self._period_system(), self.order, len(pivots))
+        vectors = ({pivots[k]: a for k, a in sol.items()} for sol in sols)  # built as consumed
+        return vectors, [pivots[fc] for fc in free], [sol[fc][0] for sol, fc in zip(sols, free)]
 
     @cached_property
     def period_basis(self):
-        """The Subspace of the period space, scaled to integers."""
-        return Subspace(self, *self._scaled_period_space())
+        """The Subspace of the period space, scaled to integers, in Ker(1+S)
+        coordinates."""
+        return Subspace(self, *self._scaled_period_space(), kernel=self._fold)
 
     @cached_property
     def translation_basis(self):
@@ -670,17 +751,21 @@ class Subspace:
 
     Built from sparse vectors, taken one at a time: vector k must be d_k =
     scales[k] times the field's 1 at its own pivot p_k and 0 at the other
-    pivots, compared on whole coefficient tuples.  Only its packing layout
-    is kept: planes[k][c] = (coordinates, values) of the nonzero
-    coefficients of zeta^c.  Kept with it for _trace_on_space: L = lcm(d_k)
-    and factors[k] = L / d_k; norm, the largest l1 norm of a vector; spread,
-    the largest l1 norm at one coordinate of sum_k factors[k] |vector k|.
+    pivots, compared on whole coefficient tuples.  kernel is None for
+    vectors in full coordinates, or the module's Ker(1+S) layout (_fold)
+    for vectors of Ker(1+S) given at its pivots only, each p_k among them.
+    Only its packing layout is kept: planes[k][c] = (coordinates, values) of
+    the nonzero coefficients of zeta^c at the coordinates given.  Kept with
+    it for _trace_on_space: L = lcm(d_k) and factors[k] = L / d_k; norm, the
+    largest l1 norm of a vector; spread, the largest l1 norm at one
+    coordinate of sum_k factors[k] |vector k|, both over the coordinates
+    given.
     """
 
-    def __init__(self, mod, vectors, pivots, scales):
+    def __init__(self, mod, vectors, pivots, scales, kernel=None):
         where = {p: j for j, p in enumerate(pivots)}
         zeros = (0,) * (mod.g - 1)
-        self.pivots, self.scales = pivots, scales
+        self.pivots, self.scales, self.kernel = pivots, scales, kernel
         self.L = math.lcm(*scales)
         self.factors = [self.L // d for d in scales]
         self.planes = []
@@ -725,45 +810,86 @@ def _slot_bits(bound):
     return bound.bit_length() + 1
 
 
+def _image_bound(mod, op, space):
+    """A bound on every coefficient of every image of a basis vector of
+    space under op, scaled to integers q_M (_trace_on_space)."""
+    alpha = sum(abs(q) * max(abs(a) + abs(b), abs(c) + abs(d)) ** mod.w for (a, b, c, d), q in op.items())
+    return alpha * space.norm * mod.zeta_bound * (1 if space.kernel is None else 2)
+
+
+def _in_kernel(images, kernel):
+    """Whether the packed image planes lie in Ker(1+S): at every coordinate
+    off the pivots of kernel (a _Fold), u times the value at the pivot of
+    the Ker(1+S) vector holding it, u that vector's value there, and 0 at a
+    dropped middle coordinate."""
+    for coords, pivots, umat in kernel.relations:
+        at_pivots = [list(map(plane.__getitem__, pivots)) for plane in images]
+        for plane, urow in zip(images, umat):
+            want = [0] * len(coords)
+            for z, ys in zip(urow, at_pivots):
+                if z:
+                    want = list(map(add, want, map(mul, repeat(z), ys)))
+            if list(map(plane.__getitem__, coords)) != want:
+                return False
+    return not any(any(map(plane.__getitem__, kernel.dropped)) for plane in images)
+
+
 def _trace_on_space(mod, sigma, op, space):
     """Exact trace of op acting through sigma on a cached Subspace, read off
     the images of its integer basis at the pivots, SLAB vectors at a time.
 
     Row t of the operator, one per exponent (PeriodModule.rows), holds the
     entries landing on coordinate t, aligned with the sources of its target
-    point.  A slab is packed into one int per coordinate and plane, vector k
-    a signed slot of `bits` bits at offset bits * k (Kronecker
+    point.  For a space in Ker(1+S) coordinates (space.kernel) the rows are
+    folded: every source is a Ker(1+S) pivot, and t still runs over every
+    coordinate.  A slab is packed into one int per coordinate and plane,
+    vector k a signed slot of `bits` bits at offset bits * k (Kronecker
     substitution).  Per plane, each target point's sources are read once and
     handed to its w+1 rows, so image coordinate t of a plane is one C-level
     dot product of row t with them for the whole slab, zero products
     skipped (adding one would copy the running sum), and each image plane
     is twisted once.  Slot k of the image Y_t at coordinate t is coordinate
     t of the image of vector k, whose coordinate on basis vector j is
-    Y_{p_j} / d_j.  Before any of it is used, R_t = L Y_t - sum_j
-    basis_j[t] (L / d_j) Y_{p_j} must be 0 in Z at every t (terms with
-    Y_{p_j} = 0 skipped): every image lies exactly in the span.  The trace
-    adds the diagonal slots of Y_{p_k} / d_k.
+    Y_{p_j} / d_j.  Before any of it is used, every image must lie exactly
+    in the span.  In full coordinates, R_t = L Y_t - sum_j basis_j[t] (L /
+    d_j) Y_{p_j} must be 0 in Z at every t (terms with Y_{p_j} = 0
+    skipped).  In Ker(1+S) coordinates, R_t must be 0 at every Ker(1+S)
+    pivot t, and Y must lie in Ker(1+S) (_in_kernel): at each other
+    coordinate t, Y_t = u Y_p for the pivot p and value u = -zeta^e (-1)^k
+    of the Ker(1+S) vector holding t, and Y_t = 0 at a dropped middle
+    coordinate.  Together these are the span: it lies in Ker(1+S), where a
+    vector is fixed by its values at the pivots, and there Y and sum_j
+    (Y_{p_j} / d_j) basis_j agree.  The trace adds the diagonal slots of
+    Y_{p_k} / d_k.
 
-    bits comes from an a-priori bound.  With op scaled to integers q_M,
-    alpha = sum |q_M| max|W(M)| * norm * Z bounds every coordinate of every
-    image in every plane, Z = mod.zeta_bound bounding the entries of a
-    twist; max|W(M)| <= max(|a|+|b|, |c|+|d|)^w, since column i of W(M)
-    holds the coefficients of (aX+b)^i (cX+d)^(w-i).  A term b (L / d_j) y
-    of R_t is at most Z |b (L / d_j)|_1 |y|_1 in each plane, with |y|_1 <=
-    g alpha, so every slot of every R_t is at most alpha (L + Z g spread).
-    Packing is linear, so only those final values count: all lie strictly
-    inside (-2^(bits-1), 2^(bits-1)), a packed int is 0 exactly when all
-    its slots are, and a slot reads back exactly from the int biased by
-    2^(bits-1) in every slot.
+    bits comes from an a-priori bound (_image_bound).  With op scaled to
+    integers q_M, the term of q_M in Y_t reads one source block of a basis
+    vector v through zeta^e W(M), so in each plane it is at most Z |q_M|
+    max|W(M)| |v|_1, Z = mod.zeta_bound bounding the entries of a twist;
+    max|W(M)| <= max(|a|+|b|, |c|+|d|)^w, since column i of W(M) holds the
+    coefficients of (aX+b)^i (cX+d)^(w-i).  Folded, the term reads v's
+    values at the pivots of one point through W(M) or -W(M) W(S), whose
+    entries are those of W(M), once, or twice at a point S fixes (its upper
+    half as it stands and its lower half moved).  So alpha = sum |q_M|
+    max|W(M)| * norm * Z, doubled in Ker(1+S) coordinates, bounds every
+    coefficient of every image in every plane, norm being the l1 norm over
+    the coordinates a vector is given at.  A term b (L / d_j) y of R_t is at
+    most Z |b (L / d_j)|_1 |y|_1 in each plane, with |y|_1 <= g alpha, so
+    every slot of every R_t is at most alpha (L + Z g spread).  Y_t - u Y_p
+    is at most alpha (1 + Z g) in each plane, which is no more, as spread
+    >= L >= 1 (the sum at pivot p_k is d_k L / d_k).  Packing is linear, so
+    only those final values count: all lie strictly inside (-2^(bits-1),
+    2^(bits-1)), a packed int is 0 exactly when all its slots are, and a
+    slot reads back exactly from the int biased by 2^(bits-1) in every
+    slot.
     """
     if not space.pivots:
         return CycloNum.zero(1)
     den = math.lcm(*(q.denominator for q in op.coeffs.values()))
     op = {m: int(q * den) for m, q in op.coeffs.items()}
-    g, dim, L, w1 = mod.g, mod.dim, space.L, mod.w + 1
-    rows = mod.rows(sigma, op)
-    alpha = sum(abs(q) * max(abs(a) + abs(b), abs(c) + abs(d)) ** mod.w for (a, b, c, d), q in op.items())
-    alpha *= space.norm * mod.zeta_bound
+    g, dim, L, w1, kernel = mod.g, mod.dim, space.L, mod.w + 1, space.kernel
+    rows = mod.rows(sigma, op, fold=kernel is not None)
+    alpha = _image_bound(mod, op, space)
     bits = _slot_bits(alpha * (L + mod.zeta_bound * g * space.spread))
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     layout = []  # per exponent: every target point's sources in one list, cut per point
@@ -802,7 +928,9 @@ def _trace_on_space(mod, sigma, op, space):
                     if y:
                         for t, x in zip(coords, values):
                             dst[t] -= x * y
-        if any(any(plane) for plane in resid):
+        if kernel is not None:  # the residual at the Ker(1+S) pivots, the relations elsewhere
+            resid = [map(plane.__getitem__, kernel.pivots) for plane in resid]
+        if any(map(any, resid)) or (kernel is not None and not _in_kernel(images, kernel)):
             raise RuntimeError("operator does not preserve the subspace")
         bias = half * ((1 << (bits * len(slab))) - 1) // mask  # 2^(bits-1) in every slot
         for k in slab:

@@ -11,8 +11,9 @@ import trace_kit
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # a trace command needs none of these: the stdlib modules that dataclasses
-# and the csv writer would load
-NOT_FOR_TRACE = ("dataclasses", "inspect", "csv")
+# and the csv writer would load, and the matrix layer, which only the
+# direct-enumeration cusp oracle and the period side use
+NOT_FOR_TRACE = ("dataclasses", "inspect", "csv", "trace_kit.matrix_forms")
 # nor the period side or the suite, which the package puts in sys.modules
 # with their code not yet run
 NOT_RUN_FOR_TRACE = ("trace_kit.hecke_operator", "trace_kit.period_oracle", "trace_kit.verification")
@@ -30,9 +31,12 @@ def seen():
     return {name for name in NOT_FOR_TRACE if name in sys.modules} | {name for name in NOT_RUN_FOR_TRACE if ran(name)}
 
 loaded = seen()
-code = trace_kit.cli.main(["trace", "--level", "11", "--weight", "2", "--n", "1:3", "--format", "json"])
-loaded |= seen()
-print(code, sorted(loaded), file=sys.stderr)
+codes = []
+# the cusp space, the full space and the composed operator
+for extra in ([], ["--space", "full"], ["--level", "6", "--ell", "2"]):
+    codes.append(trace_kit.cli.main(["trace", "--level", "11", "--weight", "2", "--n", "1:3", "--format", "json", *extra]))
+    loaded |= seen()
+print(codes, sorted(loaded), file=sys.stderr)
 """
 
 
@@ -47,7 +51,7 @@ def test_trace_imports_no_verification_dataclasses_or_csv():
     proc = _run_script(f"NOT_FOR_TRACE = {NOT_FOR_TRACE!r}\nNOT_RUN_FOR_TRACE = {NOT_RUN_FOR_TRACE!r}\n{IMPORT_SCRIPT}")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith('[{"approx":"1",')
-    assert proc.stderr == "0 []\n"
+    assert proc.stderr == "[0, 0, 0] []\n"
 
 
 def test_period_modules_are_in_sys_modules_after_importing_cli():

@@ -1,10 +1,12 @@
 import ast
+import functools
 import importlib.util
 import math
 import pkgutil
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from pathlib import Path
 
@@ -84,13 +86,14 @@ def _plane_vector(mod, vec, d=1):
     return out
 
 
-def _apply(mod, sigma, op, vectors):
+def _apply(mod, sigma, op, vectors, fold=False):
     """Apply sum(q_M * |_Sigma M) to a list of plane vectors: each row t of
     mod.rows dotted with every plane of a vector at the sources of its
     target point t // (w+1) (0 where those miss the vector's coordinates),
-    and the image planes of exponent e twisted by zeta^e."""
+    and the image planes of exponent e twisted by zeta^e.  With fold, the
+    vectors are in Ker(1+S) coordinates (_expand)."""
     w1 = mod.w + 1
-    rows = mod.rows(sigma, op)
+    rows = mod.rows(sigma, op, fold=fold)
     twists = {exp: mult_matrix(mod.order, zeta_power(mod.order, exp)) for exp in rows}
     outs = []
     for vec in vectors:
@@ -110,6 +113,32 @@ def _apply(mod, sigma, op, vectors):
     return outs
 
 
+@functools.lru_cache(maxsize=8)
+def _off_pivots(mod):
+    """(s, p, multiplication matrix of t) for each coordinate s off the
+    pivot p of a vector {p: 1, s: t} of kernel_one_plus_S."""
+    bs, pivots = mod.kernel_one_plus_S()
+    return [(s, p, mult_matrix(mod.order, t)) for b, p in zip(bs, pivots) for s, t in b.items() if s != p]
+
+
+def _expand(mod, vec):
+    """The full plane vector of a vector of Ker(1+S) given by its values at
+    the pivots of kernel_one_plus_S: each of its vectors times the value at
+    its pivot, that is, t times that value at each other coordinate s of a
+    vector {p: 1, s: t}."""
+    out = [list(plane) for plane in vec]
+    for s, p, tmat in _off_pivots(mod):
+        for plane, row in zip(out, tmat):
+            plane[s] = sum(z * src[p] for z, src in zip(row, vec))
+    return out
+
+
+def _basis(mod, space):
+    """The basis of a Subspace as full plane vectors."""
+    dense = [_dense(mod, vp) for vp in space.planes]
+    return dense if space.kernel is None else [_expand(mod, vec) for vec in dense]
+
+
 def _int_space(mod, vectors, pivots):
     """The Subspace of plane vectors that are the field's 1 at their own
     pivot and 0 at the others' pivots, each scaled by the lcm of its
@@ -124,7 +153,7 @@ def _period_space(mod):
     plane vectors, its pivots): the cached basis before its integer
     scaling."""
     vectors, pivots, dens = mod._scaled_period_space()
-    return [_plane_vector(mod, vec, d) for vec, d in zip(vectors, dens)], pivots
+    return [_expand(mod, _plane_vector(mod, vec, d)) for vec, d in zip(vectors, dens)], pivots
 
 
 def _act(mod, sigma, m, vec):
@@ -393,15 +422,16 @@ def _reference_period_space(mod):
     return out, [bpivots[fc] for fc in free]
 
 
-def _in_span(mod, vec, space):
-    """Whether the plane vector vec lies in the span of a Subspace, basis k
-    reading d_k at its own pivot and 0 at the others': L vec - sum_k
-    vec[p_k] (L / d_k) basis_k is zero, L = lcm(d_k), by dense planes."""
+def _in_span(mod, vec, space, basis):
+    """Whether the plane vector vec lies in the span of a Subspace whose
+    basis, as full plane vectors, is basis, vector k reading d_k at its own
+    pivot and 0 at the others': L vec - sum_k vec[p_k] (L / d_k) basis_k is
+    zero, L = lcm(d_k), by dense planes."""
     resid = [[space.L * x for x in plane] for plane in vec]
-    for vp, p, f in zip(space.planes, space.pivots, space.factors):
+    for basis_k, p, f in zip(basis, space.pivots, space.factors):
         coef = [-plane[p] * f for plane in vec]
         if any(coef):
-            po._add_scaled(resid, mult_matrix(mod.order, coef), _dense(mod, vp))
+            po._add_scaled(resid, mult_matrix(mod.order, coef), basis_k)
     return not any(any(plane) for plane in resid)
 
 
@@ -411,10 +441,11 @@ def _reference_trace(mod, sigma, op, space):
     its coordinate on itself read off its pivot."""
     den = math.lcm(*(q.denominator for q in op.coeffs.values()))
     ints = {m: int(q * den) for m, q in op.coeffs.items()}
-    images = _apply(mod, sigma, ints, [_dense(mod, vp) for vp in space.planes])
+    basis = _basis(mod, space)
+    images = _apply(mod, sigma, ints, basis)
     total = [0] * mod.g
     for v, p, f in zip(images, space.pivots, space.factors):
-        if not _in_span(mod, v, space):
+        if not _in_span(mod, v, space, basis):
             raise RuntimeError("operator does not preserve the subspace")
         total = [t + plane[p] * f for t, plane in zip(total, v)]
     return CycloNum(mod.order if mod.g > 1 else 1, [QQ(t, space.L * den) for t in total])
@@ -458,8 +489,9 @@ def test_period_space_matches_the_dense_reference():
                 assert [plane[p] for p in pivots] == [int((c, j) == (0, k)) for j in range(len(pivots))]
         # membership is tested on integer multiples of the vectors
         ours, theirs = _int_space(mod, vectors, pivots), _int_space(mod, ref, ref_pivots)
-        assert all(_in_span(mod, _dense(mod, vp), theirs) for vp in ours.planes), (N, chi.label(), w)
-        assert all(_in_span(mod, _dense(mod, vp), ours) for vp in theirs.planes), (N, chi.label(), w)
+        mine, ref_basis = _basis(mod, ours), _basis(mod, theirs)
+        assert all(_in_span(mod, vec, theirs, ref_basis) for vec in mine), (N, chi.label(), w)
+        assert all(_in_span(mod, vec, ours, mine) for vec in ref_basis), (N, chi.label(), w)
         orders.add(chi.order)
     assert {3, 4, 10} <= orders
 
@@ -678,6 +710,90 @@ def test_derived_rows_compose_from_the_walked_matrix():
         vec = _dense_vector(mod, rng)
         sigma = hecke_coset_desc(N, 3)
         assert _apply(mod, sigma, op, [vec]) == _blockwise_apply(mod, sigma, op, [vec]), N
+
+
+def _kernel_vector(mod, rng):
+    """An integer plane vector in Ker(1+S) coordinates: every plane drawn
+    from [-5, 5] at the pivots of kernel_one_plus_S, 0 elsewhere."""
+    vec = _zero(mod)
+    for plane in vec:
+        for p in mod._fold.pivots:
+            plane[p] = rng.randint(-5, 5)
+    return vec
+
+
+def _label_char(label):
+    N, ci = map(int, label.split("."))
+    return N, enumerate_characters(N)[ci]
+
+
+def test_folded_rows_apply_as_the_unfolded_rows_on_the_expansion():
+    # rows with fold read a vector of Ker(1+S) at the pivots only, and give
+    # the image the unfolded rows give on the whole vector.  S fixes 2
+    # points of P^1(Z/13) and 4 of P^1(Z/65): at w = 2 their middle
+    # coordinate is a pivot, at w = 0 and 4 it is dropped.  Odd characters
+    # of order 4 and 12 at odd weight, 11.3 of order 10, and composed cosets
+    rng = random.Random(31)
+    jobs = []
+    for label, w in (
+        ("13.0", 0), ("13.0", 2), ("13.0", 4), ("13.2", 2), ("13.3", 1), ("13.1", 3),
+        ("65.1", 1), ("65.3", 1), ("11.3", 1), ("5.1", 3),
+    ):
+        N, chi = _label_char(label)
+        jobs += [(N, chi, w, hecke_coset_desc(N, n), build_Tn(n).coeffs) for n in (1, 2, 3, 5)]
+    for N, ell in ((6, 2), (10, 5), (15, 5)):
+        jobs += [(N, trivial_character(N), 2, atkin_coset_desc(N, ell, n), build_Tn(ell * n).coeffs) for n in (1, 2, 3)]
+    middles, odd_orders = set(), set()
+    for N, chi, w, sigma, op in jobs:
+        mod = period_module(N, chi, w)
+        fold = mod._fold
+        assert set(fold.pivots).issuperset(chain.from_iterable(
+            chain.from_iterable(sources for sources, _ in mod.rows(sigma, op, fold=True).values())
+        ))
+        vec = _kernel_vector(mod, rng)
+        want = _apply(mod, sigma, op, [_expand(mod, vec)])
+        assert _apply(mod, sigma, op, [vec], fold=True) == want, (N, chi.label(), w, sigma)
+        fixed = [j for j, (i, _) in enumerate(sigma_block_map(mod.unimodular, S)) if i == j]
+        if fixed and w % 2 == 0:
+            middles.add("dropped" if fold.dropped else "kept")
+        if w % 2:
+            odd_orders.add(chi.order)
+    assert middles == {"dropped", "kept"} and odd_orders == {4, 10, 12}
+
+
+def test_only_the_kernel_relations_see_a_broken_row_off_the_pivots(monkeypatch):
+    # the certificate has two halves: the residual at the pivots of
+    # kernel_one_plus_S, and the Ker(1+S) relations at every other
+    # coordinate, 0 at a dropped middle one.  One row off the pivots, one
+    # entry off by one, changes no value that the trace or the residual
+    # reads, so only the relations see it: with them removed, the broken
+    # operator passes.  At level 13, weight 4, S fixes two points whose
+    # middle coordinate is dropped, and the broken row is one of those
+    for label, w, n in (("11.0", 2, 2), ("13.1", 1, 3), ("65.1", 3, 2), ("13.0", 4, 2)):
+        N, chi = _label_char(label)
+        sigma, op = hecke_coset_desc(N, n), build_Tn(n)
+        want = trace_on_W(N, chi, w, sigma, op)
+        mod = po.PeriodModule(N, chi, w)  # not the cached module: its space is changed below
+        space = mod.period_basis
+        off = mod._fold.dropped or sorted(s for coords, _, _ in mod._fold.relations for s in coords)
+        rows = mod.rows
+
+        def broken(sigma, op, fold=False):
+            out = rows(sigma, op, fold)
+            for sources, coefficients in out.values():
+                for t in off:
+                    # a source at the pivot of basis vector k, which is d_k there
+                    for c, s in enumerate(sources[t // (w + 1)]):
+                        if s in space.pivots:
+                            coefficients[t][c] += 1
+                            return out
+            raise AssertionError("no row off the pivots reads a basis pivot")
+
+        monkeypatch.setattr(mod, "rows", broken)
+        with pytest.raises(RuntimeError, match="does not preserve"):
+            po._trace_on_space(mod, sigma, op, space)
+        space.kernel = space.kernel._replace(relations=[], dropped=[])
+        assert po._trace_on_space(mod, sigma, op, space) == want, label
 
 
 def test_one_trace_walks_once_per_class(monkeypatch):
@@ -900,6 +1016,33 @@ def test_packed_slots_hold_their_bound():
             bias = half * ((1 << (bits * len(values))) - 1) // mask
             assert [(((packed + bias) >> (bits * k)) & mask) - half for k in range(len(values))] == values, bound
             assert (packed == 0) == (not any(values)), bound
+    # on the folded path, every value that _trace_on_space decodes or tests
+    # for 0 lies within the bound its slots are cut for: each coefficient of
+    # each image within _image_bound, and each residual at the pivots of
+    # kernel_one_plus_S and each relation off them within alpha (L + Z g
+    # spread).  Checked on the full images of each basis, at S-fixed points
+    # and under twists, for T_n and for one of its matrices alone, whose
+    # images leave the space
+    for label, w, n in (("13.0", 2, 3), ("13.0", 4, 2), ("13.1", 1, 5), ("65.1", 1, 2), ("11.3", 3, 2)):
+        N, chi = _label_char(label)
+        mod = period_module(N, chi, w)
+        space, fold = mod.period_basis, mod._fold
+        assert space.kernel is fold
+        basis = _basis(mod, space)
+        sigma = hecke_coset_desc(N, n)
+        for op in (build_Tn(n).coeffs, {sorted(build_Tn(n).coeffs)[0]: 1}):
+            alpha = po._image_bound(mod, op, space)
+            bound = alpha * (space.L + mod.zeta_bound * mod.g * space.spread)
+            for image in _apply(mod, sigma, op, basis):
+                assert max(abs(x) for plane in image for x in plane) <= alpha, (label, n)
+                resid = [[space.L * x for x in plane] for plane in image]
+                for basis_k, p, f in zip(basis, space.pivots, space.factors):
+                    po._add_scaled(resid, mult_matrix(mod.order, [-plane[p] * f for plane in image]), basis_k)
+                assert max(abs(plane[p]) for plane in resid for p in fold.pivots) <= bound, (label, n)
+                for coords, pivots, tmat in fold.relations:
+                    for plane, trow in zip(image, tmat):
+                        for s, p in zip(coords, pivots):
+                            assert abs(plane[s] - sum(z * ys[p] for z, ys in zip(trow, image))) <= bound, (label, n)
 
 
 def test_proof_chain_correction():

@@ -17,19 +17,20 @@ An operator sum(q_M M) is applied one way only, as gathered rows
 exponent and target point: the source coordinates of the blocks landing on
 the point, and each of its w+1 rows the matching rows of those blocks as
 they stand, zeros included.  The module acts on the right, so the action
-of M g is that of M followed by that of g: the matrices of an operator fall
-into classes joined by M -> +-M g, g in S, U, U^2 (sigma_1(n) classes for
-T_n), and only the first of a class is walked by sigma_block_map.  The
-others are read off it through the unimodular maps of S, U and U^2, each
-walked once per module.  For an even character order m, zeta^(m/2) = -1
-folds every twist exponent below m/2.  A restricted trace reads each source
-once per target point and plane and takes one dot product per row; the
-period space's elimination keeps the rows of one point per U-orbit only,
-as every image of 1+U+U^2 is U-invariant (_period_system).  S acts as a
-signed permutation, so Ker(1+S) is written down (kernel_one_plus_S).  The
-weight action is built column by column, each the last times (aX+b) over
-(cX+d), an exact division checked term by term (weight_action), so a
-matrix of weight w costs O(w^2) integer operations.
+of M g is that of M followed by that of g, and that of g M is g's followed
+by M's: the matrices of an operator fall into two-sided classes joined by
+M -> +-M g and M -> +-g M, g in S, U, U^2, and only the first of a class
+is walked by sigma_block_map.  The others are read off it through the
+unimodular maps of S, U and U^2, each walked once per module.  For an even
+character order m, zeta^(m/2) = -1 folds every twist exponent below m/2.
+A restricted trace reads each source once per target point and plane and
+takes one dot product per row; the period space's elimination keeps the
+rows of one point per U-orbit only, as every image of 1+U+U^2 is
+U-invariant (_period_system).  S acts as a signed permutation, so
+Ker(1+S) is written down (kernel_one_plus_S).  The weight action is built
+column by column, each the last times (aX+b) over (cX+d), an exact
+division checked term by term, flat and already times q_M (weight_action),
+so a matrix of weight w costs O(w^2) integer operations.
 
 Representation: a vector over Q(zeta_m) is sparse, a dict coordinate ->
 integer coefficient tuple of length phi(m) on the power basis, nonzero
@@ -176,13 +177,16 @@ def coset_table(N):
 # -- weight actions ------------------------------------------------------------
 
 
-def weight_action(m, w):
-    """Matrix of P -> (cX+d)^w P((aX+b)/(cX+d)) on the monomial basis.
+def weight_action(m, w, scale=1):
+    """scale times the matrix of P -> (cX+d)^w P((aX+b)/(cX+d)) on the
+    monomial basis, as one flat list, row-major: entry (r, i) at r (w+1) + i.
 
-    Column i holds the coefficients of (aX+b)^i (cX+d)^(w-i), all integer.
-    Column 0 is the binomial row of (cX+d)^w, and (cX+d) col_{i+1} = (aX+b)
-    col_i gives each next column in O(w) steps, coefficient by coefficient:
-    col_{i+1}[r] = (a col_i[r-1] + b col_i[r] - c col_{i+1}[r-1]) / d.  When
+    Column i holds the coefficients of scale (aX+b)^i (cX+d)^(w-i), all
+    integer for an integer scale.  Column 0 is scale times the binomial row
+    of (cX+d)^w, and (cX+d) col_{i+1} = (aX+b) col_i gives each next column
+    in O(w) steps, coefficient by coefficient: col_{i+1}[r] = (a col_i[r-1]
+    + b col_i[r] - c col_{i+1}[r-1]) / d, linear in col_0, so the scale
+    costs nothing; each column goes to its place by one strided slice.  When
     d = 0 the walk runs the other way, from (aX+b)^w, dividing by b; when b
     = d = 0 too, every column is a^i c^(w-i) X^w.  Each division is exact,
     which is checked.
@@ -192,11 +196,11 @@ def weight_action(m, w):
     """
     a, b, c, d = m
     if not (b or d):
-        return (*repeat((0,) * (w + 1), w), tuple(a**i * c ** (w - i) for i in range(w + 1)))
+        return [0] * (w * (w + 1)) + [scale * a**i * c ** (w - i) for i in range(w + 1)]
     # multiply by (pX+q) and divide by (uX+v), v != 0, from (uX+v)^w
     p, q, u, v = (a, b, c, d) if d else (c, d, a, b)
-    col = [1] * (w + 1)
-    for r in range(w):  # col[r] = C(w, r) u^r v^(w-r), built from both ends
+    col = [scale] * (w + 1)
+    for r in range(w):  # col[r] = scale C(w, r) u^r v^(w-r), built from both ends
         col[r + 1] = col[r] * (w - r) // (r + 1)
     upow = vpow = 1
     for r in range(w + 1):
@@ -204,8 +208,10 @@ def weight_action(m, w):
         col[w - r] *= vpow
         upow *= u
         vpow *= v
-    cols = [col]
-    for _ in range(w):
+    flat = [0] * (w + 1) ** 2
+    places = range(w + 1) if d else range(w, -1, -1)  # where each column built goes
+    flat[places[0] :: w + 1] = col
+    for i in places[1:]:
         nxt = []
         old = new = 0  # col[r-1] and nxt[r-1]
         for x in col:
@@ -214,9 +220,8 @@ def weight_action(m, w):
                 raise ArithmeticError("inexact division in the weight action")
             nxt.append(new)
             old = x
-        cols.append(nxt)
-        col = nxt
-    return tuple(zip(*(cols if d else reversed(cols))))
+        flat[i :: w + 1] = col = nxt
+    return flat
 
 
 # -- double coset descriptors ---------------------------------------------------
@@ -287,30 +292,33 @@ def _fixed_point_args(sigma, m):
     return [ent[1] for j, ent in enumerate(sigma_block_map(sigma, m)) if ent is not None and ent[0] == j]
 
 
-# the single steps M -> M g by which PeriodModule.rows derives one matrix of an
-# operator from another
-_STEPS = (S, U, mat_mul(U, U))
+# the single steps (g, left) by which PeriodModule.rows derives one matrix of
+# an operator from another: M -> M g, or g M when left, g in S, U, U^2
+_STEPS = tuple((g, left) for left in (False, True) for g in (S, U, mat_mul(U, U)))
 
 
 def _coset_classes(op):
-    """The matrices of op in classes, each a list of (M, P, parent, g): the
-    first has P = M and parent None; every other has P = P' g = +-M, P' the
-    P of the member at position parent and g in _STEPS.  A class is every
-    matrix of op reached from its first by such steps."""
+    """The matrices of op in two-sided classes, each a list of (M, P,
+    parent, g, left): the first has P = M and parent None; every other has
+    P = +-M, P = P' g for a right step (left false) or g P' for a left one,
+    P' the P of the member at position parent and (g, left) in _STEPS.  A
+    class is every matrix of op reached from its first by such steps, each
+    product looked up once as +-M (M itself where M and -M are both in op)."""
+    keys = {**{mat_neg(m): m for m in op}, **{m: m for m in op}}  # +-M -> M
     seen = set()
     classes = []
     for m in op:
         if m in seen:
             continue
         seen.add(m)
-        cls = [(m, m, None, None)]
-        for k, (_, p, _, _) in enumerate(cls):  # visits the members appended below too
-            for g in _STEPS:
-                pg = mat_mul(p, g)
-                for mg in (pg, mat_neg(pg)):
-                    if mg in op and mg not in seen:
-                        seen.add(mg)
-                        cls.append((mg, pg, k, g))
+        cls = [(m, m, None, None, False)]
+        for k, (_, p, _, _, _) in enumerate(cls):  # visits the members appended below too
+            for g, left in _STEPS:
+                pg = mat_mul(g, p) if left else mat_mul(p, g)
+                mg = keys.get(pg)
+                if mg is not None and mg not in seen:
+                    seen.add(mg)
+                    cls.append((mg, pg, k, g, left))
         classes.append(cls)
     return classes
 
@@ -385,15 +393,44 @@ class PeriodModule:
             walked = self._unimodular_maps[g] = sources, exps
         return walked
 
+    def _class_maps(self, sigma, cls):
+        """(M, P, sources, exponents) per member of a two-sided class
+        (_coset_classes): the block at point j of the image of P is
+        zeta^exponents[j] W(P) applied to the block at point sources[j] (None:
+        no block, any exponent).  Only the first is walked by sigma_block_map,
+        every member certified and every character argument checked to be a
+        unit, kept or not.  Each other composes its parent's map with the
+        unimodular map of g, as A B = P' g (a right step) or g P' (a left
+        one): A B acts as A, then B, so its source at j is A_src[k], k =
+        B_src[j], and its exponent B_exp[j] + A_exp[k].  With mu = A_k B
+        A_j^-1 and gamma = A_i A A_k^-1 (i = A_src[k]), one in Gamma_0(N) and
+        the other in the coset, A_i A B A_j^-1 = gamma mu is in the coset with
+        argument gamma_a mu_a mod N, as N | mu_c: a unit's, as both factors'
+        are.  P stands for M as -I acts as chi(-1) (-1)^w = 1."""
+        m, table = self.order, self.chi.table()
+        maps = []
+        for key, P, parent, g, left in cls:
+            if parent is None:
+                sources, exps = zip(*[(None, 0) if ent is None else (ent[0], table[ent[1]]) for ent in sigma_block_map(sigma, P)])
+                if None in exps:  # checked whether or not the block is kept
+                    raise RuntimeError("character argument is not a unit")
+            else:
+                gmap, pmap = self._unimodular_map(g), maps[parent]
+                (asrc, aexp), (bsrc, bexp) = (gmap, pmap) if left else (pmap, gmap)
+                sources = [None if k is None else asrc[k] for k in bsrc]
+                exps = [0 if k is None else (e + aexp[k]) % m for k, e in zip(bsrc, bexp)]
+            maps.append((sources, exps))
+            yield key, P, sources, exps
+
     def rows(self, sigma, op, fold=False):
-        """sum(q_M * |_Sigma M) gathered by target point: chi twist exponent
-        e -> (sources, coefficients).  sources[j] lists the source
-        coordinates of the blocks landing on point j, each block's kept
-        coordinates once; coefficients[t] is row t before the twist by
-        zeta^e, its integer entries aligned with sources[t // (w+1)], each
-        block's row as it stands, zeros included.  The terms are first summed
-        as blocks, q_M W(M) (W the weight action) added per (source point,
-        target point, exponent).
+        """sum(q_M * |_Sigma M), q_M ints (TypeError otherwise), by target
+        point: chi twist exponent e -> (sources, coefficients).  sources[j]
+        lists the source coordinates of the blocks landing on point j, each
+        block's kept coordinates once; coefficients[t] is row t before the
+        twist by zeta^e, its integer entries aligned with sources[t // (w+1)],
+        each block's row as it stands, zeros included.  The terms are first
+        summed as blocks, q_M W(M) (weight_action scaled by q_M) added per
+        (source point, target point, exponent).
 
         With fold, the rows act on vectors of Ker(1+S) given by their values
         at the pivots of kernel_one_plus_S (_fold), and every source is such
@@ -405,24 +442,17 @@ class PeriodModule:
         half of the same point; the middle column stays when it is a pivot,
         and is dropped when v vanishes there.
 
-        The matrices are taken one class at a time (_coset_classes), and
-        only the first of a class is walked by sigma_block_map, every
-        member certified and every character argument checked to be a unit,
-        kept or not.  Each other is P = P' g = +-M for its key M, P' the
-        matrix of an earlier member and g one of S, U, U^2.  With A_k g
-        A_j^-1 = gamma in Gamma_0(N) (k = the source of g at j) and A_i P'
-        A_k^-1 = mu in the coset, A_i P A_j^-1 = mu gamma is in it too, with
-        argument mu_a gamma_a mod N: the source of P at j is that of P' at
-        k, its exponent the sum of the two, a unit's as mu_a is one.  P
-        stands for M as -I acts as chi(-1) (-1)^w = 1, and W(P) is made
-        once per member that keeps a block.
+        The matrices are taken one two-sided class at a time
+        (_coset_classes), each member's map read off by _class_maps, and
+        W(P) is made once per member that keeps a block.
 
         For an even order m, zeta^(m/2) = -1: a block at exponent e + m/2
         is added, negated, at exponent e, so every exponent is below m/2.
         Where each block lands is looked up per (source point, exponent)
         (_landing)."""
         w, w1, m = self.w, self.w + 1, self.order
-        table = self.chi.table()
+        if not all(isinstance(q, int) for q in op.values()):
+            raise TypeError("rows takes integer coefficients q_M")
         if fold:
             land, lo, forms = self._fold.land, self._fold.lo, self._fold.forms
         else:
@@ -430,33 +460,13 @@ class PeriodModule:
             lo, forms = [0] * self.npoints, None
         blocks = {}  # (source point, target point, exponent) -> summed q W(M), row-major
         for cls in _coset_classes(op):
-            members = []  # per member: (sources, exponents)
-            for key, P, parent, g in cls:
-                if parent is None:
-                    sources, exps = [], []
-                    for ent in sigma_block_map(sigma, P):
-                        if ent is None:
-                            sources.append(None)
-                            exps.append(0)
-                            continue
-                        i, arg = ent
-                        exp = table[arg]
-                        if exp is None:  # checked whether or not the block is kept
-                            raise RuntimeError("character argument is not a unit")
-                        sources.append(i)
-                        exps.append(exp)
-                else:
-                    psources, pexps = members[parent]
-                    gsources, gexps = self._unimodular_map(g)
-                    sources = list(map(psources.__getitem__, gsources))
-                    exps = [(pexps[s] + e) % m for s, e in zip(gsources, gexps)]
-                members.append((sources, exps))
+            for key, P, sources, exps in self._class_maps(sigma, cls):
                 made = None  # this member's block per slot (_landing), made on first use
                 for j, (i, exp) in enumerate(zip(sources, exps)):
                     if i is None:
                         continue
                     if made is None:
-                        made = [[op[key] * x for row in weight_action(P, w) for x in row], None, None, None, None, None]
+                        made = [weight_action(P, w, op[key]), None, None, None, None, None]
                     for d, e, slot in land[i][exp]:
                         f = made[slot] or _block(made, slot, forms)
                         blk = blocks.get((d, j, e))
@@ -494,7 +504,7 @@ class PeriodModule:
             z = zeta_power(m, e)
             for k in range(w1):
                 p, q = i * w1 + k, j * w1 + w - k
-                t = tuple([-x * wm[w - k][k] for x in z])
+                t = tuple([-x * wm[(w - k) * w1 + k] for x in z])
                 if i == j and (2 * k < w or (p == q and t != one)):
                     continue
                 basis.append({p: one, q: t})  # {p: one} when p == q
@@ -963,8 +973,7 @@ def trace_on_V(N, chi, w, sigma, op):
     _period_job(N, chi, w, sigma, op)
     total = CycloNum.zero(chi.order)
     for m, q in op.coeffs.items():
-        wm = weight_action(m, w)
-        ptrace = sum(wm[r][r] for r in range(w + 1))
+        ptrace = sum(weight_action(m, w)[:: w + 2])  # the diagonal
         if ptrace:
             total = total + chi.total(_fixed_point_args(sigma, m)) * (QQ(q) * ptrace)
     return total

@@ -86,13 +86,22 @@ def _plane_vector(mod, vec, d=1):
     return out
 
 
+def _int_op(op):
+    """(den, op with every q_M times den, as ints), den the least common
+    denominator of the q_M: mod.rows takes integer q_M only."""
+    den = math.lcm(*(q.denominator for q in op.values()))
+    return den, {m: int(q * den) for m, q in op.items()}
+
+
 def _apply(mod, sigma, op, vectors, fold=False):
     """Apply sum(q_M * |_Sigma M) to a list of plane vectors: each row t of
     mod.rows dotted with every plane of a vector at the sources of its
     target point t // (w+1) (0 where those miss the vector's coordinates),
     and the image planes of exponent e twisted by zeta^e.  With fold, the
-    vectors are in Ker(1+S) coordinates (_expand)."""
+    vectors are in Ker(1+S) coordinates (_expand).  Rational q_M are scaled
+    to integers for mod.rows (_int_op), and the images divided back."""
     w1 = mod.w + 1
+    den, op = _int_op(op)
     rows = mod.rows(sigma, op, fold=fold)
     twists = {exp: mult_matrix(mod.order, zeta_power(mod.order, exp)) for exp in rows}
     outs = []
@@ -109,7 +118,7 @@ def _apply(mod, sigma, op, vectors, fold=False):
             ]
             if any(map(any, acc)):
                 po._add_scaled(out, twists[exp], acc)
-        outs.append(out)
+        outs.append(out if den == 1 else [[Fraction(x, den) for x in plane] for plane in out])
     return outs
 
 
@@ -281,16 +290,16 @@ def test_weight_action_trace_is_gegenbauer():
             continue
         count += 1
         for w in (0, 1, 2, 5, 8):
-            wm = weight_action(m, w)
-            assert sum(wm[r][r] for r in range(w + 1)) == gegenbauer(
+            wm = weight_action(m, w)  # flat, row-major
+            assert sum(wm[r * (w + 1) + r] for r in range(w + 1)) == gegenbauer(
                 w, m[0] + m[3], mat_det(m)
             )
 
 
 def _binomial_weight_action(m, w):
-    """Reference weight action: column i of (aX+b)^i (cX+d)^(w-i) as the
-    product of the binomial rows C(i,s) a^s b^(i-s) and C(w-i,r) c^r
-    d^(w-i-r)."""
+    """Reference weight action, flat and row-major: column i of (aX+b)^i
+    (cX+d)^(w-i) as the product of the binomial rows C(i,s) a^s b^(i-s) and
+    C(w-i,r) c^r d^(w-i-r)."""
     a, b, c, d = m
     top = [[math.comb(i, s) * a**s * b ** (i - s) for s in range(i + 1)] for i in range(w + 1)]
     bot = [[math.comb(i, r) * c**r * d ** (i - r) for r in range(i + 1)] for i in range(w + 1)]
@@ -301,7 +310,7 @@ def _binomial_weight_action(m, w):
             for r, y in enumerate(u, s):
                 col[r] += x * y
         cols.append(col)
-    return tuple(zip(*cols))
+    return [x for row in zip(*cols) for x in row]
 
 
 def test_weight_action_matches_the_binomial_reference():
@@ -320,6 +329,29 @@ def test_weight_action_matches_the_binomial_reference():
     for m in (S, T, U, IDENT, (0, 0, 3, 0), (0, 0, 0, 0)):
         for w in (0, 1, 2, 5, 10, 30):
             assert weight_action(m, w) == _binomial_weight_action(m, w), (m, w)
+
+
+def test_scaled_weight_action_is_the_scaled_reference():
+    # rows makes q_M W(M) in one pass: the recurrence starts from q_M times
+    # the binomial column, on every branch (b = d = 0, d = 0, and the
+    # general one with negative entries), up to the weight of the CI step
+    for w in (0, 1, 10, 198):
+        for m in ((-3, 0, 5, 0), (0, -2, 3, 0), (2, -5, -3, 4), (-1, 7, 2, -3)):
+            want = _binomial_weight_action(m, w)
+            for scale in (-6, 1, 7):
+                assert weight_action(m, w, scale) == [scale * x for x in want], (m, w, scale)
+
+
+def test_rows_take_integer_coefficients_only():
+    # a rational q_M would reach the weight recurrence, whose floor
+    # divisions are exact only on ints: rows rejects it up front, even one
+    # of integer value
+    mod = period_module(11, trivial_character(11), 2)
+    sigma = hecke_coset_desc(11, 2)
+    for op in (build_Tn(2).coeffs, {(1, 0, 0, 2): Fraction(3)}, {(1, 0, 0, 2): 1.0}):
+        with pytest.raises(TypeError, match="integer coefficients"):
+            mod.rows(sigma, op)
+    assert mod.rows(sigma, _int_op(build_Tn(2).coeffs)[1])
 
 
 def test_generator_relations_on_module():
@@ -601,7 +633,7 @@ def _blockwise_apply(mod, sigma, op, vectors):
                 term = _zero(mod)
                 for dst, src in zip(term, vec):
                     for r in range(w1):
-                        dst[j * w1 + r] = q * sum(wm[r][c] * src[i * w1 + c] for c in range(w1))
+                        dst[j * w1 + r] = q * sum(wm[r * w1 + c] * src[i * w1 + c] for c in range(w1))
                 zeta = mult_matrix(mod.order, zeta_power(mod.order, mod.chi.value_exponent(arg)))
                 po._add_scaled(out, zeta, term)
         outs.append(out)
@@ -647,7 +679,7 @@ def test_apply_operator_equals_the_blockwise_reference():
         vectors = _random_vectors(mod, rng)
         # row t is aligned with the sources of its target point
         w1 = w + 1
-        for sources, coefficients in mod.rows(sigma, op).values():
+        for sources, coefficients in mod.rows(sigma, _int_op(op)[1]).values():
             assert len(sources) == mod.npoints and len(coefficients) == mod.dim
             for t, coefs in enumerate(coefficients):
                 assert len(coefs) == len(sources[t // w1]), (N, chi.label(), w, sigma, t)
@@ -712,6 +744,57 @@ def test_derived_rows_compose_from_the_walked_matrix():
         assert _apply(mod, sigma, op, [vec]) == _blockwise_apply(mod, sigma, op, [vec]), N
 
 
+def test_left_derived_rows_compose_from_the_walked_matrix():
+    # the left-step twin of the test above: m walked, then -(S m) reached as
+    # S m by a left step, and its children -(U S m) and U^2 S m as U (S m)
+    # and U^2 (S m), composed from S m and not from the key -(S m)
+    m = sorted(build_Tn(3).coeffs)[0]
+    sm = mat_mul(S, m)
+    op = {m: 1, mat_neg(sm): 2, mat_neg(mat_mul(U, sm)): -3, mat_mul(mat_mul(U, U), sm): 5}
+    assert [[(parent, left) for _, _, parent, _, left in cls] for cls in po._coset_classes(op)] == [
+        [(None, False), (0, True), (1, True), (1, True)]
+    ]
+    rng = random.Random(6)
+    for N, ci in ((4, 1), (5, 1), (7, 1)):
+        chi = enumerate_characters(N)[ci]
+        assert chi.parity() == -1
+        mod = period_module(N, chi, 3)
+        vec = _dense_vector(mod, rng)
+        sigma = hecke_coset_desc(N, 3)
+        assert _apply(mod, sigma, op, [vec]) == _blockwise_apply(mod, sigma, op, [vec]), N
+
+
+def test_every_class_member_map_is_its_own_walk():
+    # _class_maps walks the first member of a two-sided class and composes
+    # every other from its parent and the unimodular map of S, U or U^2, on
+    # the right (P' g) or on the left (g P'); each composed (sources,
+    # exponent) at each point with a source must be what sigma_block_map
+    # walks for that member's P, and the others must have no source.
+    # Hecke cosets under characters of order 1, 4, 10 and 12, the last
+    # three odd at odd weight, and composed cosets
+    jobs = []
+    for label, w in (("11.0", 2), ("13.0", 2), ("16.5", 1), ("11.3", 1), ("13.1", 1), ("65.1", 1)):
+        N, chi = _label_char(label)
+        jobs += [(period_module(N, chi, w), hecke_coset_desc(N, n), build_Tn(n).coeffs) for n in range(1, 17)]
+    for N, ell in ((6, 2), (10, 5), (15, 5), (30, 5)):
+        mod = period_module(N, trivial_character(N), 2)
+        jobs += [(mod, atkin_coset_desc(N, ell, n), build_Tn(ell * n).coeffs) for n in range(1, 16 // ell + 1)]
+    steps = {False: 0, True: 0}  # derived members, by side
+    orders = set()
+    for mod, sigma, op in jobs:
+        table = mod.chi.table()
+        for cls in po._coset_classes(op):
+            for (_, _, parent, _, left), (key, P, sources, exps) in zip(cls, mod._class_maps(sigma, cls)):
+                walked = sigma_block_map(sigma, P)
+                assert P in (key, mat_neg(key))
+                got = [None if i is None else (i, e) for i, e in zip(sources, exps)]
+                assert got == [ent and (ent[0], table[ent[1]]) for ent in walked], (sigma, P)
+                if parent is not None:
+                    steps[left] += 1
+        orders.add(mod.chi.order)
+    assert orders == {1, 4, 10, 12} and min(steps.values()) > 100, steps
+
+
 def _kernel_vector(mod, rng):
     """An integer plane vector in Ker(1+S) coordinates: every plane drawn
     from [-5, 5] at the pivots of kernel_one_plus_S, 0 elsewhere."""
@@ -748,7 +831,7 @@ def test_folded_rows_apply_as_the_unfolded_rows_on_the_expansion():
         mod = period_module(N, chi, w)
         fold = mod._fold
         assert set(fold.pivots).issuperset(chain.from_iterable(
-            chain.from_iterable(sources for sources, _ in mod.rows(sigma, op, fold=True).values())
+            chain.from_iterable(sources for sources, _ in mod.rows(sigma, _int_op(op)[1], fold=True).values())
         ))
         vec = _kernel_vector(mod, rng)
         want = _apply(mod, sigma, op, [_expand(mod, vec)])
@@ -796,10 +879,33 @@ def test_only_the_kernel_relations_see_a_broken_row_off_the_pivots(monkeypatch):
         assert po._trace_on_space(mod, sigma, op, space) == want, label
 
 
+def _two_sided_classes(op):
+    """The number of classes of the matrices of op joined by M -> +-M g and
+    M -> +-g M, g in S, U, U^2, by a union-find over op's support."""
+    parent = {m: m for m in op}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    for m in op:
+        for g in (S, U, mat_mul(U, U)):
+            for h in (mat_mul(m, g), mat_mul(g, m)):
+                for k in (h, mat_neg(h)):
+                    if k in parent:
+                        parent[find(k)] = find(m)
+    return len({find(m) for m in op})
+
+
 def test_one_trace_walks_once_per_class(monkeypatch):
-    # the coset walk runs once per class of T_n under right multiplication
-    # by SL_2(Z), sigma_1(n) of them; the unimodular maps are walked once
-    # per module, with its basis
+    # the coset walk runs once per two-sided class of T_n, its matrices
+    # joined by multiplying by S, U and U^2 on either side: fewer than the
+    # sigma_1(n) classes of right steps alone (1 against 3 for T_2, 21
+    # against 31 for T_16).  The unimodular maps are walked once per
+    # module, with its basis
+    assert [_two_sided_classes(build_Tn(n).coeffs) for n in (2, 16)] == [1, 21]
     calls = []
     walk = po.sigma_block_map
 
@@ -813,7 +919,7 @@ def test_one_trace_walks_once_per_class(monkeypatch):
         for n in range(1, 17):
             calls.clear()
             trace_on_W(N, chi, w, hecke_coset_desc(N, n), build_Tn(n))
-            assert calls == [hecke_coset_desc(N, n)] * sum(divisors(n)), (N, chi.label(), w, n)
+            assert calls == [hecke_coset_desc(N, n)] * _two_sided_classes(build_Tn(n).coeffs), (N, chi.label(), w, n)
 
 
 def test_rows_fold_the_upper_half_of_an_even_order():
@@ -826,7 +932,7 @@ def test_rows_fold_the_upper_half_of_an_even_order():
             w = 2 if chi.parity() == 1 else 1
             mod = period_module(N, chi, w)
             for n in range(1, 7):
-                exponents = set(mod.rows(hecke_coset_desc(N, n), build_Tn(n).coeffs))
+                exponents = set(mod.rows(hecke_coset_desc(N, n), _int_op(build_Tn(n).coeffs)[1]))
                 assert all(e < chi.order // 2 for e in exponents), (chi.label(), n, exponents)
             seen += 1
     assert seen == 21
